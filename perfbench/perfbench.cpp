@@ -1,7 +1,7 @@
 // perfbench: the op2hpx Airfoil benchmark (workloads, metrics and the
 // layer map are documented in README.md next to this file).
 //
-//   perfbench --workload airfoil_large|airfoil_small|service_mixed
+//   perfbench --workload airfoil_large|airfoil_small
 //             --seed N --seconds S --trace 0|1 [--out DIR]
 //
 // Drives the public API from outside: airfoil::make_mesh /
@@ -18,16 +18,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <filesystem>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <random>
 #include <sched.h>
@@ -58,8 +55,8 @@ constexpr int kSetupReps = 7;
 /// (max |dq| / max |q_ref|) and final rms relative.
 constexpr double kTolQ = 1e-10;
 constexpr double kTolRms = 1e-6;
-/// Service jobs submitted one at a time by the traced airfoil runs to
-/// give the service layer's numbers on the workload's own mesh.
+/// Service jobs submitted one at a time by the traced runs to give the
+/// service layer's numbers on the workload's own mesh.
 constexpr int kProbeJobs = 3;
 
 struct airfoil_shape {
@@ -70,14 +67,6 @@ struct airfoil_shape {
 
 constexpr airfoil_shape kLarge{600, 300, 8};
 constexpr airfoil_shape kSmall{48, 24, 200};
-/// service_mixed: three job mesh sizes, and the solo seq/fork_join
-/// march on the largest one (loops long enough that one preempted core
-/// does not decide a fork_join barrier).
-constexpr std::array<airfoil_shape, 3> kJobShapes{
-    airfoil_shape{32, 16, 8}, airfoil_shape{64, 32, 8},
-    airfoil_shape{128, 64, 8}};
-constexpr airfoil_shape kSoloShape{128, 64, 32};
-constexpr int kTenants = 3;
 
 constexpr std::array<char const*, 5> kLoopNames{
     "save_soln", "adt_calc", "res_calc", "bres_calc", "update"};
@@ -91,6 +80,25 @@ double median(std::vector<double> v) {
     std::sort(v.begin(), v.end());
     std::size_t const n = v.size();
     return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Mean of the middle 80 % of the samples. seq marches rotate over the
+/// CPUs (run_rounds), and on a shared host some CPUs run slower than
+/// others for seconds at a time, so the samples come in clusters whose
+/// shares shift from run to run. A median jumps between the clusters
+/// as the shares shift; this mean moves with them smoothly, and
+/// dropping 10 % at each end keeps single stalls out of it.
+double trimmed_mean(std::vector<double> v) {
+    if (v.empty()) {
+        return 0.0;
+    }
+    std::sort(v.begin(), v.end());
+    std::size_t const cut = v.size() / 10;
+    double sum = 0.0;
+    for (std::size_t i = cut; i < v.size() - cut; ++i) {
+        sum += v[i];
+    }
+    return sum / static_cast<double>(v.size() - 2 * cut);
 }
 
 /// The highest percentile, up to p90, with at least ten samples beyond
@@ -166,14 +174,17 @@ struct report {
         metrics.push_back({std::move(name), value, std::move(unit),
                            std::move(note)});
     }
+    /// Tails are printed, not part of the JSON result: their ten-run
+    /// quartile spread on a shared host exceeds any bound worth setting.
     void add_tail(std::string const& name, std::vector<double> const& v,
-                  std::string const& unit, bool in_json = true) {
+                  std::string const& unit) {
         auto const t = tail(v);
         char buf[128];
-        std::snprintf(buf, sizeof buf, "p%.1f of n=%zu, %zu beyond%s", t.pct,
-                      t.n, t.beyond, in_json ? "" : " (printed only)");
+        std::snprintf(buf, sizeof buf,
+                      "p%.1f of n=%zu, %zu beyond (printed only)", t.pct,
+                      t.n, t.beyond);
         add(name, t.value, unit, buf);
-        metrics.back().in_json = in_json;
+        metrics.back().in_json = false;
     }
 };
 
@@ -547,7 +558,6 @@ private:
 
 struct round_log {
     std::map<backend, std::vector<double>> per_iter_ms;
-    std::vector<double> round_ms;
     std::vector<march_out> traced;
 };
 
@@ -564,7 +574,6 @@ void run_rounds(bench_problem& bp, std::vector<backend> backends,
     for (std::size_t round = 0;
          round < 3 || seconds_since(t0) < seconds; ++round) {
         std::shuffle(backends.begin(), backends.end(), rng);
-        double round_ms = 0.0;
         for (backend be : backends) {
             reset(bp);
             // A seq march runs on this thread alone, so it would time
@@ -608,12 +617,10 @@ void run_rounds(bench_problem& bp, std::vector<backend> backends,
                 }
             }
             log.per_iter_ms[be].push_back(m.wall_ms / iters);
-            round_ms += m.wall_ms;
             if (traced) {
                 log.traced.push_back(std::move(m));
             }
         }
-        log.round_ms.push_back(round_ms);
     }
 }
 
@@ -621,175 +628,70 @@ void run_rounds(bench_problem& bp, std::vector<backend> backends,
 
 struct job_out {
     march_out march;
-    double mesh_ms = 0.0;
-    double declare_ms = 0.0;
-    std::size_t plan_entries = 0;
+    double setup_ms = 0.0;
 };
 
-/// Completed job bodies, in completion order: the closed-loop generator
-/// sleeps here until a job finished.
-struct done_queue {
-    std::mutex mtx;
-    std::condition_variable cv;
-    std::deque<std::size_t> done;
-
-    void push(std::size_t i) {
-        std::lock_guard<std::mutex> lk(mtx);
-        done.push_back(i);
-        cv.notify_one();
-    }
-    std::size_t pop() {
-        std::unique_lock<std::mutex> lk(mtx);
-        cv.wait(lk, [&] { return !done.empty(); });
-        std::size_t const i = done.front();
-        done.pop_front();
-        return i;
-    }
-};
-
-struct job_slot {
-    op2::service::job job;
-    job_out out;
-    std::size_t shape = 0;
-    double submit_us = 0.0;
-};
-
-/// The body of one service job: declare its own mesh, march it on hpx
-/// (airfoil::run, or the traced chain), then signal the generator.
-void job_body(airfoil_shape shape, bool traced, bool wait_each,
-              std::uint64_t group, std::uint64_t parent, job_out* out,
-              done_queue* dq, std::size_t slot) {
-    struct notify {
-        done_queue* dq;
-        std::size_t slot;
-        ~notify() { dq->push(slot); }
-    } const signal{dq, slot};
+/// The body of one service job: declare its own mesh, then march it on
+/// hpx through the traced chain.
+void job_body(airfoil_shape shape, bool wait_each, std::uint64_t group,
+              std::uint64_t parent, job_out* out) {
     group_scope gs(group, parent);
     span_scope body("job", "op2.service");
     bench_problem bp;
     declare(bp, shape);
-    out->mesh_ms = bp.mesh_s * 1e3;
-    out->declare_ms = bp.declare_s * 1e3;
-    out->march = traced ? traced_march(bp.prob, backend::hpx, shape.iters,
-                                       wait_each)
-                        : plain_march(bp.prob, backend::hpx, shape.iters);
-    out->plan_entries = op2::plan_cache_size(op2::current_context()->id());
+    out->setup_ms = (bp.mesh_s + bp.declare_s) * 1e3;
+    out->march = traced_march(bp.prob, backend::hpx, shape.iters, wait_each);
 }
 
-struct service_log {
-    std::vector<double> latency_ms;
-    std::vector<double> march_iter_ms;
+/// Service jobs of the workload's own mesh, submitted one at a time to
+/// a scheduler with default options (fifo, purge_plans on): the
+/// service.* rows. Each job is checked against the seq reference.
+void service_probe(bench_problem const& bp, report& rep) {
+    airfoil_shape const shape = bp.shape;
     std::vector<double> submit_us;
     std::vector<double> wait_ms;
     std::vector<double> run_ms;
     std::vector<double> setup_ms;
     std::vector<double> march_ms;
-    std::vector<double> mesh_s;
-    std::vector<double> declare_s;
-    std::vector<double> plan_entries;
-    std::vector<march_out> traced;
-    double wall_s = 0.0;
-    double cpu_s = 0.0;
-    long csw = 0;
-    std::uint64_t tasks = 0;
-    int job_iters = 0;
-};
-
-/// Closed loop from this thread: keep `outstanding` jobs in the
-/// scheduler, drawing each job's mesh size from `shapes` and its tenant
-/// from `rng`, until `seconds` passed or `max_jobs` were submitted, then
-/// drain.
-void run_service(std::size_t outstanding, double seconds, bool traced,
-                 std::mt19937_64& rng,
-                 std::vector<airfoil_shape> const& shapes,
-                 std::vector<reference> const& refs, std::size_t max_jobs,
-                 report& rep, service_log& log) {
-    std::deque<job_slot> slots;
-    done_queue dq;
-    // Default options: fifo, purge_plans on. Declared after what job
-    // bodies write to: its destructor drains every job before those go.
     op2::service::scheduler sched(op2::service::scheduler_options{});
-    std::uniform_int_distribution<std::size_t> pick_shape(0,
-                                                          shapes.size() - 1);
-    std::uniform_int_distribution<int> pick_tenant(0, kTenants - 1);
-
-    auto& pool = hpxlite::get_pool();
-    usage const u0 = sample_usage();
-    std::uint64_t const tasks0 = pool.tasks_executed();
-    std::int64_t const t0 = now_ns();
-    std::size_t in_flight = 0;
-    auto submit_next = [&] {
-        std::size_t const idx = slots.size();
-        auto& s = slots.emplace_back();
-        s.shape = pick_shape(rng);
-        int const tenant = pick_tenant(rng);
-        airfoil_shape const shape = shapes[s.shape];
+    for (int i = 0; i < kProbeJobs; ++i) {
+        job_out out;
         op2::service::job_desc d;
-        d.name = "job" + std::to_string(idx);
-        d.tenant = "tenant" + std::to_string(tenant);
+        d.name = "probe" + std::to_string(i);
         d.est_loops = static_cast<std::uint64_t>(shape.iters) * 9;
         d.est_bytes = shape.nx * shape.ny * 16 * sizeof(double);
-        std::uint64_t const group = spans().on() ? spans().next_id() : 0;
+        std::uint64_t const group = spans().next_id();
         group_scope gs(group, 0);
         span_scope sub("submit", "op2.service", "job");
-        d.program = [shape, traced, idx, group, parent = sub.id(),
-                     out = &s.out, q = &dq] {
-            job_body(shape, traced, idx % 2 == 1, group, parent, out, q,
-                     idx);
+        d.program = [shape, wait_each = i % 2 == 1, group,
+                     parent = sub.id(), o = &out] {
+            job_body(shape, wait_each, group, parent, o);
         };
-        s.job = sched.submit(std::move(d));
-        s.submit_us = sub.close() * 1e3;
-        ++in_flight;
-    };
-
-    while (true) {
-        while (in_flight < outstanding && slots.size() < max_jobs &&
-               seconds_since(t0) < seconds) {
-            submit_next();
-        }
-        if (in_flight == 0) {
-            break;
-        }
-        std::size_t const idx = dq.pop();
-        auto& s = slots[idx];
-        s.job.wait();
-        --in_flight;
-
-        if (s.job.failed()) {
+        op2::service::job job = sched.submit(std::move(d));
+        submit_us.push_back(sub.close() * 1e3);
+        job.wait();
+        if (job.failed()) {
             ++rep.attempted;
             ++rep.failed;
             try {
-                s.job.rethrow();
+                job.rethrow();
             } catch (std::exception const& e) {
                 rep.notes.push_back(std::string("job failed: ") + e.what());
             }
             continue;
         }
-        check(rep, s.out.march, refs[s.shape]);
-        auto const jm = s.job.metrics();
-        int const iters = shapes[s.shape].iters;
-        log.latency_ms.push_back(jm.latency_s * 1e3);
-        log.wait_ms.push_back(jm.wait_s * 1e3);
-        log.run_ms.push_back(jm.run_s * 1e3);
-        log.submit_us.push_back(s.submit_us);
-        log.setup_ms.push_back(s.out.mesh_ms + s.out.declare_ms);
-        log.mesh_s.push_back(s.out.mesh_ms * 1e-3);
-        log.declare_s.push_back(s.out.declare_ms * 1e-3);
-        log.march_ms.push_back(s.out.march.wall_ms);
-        log.march_iter_ms.push_back(s.out.march.wall_ms / iters);
-        log.plan_entries.push_back(static_cast<double>(s.out.plan_entries));
-        log.job_iters += iters;
-        if (traced) {
-            log.traced.push_back(std::move(s.out.march));
-        }
-        s.out.march.q.clear();
-        s.out.march.q.shrink_to_fit();
+        check(rep, out.march, bp.ref);
+        auto const jm = job.metrics();
+        wait_ms.push_back(jm.wait_s * 1e3);
+        run_ms.push_back(jm.run_s * 1e3);
+        setup_ms.push_back(out.setup_ms);
+        march_ms.push_back(out.march.wall_ms);
     }
-    log.wall_s = seconds_since(t0);
-    usage const u1 = sample_usage();
-    log.cpu_s = u1.cpu_s - u0.cpu_s;
-    log.csw = u1.csw - u0.csw;
-    log.tasks = pool.tasks_executed() - tasks0;
+    rep.add("service.submit_us", median(submit_us), "us");
+    rep.add("service.wait_ms", median(wait_ms), "ms");
+    rep.add("service.run_ms", median(run_ms), "ms");
+    rep.add("service.job_setup_ms", median(setup_ms), "ms");
+    rep.add("service.job_march_ms", median(march_ms), "ms");
 }
 
 // ---------------------------------------------------- per-layer tables
@@ -872,24 +774,6 @@ struct cli {
 
 std::size_t pool_workers() { return hpxlite::get_pool().size(); }
 
-void service_layers(service_log const& slog, report& rep) {
-    rep.add("service.submit_us", median(slog.submit_us), "us");
-    rep.add("service.wait_ms", median(slog.wait_ms), "ms");
-    rep.add("service.run_ms", median(slog.run_ms), "ms");
-    rep.add("service.job_setup_ms", median(slog.setup_ms), "ms");
-    rep.add("service.job_march_ms", median(slog.march_ms), "ms");
-}
-
-/// Service jobs of the workload's own mesh, one at a time, traced: the
-/// service.* rows of the airfoil workloads.
-void service_probe(bench_problem const& bp, std::mt19937_64& rng,
-                   report& rep) {
-    service_log slog;
-    run_service(1, 1e9, true, rng, {bp.shape}, {bp.ref}, kProbeJobs, rep,
-                slog);
-    service_layers(slog, rep);
-}
-
 void run_airfoil(airfoil_shape shape, cli const& c, report& rep) {
     std::mt19937_64 rng(c.seed);
     std::vector<backend> const all{backend::seq, backend::fork_join,
@@ -920,31 +804,24 @@ void run_airfoil(airfoil_shape shape, cli const& c, report& rep) {
     if (!c.trace) {
         round_log log;
         run_rounds(bp, all, c.seconds, false, rng, rep, log);
-        double total_s = 0.0;
-        for (double ms : log.round_ms) {
-            total_s += ms * 1e-3;
+        for (backend be : {backend::hpx, backend::fork_join, backend::seq}) {
+            auto const& v = log.per_iter_ms[be];
+            std::string const name =
+                std::string(op2::to_string(be)) + "_iter_ms";
+            char buf[96];
+            std::snprintf(buf, sizeof buf,
+                          "mean of the middle 80%% of n=%zu; median %.4g",
+                          v.size(), median(v));
+            rep.add(name, trimmed_mean(v), "ms", buf);
+            rep.add_tail(name + "_tail", v, "ms");
         }
-        rep.add("hpx_iter_ms", median(log.per_iter_ms[backend::hpx]), "ms");
-        rep.add_tail("hpx_iter_ms_tail", log.per_iter_ms[backend::hpx], "ms");
-        rep.add("fork_join_iter_ms",
-                median(log.per_iter_ms[backend::fork_join]), "ms");
-        // Printed, not in the result: under host contention its quartile
-        // spread over ten runs reached 0.3-0.4 (README.md).
-        rep.add_tail("fork_join_iter_ms_tail",
-                     log.per_iter_ms[backend::fork_join], "ms", false);
-        rep.add("seq_iter_ms", median(log.per_iter_ms[backend::seq]), "ms");
-        rep.add("jobs_per_s",
-                static_cast<double>(log.round_ms.size()) / total_s, "1/s",
-                "job = one round: the march on seq, fork_join and hpx");
-        rep.add("job_latency_ms", median(log.round_ms), "ms",
-                "one round of three marches");
-        rep.add_tail("job_latency_ms_tail", log.round_ms, "ms");
-        rep.add("setup_s", median(setup_s), "s");
+        rep.add("setup_s", median(setup_s), "s",
+                "median of " + std::to_string(kSetupReps) + " set-ups");
         char buf[96];
         std::snprintf(buf, sizeof buf, "ratio fork_join/hpx per iteration: "
                       "%.3f (for reading, not a metric)",
-                      median(log.per_iter_ms[backend::fork_join]) /
-                          median(log.per_iter_ms[backend::hpx]));
+                      trimmed_mean(log.per_iter_ms[backend::fork_join]) /
+                          trimmed_mean(log.per_iter_ms[backend::hpx]));
         rep.notes.push_back(buf);
         return;
     }
@@ -977,114 +854,11 @@ void run_airfoil(airfoil_shape shape, cli const& c, report& rep) {
             "(user+sys) / wall over hpx marches");
     rep.add("hpxlite.tasks_per_iter", median(tasks), "count");
     rep.add("hpxlite.ctx_switches_per_iter", median(csw), "count");
-    service_probe(bp, rng, rep);
+    service_probe(bp, rep);
     rep.add("trace.overhead",
-            median(traced.per_iter_ms[backend::hpx]) /
-                median(plain.per_iter_ms[backend::hpx]),
+            trimmed_mean(traced.per_iter_ms[backend::hpx]) /
+                trimmed_mean(plain.per_iter_ms[backend::hpx]),
             "ratio", "traced / untraced hpx_iter_ms");
-}
-
-void run_service_mixed(cli const& c, report& rep) {
-    std::mt19937_64 rng(c.seed);
-    std::vector<airfoil_shape> const shapes(kJobShapes.begin(),
-                                            kJobShapes.end());
-    std::vector<reference> refs(shapes.size());
-    bench_problem solo;
-    std::vector<double> setup_s;
-    std::vector<double> plan_ms;
-    for (int r = 0; r < kSetupReps; ++r) {
-        std::int64_t const t0 = now_ns();
-        double plan_s = 0.0;
-        double plan_sum_ms = 0.0;
-        for (std::size_t s = 0; s < shapes.size(); ++s) {
-            bench_problem bp;
-            declare(bp, shapes[s]);
-            if (c.trace) {
-                double const ms = plan_build_ms(bp.prob, pool_workers());
-                plan_sum_ms += ms;
-                plan_s += ms * 1e-3;
-            }
-            warm_up(bp, {backend::seq});
-            refs[s] = bp.ref;
-        }
-        plan_ms.push_back(plan_sum_ms / static_cast<double>(shapes.size()));
-        solo = bench_problem{};
-        declare(solo, kSoloShape);
-        warm_up(solo, {backend::seq, backend::fork_join, backend::hpx});
-        service_log warm;
-        run_service(pool_workers(), 1e9, false, rng, shapes, refs,
-                    shapes.size(), rep, warm);
-        setup_s.push_back(seconds_since(t0) - plan_s);
-    }
-    std::vector<backend> const solo_backends{backend::seq,
-                                             backend::fork_join};
-    std::size_t const outstanding = pool_workers();
-
-    if (!c.trace) {
-        service_log slog;
-        run_service(outstanding, 0.8 * c.seconds, false, rng, shapes, refs,
-                    SIZE_MAX, rep, slog);
-        round_log solo_log;
-        run_rounds(solo, solo_backends, 0.2 * c.seconds, false, rng, rep,
-                   solo_log);
-        rep.add("hpx_iter_ms", median(slog.march_iter_ms), "ms",
-                "service jobs' marches (mixed mesh sizes)");
-        rep.add_tail("hpx_iter_ms_tail", slog.march_iter_ms, "ms");
-        rep.add("fork_join_iter_ms",
-                median(solo_log.per_iter_ms[backend::fork_join]), "ms",
-                "solo march, largest job mesh");
-        rep.add_tail("fork_join_iter_ms_tail",
-                     solo_log.per_iter_ms[backend::fork_join], "ms", false);
-        rep.add("seq_iter_ms", median(solo_log.per_iter_ms[backend::seq]),
-                "ms", "solo march, largest job mesh");
-        rep.add("jobs_per_s",
-                static_cast<double>(slog.latency_ms.size()) / slog.wall_s,
-                "1/s", "closed loop, " + std::to_string(outstanding) +
-                           " jobs outstanding");
-        rep.add("job_latency_ms", median(slog.latency_ms), "ms",
-                "submit to retirement");
-        rep.add_tail("job_latency_ms_tail", slog.latency_ms, "ms");
-        rep.add("setup_s", median(setup_s), "s");
-        return;
-    }
-
-    rep.add("plan.build_ms", median(plan_ms), "ms",
-            "cold plan_build, five loops, default partition count, mean "
-            "over the three job meshes");
-    service_log plain;
-    run_service(outstanding, 0.3 * c.seconds, false, rng, shapes, refs,
-                SIZE_MAX, rep, plain);
-    spans().enable();
-    service_log slog;
-    run_service(outstanding, 0.5 * c.seconds, true, rng, shapes, refs,
-                SIZE_MAX, rep, slog);
-    round_log solo_log;
-    run_rounds(solo, solo_backends, 0.2 * c.seconds, true, rng, rep,
-               solo_log);
-
-    rep.add("airfoil.mesh_s", median(slog.mesh_s), "s", "inside jobs");
-    rep.add("airfoil.declare_s", median(slog.declare_s), "s", "inside jobs");
-    rep.add("plan.cache_entries", median(slog.plan_entries), "count",
-            "plans cached by one job's context");
-    // Issue, fence and completion numbers come from the jobs' hpx
-    // marches; the synchronous backends from the solo marches.
-    std::vector<march_out> marches = std::move(slog.traced);
-    for (auto& m : solo_log.traced) {
-        marches.push_back(std::move(m));
-    }
-    exec_layers(marches, solo.prob, rep);
-    rep.add("hpxlite.busy_cores.hpx", slog.cpu_s / slog.wall_s, "cores",
-            "(user+sys) / wall over the traced service phase");
-    rep.add("hpxlite.tasks_per_iter",
-            static_cast<double>(slog.tasks) / slog.job_iters, "count",
-            "per job iteration");
-    rep.add("hpxlite.ctx_switches_per_iter",
-            static_cast<double>(slog.csw) / slog.job_iters, "count",
-            "per job iteration");
-    service_layers(slog, rep);
-    rep.add("trace.overhead",
-            median(slog.latency_ms) / median(plain.latency_ms), "ratio",
-            "traced / untraced job_latency_ms");
 }
 
 // ----------------------------------------------------------------- main
@@ -1092,8 +866,8 @@ void run_service_mixed(cli const& c, report& rep) {
 int usage_error(char const* msg) {
     std::fprintf(stderr,
                  "perfbench: %s\nusage: perfbench --workload "
-                 "airfoil_large|airfoil_small|service_mixed --seed N "
-                 "--seconds S --trace 0|1 [--out DIR]\n",
+                 "airfoil_large|airfoil_small --seed N --seconds S "
+                 "--trace 0|1 [--out DIR]\n",
                  msg);
     return 2;
 }
@@ -1137,8 +911,7 @@ int main(int argc, char** argv) {
         !(c.seconds > 0.0)) {
         return usage_error("missing or odd arguments");
     }
-    if (c.workload != "airfoil_large" && c.workload != "airfoil_small" &&
-        c.workload != "service_mixed") {
+    if (c.workload != "airfoil_large" && c.workload != "airfoil_small") {
         return usage_error("unknown workload");
     }
     // Knob variables would silently change the default path measured.
@@ -1164,13 +937,7 @@ int main(int argc, char** argv) {
 
     report rep;
     try {
-        if (c.workload == "airfoil_large") {
-            run_airfoil(kLarge, c, rep);
-        } else if (c.workload == "airfoil_small") {
-            run_airfoil(kSmall, c, rep);
-        } else {
-            run_service_mixed(c, rep);
-        }
+        run_airfoil(c.workload == "airfoil_large" ? kLarge : kSmall, c, rep);
     } catch (std::exception const& e) {
         std::fprintf(stderr, "perfbench: %s\n", e.what());
         hpxlite::finalize();
