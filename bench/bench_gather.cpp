@@ -1,13 +1,4 @@
-// The locality-aware memory subsystem's two perf rows:
-//
-//  * SIMD staged gather (loop_options::simd_gather): an airfoil-
-//    res_calc-shaped loop — dim-4 and dim-2 double operands read
-//    indirectly through an edges->cells map — run on the staged backend
-//    with the vectorised gather (read-only operands staged into
-//    cache-line-aligned scratch by unrolled fixed-stride copy kernels,
-//    then consumed as a pointer bump) against the scalar per-element
-//    staged resolution. The two paths are bitwise-identical by
-//    construction; the bench asserts that before it reports anything.
+// Two perf rows of the memory and dataflow layers:
 //
 //  * Partition-affine first touch (OP2HPX_FIRST_TOUCH /
 //    memory::set_first_touch): the bench_dataflow_chain partition sweep
@@ -18,25 +9,12 @@
 //    (parity is expected on small machines); the row exists so the
 //    trajectory shows the effect the day CI lands on bigger iron.
 //
-//  * SIMD INC scatter (loop_options::simd_scatter): the write-side
-//    twin of the staged gather — indirect OP_INC operands accumulate
-//    into block-private scratch and scatter back through unrolled
-//    fixed-stride kernels in colour order, vs the scalar per-element
-//    increments. Bitwise-identical by construction; asserted before
-//    reporting, like the gather.
-//
 //  * Chain fusion (loop_options::fuse): a direct producer/consumer
 //    loop pair (save_soln/adt_calc shape) issued fused vs unfused on
 //    the dataflow backend — fusion halves the graph nodes and pins the
 //    intermediate dat hot between the merged passes.
 //
 // Emits into BENCH_op2.json (schema op2hpx-bench-v1):
-//   gather_simd            ns/iter, staged loop, SIMD gather on
-//   gather_scalar          ns/iter, staged loop, per-element oracle
-//   simd_gather_speedup    x, simd vs scalar
-//   scatter_simd           ns/iter, staged INC loop, SIMD scatter on
-//   scatter_scalar         ns/iter, staged INC loop, scalar oracle
-//   simd_scatter_speedup   x, simd vs scalar
 //   fusion_fused           ns/pair, direct loop pair, fused pass
 //   fusion_unfused         ns/pair, direct loop pair, two solo issues
 //   fusion_speedup         x, fused vs unfused
@@ -61,81 +39,9 @@ using namespace op2;
 
 namespace {
 
-constexpr std::size_t kCells = 100000;
-constexpr std::size_t kEdges = 200000;
-int g_gather_iters = 60;  // (--quick: 10)
-
 constexpr std::size_t kChainElems = 262144;
 constexpr int kChainLen = 8;
 int g_chains = 30;  // (--quick: 5)
-
-double time_gather_loop(op_set const& edges, op_dat& q, op_dat& x,
-                        op_dat& out, op_map const& ec, op_map const& en,
-                        bool simd, int iters) {
-    loop_options o;
-    o.backend = exec::backend_kind::staged;
-    o.part_size = 256;
-    o.simd_gather = simd;
-    auto kern = [](double const* qa, double const* qb, double const* xa,
-                   double* r) {
-        r[0] = qa[0] + qb[3] + xa[0] * 0.5;
-        r[1] = qa[1] * qb[2] + xa[1];
-    };
-    auto issue = [&] {
-        exec::run_loop(o, "gather", edges, kern,
-                       op_arg_dat(q, 0, ec, 4, "double", OP_READ),
-                       op_arg_dat(q, 1, ec, 4, "double", OP_READ),
-                       op_arg_dat(x, 0, en, 2, "double", OP_READ),
-                       op_arg_dat(out, -1, OP_ID, 2, "double", OP_WRITE));
-    };
-    for (int w = 0; w < 3; ++w) {
-        issue();
-    }
-    hpxlite::util::stopwatch sw;
-    for (int i = 0; i < iters; ++i) {
-        issue();
-    }
-    return sw.elapsed_s() * 1e9 / iters;
-}
-
-/// The res_calc write side: two indirect INC slots on one dim-2 dat,
-/// reading node coordinates. Zeroes the accumulator first so the two
-/// variants integrate identical streams for the bitwise oracle.
-double time_scatter_loop(op_set const& edges, op_dat& x, op_dat& acc,
-                         op_map const& ec, op_map const& en, bool simd,
-                         int iters) {
-    for (auto& v : acc.view<double>()) {
-        v = 0.0;
-    }
-    loop_options o;
-    o.backend = exec::backend_kind::staged;
-    o.part_size = 256;
-    o.simd_scatter = simd;
-    auto kern = [](double const* xa, double const* xb, double* r0,
-                   double* r1) {
-        double const dx = xa[0] - xb[0];
-        double const dy = xa[1] - xb[1];
-        r0[0] += dx;
-        r0[1] += dy * 0.5;
-        r1[0] -= dx * 0.25;
-        r1[1] += dx + dy;
-    };
-    auto issue = [&] {
-        exec::run_loop(o, "scatter", edges, kern,
-                       op_arg_dat(x, 0, en, 2, "double", OP_READ),
-                       op_arg_dat(x, 1, en, 2, "double", OP_READ),
-                       op_arg_dat(acc, 0, ec, 2, "double", OP_INC),
-                       op_arg_dat(acc, 1, ec, 2, "double", OP_INC));
-    };
-    for (int w = 0; w < 3; ++w) {
-        issue();
-    }
-    hpxlite::util::stopwatch sw;
-    for (int i = 0; i < iters; ++i) {
-        issue();
-    }
-    return sw.elapsed_s() * 1e9 / iters;
-}
 
 /// A fusable direct pair per iteration (flux = f(q); q += g(flux)) on
 /// the dataflow backend; with fuse on, each pair runs as one merged
@@ -210,7 +116,6 @@ double time_chain(op_dat& d, op_set const& cells, int chains) {
 int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
-            g_gather_iters = 10;
             g_chains = 5;
         }
     }
@@ -220,88 +125,8 @@ int main(int argc, char** argv) {
         std::to_string(nworkers) + " workers";
     benchutil::bench_log log("bench_gather");
 
-    // --- SIMD staged gather vs scalar oracle ---------------------------
     std::mt19937 rng(1234);
-    std::uniform_int_distribution<int> cd(0, kCells - 1);
-    std::vector<int> ec_tab(2 * kEdges);
-    std::vector<int> en_tab(2 * kEdges);
-    for (auto& v : ec_tab) {
-        v = cd(rng);
-    }
-    for (auto& v : en_tab) {
-        v = cd(rng);
-    }
-    auto cells = op_decl_set(kCells, "g_cells");
-    auto nodes = op_decl_set(kCells, "g_nodes");
-    auto edges = op_decl_set(kEdges, "g_edges");
-    auto ec = op_decl_map(edges, cells, 2, ec_tab, "g_ec");
-    auto en = op_decl_map(edges, nodes, 2, en_tab, "g_en");
     std::uniform_real_distribution<double> vd(0.0, 1.0);
-    std::vector<double> qv(4 * kCells);
-    std::vector<double> xv(2 * kCells);
-    for (auto& v : qv) {
-        v = vd(rng);
-    }
-    for (auto& v : xv) {
-        v = vd(rng);
-    }
-    auto q = op_decl_dat<double>(cells, 4, "double", qv, "g_q");
-    auto x = op_decl_dat<double>(nodes, 2, "double", xv, "g_x");
-    auto out = op_decl_dat_zero<double>(edges, 2, "double", "g_out");
-
-    double const scalar_ns =
-        time_gather_loop(edges, q, x, out, ec, en, false, g_gather_iters);
-    std::vector<double> scalar_out(out.view<double>().begin(),
-                                   out.view<double>().end());
-    double const simd_ns =
-        time_gather_loop(edges, q, x, out, ec, en, true, g_gather_iters);
-    // Bitwise oracle check before reporting: the SIMD path copies bytes,
-    // it must not change a single bit of the result.
-    if (std::memcmp(scalar_out.data(), out.view<double>().data(),
-                    scalar_out.size() * sizeof(double)) != 0) {
-        std::fprintf(stderr,
-                     "FAIL: SIMD gather diverged from the scalar path\n");
-        return 1;
-    }
-    std::printf("staged gather (%zu edges, dim-4 + dim-2 reads, %s):\n",
-                kEdges, workers_label.c_str());
-    std::printf("  scalar staged   : %12.1f ns/iter\n", scalar_ns);
-    std::printf("  simd gather     : %12.1f ns/iter\n", simd_ns);
-    std::printf("  speedup         : %12.2fx\n", scalar_ns / simd_ns);
-    log.add("gather_scalar", scalar_ns, "ns/iter",
-            "staged indirect loop, per-element gather, " + workers_label);
-    log.add("gather_simd", simd_ns, "ns/iter",
-            "staged indirect loop, SIMD gather, " + workers_label);
-    log.add("simd_gather_speedup", scalar_ns / simd_ns, "x",
-            "simd_vs_scalar_staged_gather, " + workers_label);
-
-    // --- SIMD INC scatter vs scalar oracle -----------------------------
-    auto acc = op_decl_dat_zero<double>(cells, 2, "double", "g_acc");
-    double const sc_scalar_ns =
-        time_scatter_loop(edges, x, acc, ec, en, false, g_gather_iters);
-    std::vector<double> scalar_acc(acc.view<double>().begin(),
-                                   acc.view<double>().end());
-    double const sc_simd_ns =
-        time_scatter_loop(edges, x, acc, ec, en, true, g_gather_iters);
-    // Bitwise oracle: the scatter drains block-private partials in the
-    // exact element order the scalar path increments in.
-    if (std::memcmp(scalar_acc.data(), acc.view<double>().data(),
-                    scalar_acc.size() * sizeof(double)) != 0) {
-        std::fprintf(stderr,
-                     "FAIL: SIMD scatter diverged from the scalar path\n");
-        return 1;
-    }
-    std::printf("staged scatter (%zu edges, two dim-2 INC slots, %s):\n",
-                kEdges, workers_label.c_str());
-    std::printf("  scalar scatter  : %12.1f ns/iter\n", sc_scalar_ns);
-    std::printf("  simd scatter    : %12.1f ns/iter\n", sc_simd_ns);
-    std::printf("  speedup         : %12.2fx\n", sc_scalar_ns / sc_simd_ns);
-    log.add("scatter_scalar", sc_scalar_ns, "ns/iter",
-            "staged indirect INC loop, scalar scatter, " + workers_label);
-    log.add("scatter_simd", sc_simd_ns, "ns/iter",
-            "staged indirect INC loop, SIMD scatter, " + workers_label);
-    log.add("simd_scatter_speedup", sc_scalar_ns / sc_simd_ns, "x",
-            "simd_vs_scalar_staged_scatter, " + workers_label);
 
     // --- chain fusion --------------------------------------------------
     auto fu_cells = op_decl_set(kChainElems, "fu_cells");

@@ -1,6 +1,6 @@
 // Microbenchmarks of the OP2 layer on this host: plan construction,
-// per-backend loop dispatch overhead, the staged-vs-legacy argument
-// resolution paths of the execution engine, and a mini-Airfoil step.
+// per-backend loop dispatch overhead, the staged engine's direct and
+// indirect argument resolution, and a mini-Airfoil step.
 //
 // Running this binary (any build; Release with OP2HPX_BENCH_NATIVE=ON is
 // the meaningful configuration) writes/merges the machine-readable perf
@@ -60,12 +60,8 @@ void bm_plan_build(benchmark::State& state) {
 BENCHMARK(bm_plan_build)->Arg(64)->Arg(128)->Arg(512);
 
 /// The headline engine microbenchmark: a res_calc-shaped indirect loop
-/// (4 indirect reads, 2 indirect increments) executed through
-///   Arg(0): the seed's per-element resolution (map load + multiply and a
-///           per-argument branch for every element), and
-///   Arg(1): the staged engine (plan gather tables + pointer bumping).
-/// The ratio of the two is the staged-engine speedup recorded in
-/// BENCH_op2.json as indirect_gather_speedup.
+/// (4 indirect reads, 2 indirect increments) through the staged engine
+/// (plan gather tables + pointer bumping).
 void bm_indirect_resolution(benchmark::State& state) {
     hpxlite::init();
     auto const& m = gather_mesh();
@@ -79,7 +75,6 @@ void bm_indirect_resolution(benchmark::State& state) {
     auto res = op2::op_decl_dat_zero<double>(cells, 4, "double", "res");
 
     op2::loop_options opts;
-    opts.staged_gather = state.range(0) == 1;
     for (auto _ : state) {
         op2::op_par_loop_fork_join(
             opts, "gather_scatter", edges,
@@ -102,9 +97,8 @@ void bm_indirect_resolution(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(m.nedge));
-    state.SetLabel(opts.staged_gather ? "staged" : "legacy");
 }
-BENCHMARK(bm_indirect_resolution)->Arg(0)->Arg(1);
+BENCHMARK(bm_indirect_resolution);
 
 /// Gather-dominated indirect loop (tiny kernel, two indirect reads and a
 /// direct write) — isolates pure argument-resolution cost, the thing the
@@ -119,7 +113,6 @@ void bm_indirect_gather(benchmark::State& state) {
     auto len = op2::op_decl_dat_zero<double>(edges, 2, "double", "len");
 
     op2::loop_options opts;
-    opts.staged_gather = state.range(0) == 1;
     for (auto _ : state) {
         op2::op_par_loop_fork_join(
             opts, "edge_len", edges,
@@ -133,12 +126,10 @@ void bm_indirect_gather(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(m.nedge));
-    state.SetLabel(opts.staged_gather ? "staged" : "legacy");
 }
-BENCHMARK(bm_indirect_gather)->Arg(0)->Arg(1);
+BENCHMARK(bm_indirect_gather);
 
-/// Same comparison for a purely direct loop: Arg(1) takes the all-direct
-/// pointer-bump fast path, Arg(0) recomputes base + i*stride per element.
+/// A purely direct loop: the all-direct pointer-bump fast path.
 void bm_direct_resolution(benchmark::State& state) {
     hpxlite::init();
     auto const& m = gather_mesh();
@@ -147,7 +138,6 @@ void bm_direct_resolution(benchmark::State& state) {
     auto qold = op2::op_decl_dat_zero<double>(cells, 4, "double", "qold");
 
     op2::loop_options opts;
-    opts.staged_gather = state.range(0) == 1;
     for (auto _ : state) {
         op2::op_par_loop_fork_join(
             opts, "save_soln", cells,
@@ -161,9 +151,8 @@ void bm_direct_resolution(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(m.ncell));
-    state.SetLabel(opts.staged_gather ? "staged" : "legacy");
 }
-BENCHMARK(bm_direct_resolution)->Arg(0)->Arg(1);
+BENCHMARK(bm_direct_resolution);
 
 void bm_airfoil_step(benchmark::State& state) {
     hpxlite::init();
@@ -258,29 +247,7 @@ int main(int argc, char** argv) {
         log.add(name, ns, "ns/iter");
     }
 
-    auto speedup = [&](char const* what, std::string const& legacy,
-                       std::string const& staged) {
-        auto const& m = collector.real_ns();
-        auto l = m.find(legacy);
-        auto s = m.find(staged);
-        if (l == m.end() || s == m.end() || s->second <= 0.0) {
-            return;
-        }
-        double const ratio = l->second / s->second;
-        log.add(what, ratio, "x", "staged_vs_legacy");
-        std::printf("%-28s %.2fx  (legacy %.0f ns -> staged %.0f ns)\n", what,
-                    ratio, l->second, s->second);
-    };
-    std::printf("\n-- staged engine speedups --\n");
-    speedup("indirect_gather_speedup", "bm_indirect_gather/0",
-            "bm_indirect_gather/1");
-    speedup("indirect_rescalc_speedup", "bm_indirect_resolution/0",
-            "bm_indirect_resolution/1");
-    speedup("direct_path_speedup", "bm_direct_resolution/0",
-            "bm_direct_resolution/1");
-
-    // Not staged-vs-legacy, but the same shape of derived row: issue
-    // cost of a pooled executor group vs a fresh one per loop.
+    // Issue cost of a pooled executor group vs a fresh one per loop.
     std::printf("\n-- executor pool --\n");
     {
         auto const& m = collector.real_ns();

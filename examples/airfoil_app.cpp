@@ -9,8 +9,7 @@
 // Usage: airfoil_app [seq|fork_join|hpx] [nx ny] [niter]
 //                    [--mesh-file PATH] [--checkpoint-every N]
 //                    [--retries K] [--fault PLAN] [--watchdog-ms T]
-//                    [--fuse] [--localities N] [--no-simd-scatter]
-//                    [--no-exec-pool]
+//                    [--fuse] [--localities N] [--no-exec-pool]
 //
 //   --mesh-file PATH       load a new_grid.dat mesh instead of
 //                          generating one (errors name file, section
@@ -27,8 +26,6 @@
 //                          localities with async halo exchange (hpx
 //                          backend; also OP2HPX_LOCALITIES; default 1
 //                          = shared-everything; fuse takes precedence)
-//   --no-simd-scatter      disable the SIMD INC scatter path (scalar
-//                          oracle; also OP2HPX_SIMD_SCATTER=0)
 //   --no-exec-pool         disable cross-issue executor pooling (also
 //                          OP2HPX_EXEC_POOL=0)
 
@@ -75,8 +72,6 @@ void help(char const* argv0, std::FILE* out) {
         "                         localities with async halo exchange\n"
         "                         (hpx backend; also OP2HPX_LOCALITIES;\n"
         "                         default 1; fuse takes precedence)\n"
-        "  --no-simd-scatter      scalar INC scatter oracle (also\n"
-        "                         OP2HPX_SIMD_SCATTER=0)\n"
         "  --no-exec-pool         fresh executors per issue (also\n"
         "                         OP2HPX_EXEC_POOL=0)\n"
         "  --service N            service mode: run N independent\n"
@@ -149,8 +144,6 @@ int main(int argc, char** argv) {
             if (cfg.opts.localities > 1 && cfg.opts.partitions == 0) {
                 cfg.opts.partitions = 2 * cfg.opts.localities;
             }
-        } else if (std::strcmp(argv[i], "--no-simd-scatter") == 0) {
-            cfg.opts.simd_scatter = false;  // scalar INC scatter oracle
         } else if (std::strcmp(argv[i], "--no-exec-pool") == 0) {
             cfg.opts.exec_pool = false;  // fresh executors per issue
         } else if (char const* v = flag_value("--service")) {

@@ -3,7 +3,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -14,7 +13,6 @@
 #include <op2/arg.hpp>
 #include <op2/kernel_traits.hpp>
 #include <op2/loop_options.hpp>
-#include <op2/memory.hpp>
 #include <op2/plan.hpp>
 #include <op2/set.hpp>
 
@@ -38,15 +36,6 @@ struct arg_ctx {
     // staged gather table from the plan (indirect args; null -> fall back
     // to per-element map resolution)
     std::uint32_t const* stage = nullptr;
-    // nonzero: stage this argument through aligned contiguous scratch
-    // with the fixed-stride kernels (the value is the stride class, 16
-    // or 32). Direction depends on `scat`: false gathers a read-only
-    // argument up front (loop_options::simd_gather); true hands the
-    // kernel a zeroed block-private accumulation buffer for an OP_INC
-    // argument and scatter-adds it back after the element loop
-    // (loop_options::simd_scatter).
-    std::size_t simd = 0;
-    bool scat = false;
     bool gbl = false;
     // prefetch geometry
     std::size_t pf_dist_bytes = 0;    // direct: lookahead in bytes
@@ -59,8 +48,8 @@ struct arg_ctx {
 /// differ only in *how* they distribute blocks over workers, which they
 /// inject through the `bulk` callable of execute().
 ///
-/// run_block dispatches between two specialised paths chosen once per
-/// loop (not per element):
+/// run_block dispatches between three paths chosen once per loop (not
+/// per element):
 ///  * all-direct: every pointer advances by a constant stride, so the
 ///    element loop is pure pointer bumps — no per-element, per-argument
 ///    mode branches and no `base + i*stride` recompute;
@@ -69,10 +58,12 @@ struct arg_ctx {
 ///    pointers bump, and — the paper's headline prefetch technique,
 ///    extended from direct to indirect operands — while executing element
 ///    i the loop issues a software prefetch for the *target* of element
-///    i + distance through the same table (map-ahead prefetching).
-/// The seed's per-element branchy resolution is preserved as
-/// run_block_legacy behind loop_options::staged_gather == false; it is
-/// the benchmark baseline and a differential-test oracle.
+///    i + distance through the same table (map-ahead prefetching);
+///  * mapped: the fallback for a loop with an indirect argument the plan
+///    could not stage (target dat beyond 32-bit byte offsets), which
+///    resolves that argument through the map per element.
+/// The seq backend's run_sequential is the reference every path is
+/// tested against.
 template <typename Kernel, std::size_t N>
 class loop_executor {
 public:
@@ -227,16 +218,9 @@ public:
 
     /// Execute one block of the plan (called from bulk).
     void run_block(op_plan const& plan, std::size_t blk) {
-        if (!opts_.staged_gather) {
-            run_block_legacy(plan, blk);
-            return;
-        }
         if (all_direct_) {
             opts_.prefetch ? run_block_direct<true>(plan, blk)
                            : run_block_direct<false>(plan, blk);
-        } else if (all_indirect_staged_ && any_simd_) {
-            opts_.prefetch ? run_block_simd<true>(plan, blk)
-                           : run_block_simd<false>(plan, blk);
         } else if (all_indirect_staged_) {
             opts_.prefetch ? run_block_staged<true>(plan, blk)
                            : run_block_staged<false>(plan, blk);
@@ -367,150 +351,6 @@ private:
         }
     }
 
-    /// SIMD staged path: like run_block_staged, except that arguments
-    /// of a fixed 16/32-byte stride class are staged through cache-
-    /// line-aligned contiguous scratch (memory::tls_scratch) and the
-    /// inner loop advances them as plain pointer bumps:
-    ///  * read-only staged arguments (loop_options::simd_gather) are
-    ///    copied in up front with the unrolled fixed-stride gather
-    ///    kernels — the kernel reads exactly the bytes the scalar path
-    ///    would have read (a gather copies, it never reorders
-    ///    arithmetic), so this is bitwise-identical by construction;
-    ///  * OP_INC staged arguments (loop_options::simd_scatter) get a
-    ///    zeroed block-private accumulation buffer instead of live
-    ///    per-element target pointers, and after the element loop the
-    ///    net contributions are scattered back with the unrolled
-    ///    fixed-stride add kernels *in element order* — the order the
-    ///    scalar path accumulates in — with arguments targeting the
-    ///    same dat scattered jointly element-major to preserve the
-    ///    scalar interleaving. Bitwise identity holds as long as the
-    ///    kernel accumulates each output component once per element
-    ///    (bind_plan already requires every access to a buffered dat
-    ///    to be a buffered INC).
-    /// What the path buys: vectorised, hardware-prefetcher-friendly
-    /// copy/accumulate loops instead of dependent load/store chains
-    /// inside the kernel, and aligned unit-stride kernel operands.
-    /// Other mutating indirect arguments keep the per-element table
-    /// resolution (their writes must land in the dat immediately).
-    template <bool Prefetch>
-    void run_block_simd(op_plan const& plan, std::size_t blk) {
-        std::byte* ptrs[N];
-        std::byte* base[N];
-        std::uint32_t const* stg[N];  // per-element staged (non-gathered)
-        std::size_t step[N];
-        std::size_t pf_ahead[N];
-        std::byte* scat_seg[N];  // INC accumulation buffer (null: none)
-        bool scat_done[N];
-        std::size_t const b = plan.offset[blk];
-        std::size_t const e = b + plan.nelems[blk];
-        std::size_t const nel = e - b;
-        std::size_t const n = plan.set_size;
-
-        // Carve one aligned segment per staged-through-scratch argument
-        // out of the per-thread arena (a block runs inline on one
-        // worker, so the arena cannot be re-entered while the kernel
-        // loop is live).
-        std::size_t need = 0;
-        for (std::size_t j = 0; j < N; ++j) {
-            if (ctx_[j].simd != 0) {
-                need += memory::pad_to_line(nel * ctx_[j].simd);
-            }
-        }
-        std::byte* const arena = memory::tls_scratch(need);
-
-        std::byte* gblp[N];
-        resolve_gbl_ptrs(blk, gblp);
-        std::size_t cursor = 0;
-        for (std::size_t j = 0; j < N; ++j) {
-            arg_ctx const& c = ctx_[j];
-            base[j] = c.base;
-            stg[j] = nullptr;
-            scat_seg[j] = nullptr;
-            scat_done[j] = false;
-            pf_ahead[j] = c.pf_ahead_elems;
-            if (c.gbl) {
-                ptrs[j] = gblp[j];
-                step[j] = 0;
-            } else if (c.map == nullptr) {
-                ptrs[j] = c.base + b * c.stride;
-                step[j] = c.stride;
-            } else if (c.simd != 0) {
-                std::byte* const seg = arena + cursor;
-                cursor += memory::pad_to_line(nel * c.simd);
-                if (c.scat) {
-                    std::memset(seg, 0, nel * c.simd);
-                    scat_seg[j] = seg;
-                } else {
-                    memory::gather(seg, c.base, c.stage + b, nel, c.simd);
-                }
-                ptrs[j] = seg;
-                step[j] = c.stride;
-            } else {
-                ptrs[j] = nullptr;  // resolved per element below
-                stg[j] = c.stage;
-                step[j] = 0;
-            }
-        }
-        for (std::size_t i = b; i < e; ++i) {
-            for (std::size_t j = 0; j < N; ++j) {
-                if (stg[j] != nullptr) {
-                    ptrs[j] = base[j] + stg[j][i];
-                    if constexpr (Prefetch) {
-                        std::size_t const a = i + pf_ahead[j];
-                        if (a < n) {
-                            prefetch_ro(base[j] + stg[j][a]);
-                        }
-                    }
-                }
-            }
-            if constexpr (Prefetch) {
-                issue_direct_prefetch(i);
-            }
-            invoke_kernel(*kernel_, ptrs);
-            for (std::size_t j = 0; j < N; ++j) {
-                ptrs[j] += step[j];
-            }
-        }
-        // Scatter the private INC buffers back. A dat targeted by one
-        // argument takes the unrolled fixed-stride kernel; a dat
-        // targeted by several (res_calc's two edge->cell slots) is
-        // scattered jointly element-major across those arguments so the
-        // contribution order matches the scalar path exactly even when
-        // map slots collide across elements.
-        for (std::size_t j = 0; j < N; ++j) {
-            if (scat_seg[j] == nullptr || scat_done[j]) {
-                continue;
-            }
-            std::size_t group[N];
-            std::size_t gn = 0;
-            for (std::size_t k = j; k < N; ++k) {
-                if (scat_seg[k] != nullptr && !scat_done[k] &&
-                    args_[k].dat == args_[j].dat) {
-                    group[gn++] = k;
-                    scat_done[k] = true;
-                }
-            }
-            if (gn == 1) {
-                memory::scatter_add(base[j], scat_seg[j],
-                                    ctx_[j].stage + b, nel, ctx_[j].simd);
-                continue;
-            }
-            std::size_t const dim = ctx_[j].simd / sizeof(double);
-            for (std::size_t k = 0; k < nel; ++k) {
-                for (std::size_t g = 0; g < gn; ++g) {
-                    std::size_t const jj = group[g];
-                    auto* d = reinterpret_cast<double*>(
-                        base[jj] + ctx_[jj].stage[b + k]);
-                    auto const* s = reinterpret_cast<double const*>(
-                        scat_seg[jj] + k * ctx_[jj].simd);
-                    for (std::size_t c2 = 0; c2 < dim; ++c2) {
-                        d[c2] += s[c2];
-                    }
-                }
-            }
-        }
-    }
-
     /// Mixed fallback for the rare loop with an un-staged indirect
     /// argument (target dat beyond 32-bit offsets): staged tables where
     /// available, per-element map resolution where not.
@@ -556,45 +396,6 @@ private:
         }
     }
 
-    /// The seed's per-element resolution (branch per argument per
-    /// element, map load + multiply for indirect args). Benchmark
-    /// baseline and differential-test oracle; not used when
-    /// loop_options::staged_gather is on.
-    void run_block_legacy(op_plan const& plan, std::size_t blk) {
-        std::byte* ptrs[N];
-        std::size_t const b = plan.offset[blk];
-        std::size_t const e = b + plan.nelems[blk];
-
-        std::byte* gblp[N];
-        resolve_gbl_ptrs(blk, gblp);
-
-        bool const pf = opts_.prefetch;
-        for (std::size_t i = b; i < e; ++i) {
-            for (std::size_t j = 0; j < N; ++j) {
-                arg_ctx const& c = ctx_[j];
-                if (c.gbl) {
-                    ptrs[j] = gblp[j];
-                } else if (c.map != nullptr) {
-                    ptrs[j] =
-                        c.base +
-                        static_cast<std::size_t>(
-                            c.map[i * static_cast<std::size_t>(c.mapdim) +
-                                  static_cast<std::size_t>(c.idx)]) *
-                            c.stride;
-                } else {
-                    ptrs[j] = c.base + i * c.stride;
-                    if (pf && i % c.pf_stride_elems == 0) {
-                        std::size_t const t = i * c.stride + c.pf_dist_bytes;
-                        if (t < dat_bytes_[j]) {
-                            prefetch_ro(c.base + t);
-                        }
-                    }
-                }
-            }
-            invoke_kernel(*kernel_, ptrs);
-        }
-    }
-
     void issue_direct_prefetch(std::size_t i) {
         for (std::size_t j = 0; j < N; ++j) {
             arg_ctx const& c = ctx_[j];
@@ -619,23 +420,6 @@ private:
                 gblp[j] = nullptr;
             }
         }
-    }
-
-    /// True when another argument of this loop writes the dat argument j
-    /// reads. The scalar paths hand the kernel live dat pointers, so a
-    /// read of a written dat can observe the loop's own earlier writes;
-    /// a gathered block-start snapshot could not — such arguments stay
-    /// on the per-element path to keep the SIMD gather bitwise-faithful
-    /// even for aliased programs.
-    [[nodiscard]] bool write_aliased(std::size_t j) const {
-        for (std::size_t k = 0; k < N; ++k) {
-            if (k != j && args_[k].dat.valid() &&
-                args_[k].dat == args_[j].dat &&
-                args_[k].acc != op_access::OP_READ) {
-                return true;
-            }
-        }
-        return false;
     }
 
     void prepare_ctx() {
@@ -681,62 +465,16 @@ private:
     void bind_plan(op_plan const& plan) {
         // Bind each indirect argument to its staged table in the plan.
         all_indirect_staged_ = true;
-        any_simd_ = false;
         for (std::size_t j = 0; j < N; ++j) {
             arg_ctx& c = ctx_[j];
-            c.simd = 0;
-            c.scat = false;
             if (c.map == nullptr) {
                 continue;
             }
-            plan_stage const* st = nullptr;
-            if (opts_.staged_gather) {
-                if ((st = plan.find_stage(args_[j].map.id(), c.idx,
-                                          c.stride))) {
-                    c.stage = st->off.data();
-                }
-            }
-            if (c.stage == nullptr) {
+            if (plan_stage const* st =
+                    plan.find_stage(args_[j].map.id(), c.idx, c.stride)) {
+                c.stage = st->off.data();
+            } else {
                 all_indirect_staged_ = false;
-            } else if (opts_.simd_gather && st->simd != 0 &&
-                       args_[j].acc == op_access::OP_READ &&
-                       !write_aliased(j)) {
-                c.simd = st->simd;
-                any_simd_ = true;
-            }
-        }
-        // Second pass — SIMD scatter eligibility needs every argument's
-        // stage binding resolved first: an OP_INC argument may only be
-        // buffered when *every* access to its dat in this loop is a
-        // buffered indirect OP_INC. Any other access (a read, a write,
-        // an un-staged INC) would observe the dat mid-block, and the
-        // buffering hides exactly that state. Components are pinned to
-        // doubles because the scatter is a typed accumulation, unlike
-        // the type-agnostic byte-copy gather.
-        if (opts_.staged_gather && opts_.simd_scatter) {
-            for (std::size_t j = 0; j < N; ++j) {
-                arg_ctx& c = ctx_[j];
-                if (c.map == nullptr || c.stage == nullptr ||
-                    args_[j].acc != op_access::OP_INC ||
-                    !memory::simd_stride(c.stride) ||
-                    args_[j].dat.elem_bytes() != sizeof(double)) {
-                    continue;
-                }
-                bool inc_only = true;
-                for (std::size_t k = 0; k < N && inc_only; ++k) {
-                    if (k == j || !args_[k].dat.valid() ||
-                        !(args_[k].dat == args_[j].dat)) {
-                        continue;
-                    }
-                    inc_only = args_[k].acc == op_access::OP_INC &&
-                               ctx_[k].map != nullptr &&
-                               ctx_[k].stage != nullptr;
-                }
-                if (inc_only) {
-                    c.simd = c.stride;
-                    c.scat = true;
-                    any_simd_ = true;
-                }
             }
         }
         // Partition plans index elements relative to elem_base: re-base
@@ -775,7 +513,6 @@ private:
     std::size_t nblocks_ = 0;
     bool all_direct_ = true;
     bool all_indirect_staged_ = false;
-    bool any_simd_ = false;
 };
 
 }  // namespace op2::detail

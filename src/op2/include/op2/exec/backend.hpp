@@ -304,8 +304,8 @@ void pool_put(partitioned_loop<Kernel, N>* g) noexcept;
 /// -> node -> group -> dat cycle once the loop has run. The last drop
 /// parks the group in the per-instantiation cross-issue pool
 /// (loop_options::exec_pool), so a steady-state chain re-issues a loop
-/// without reconstructing its executors or reallocating their staging
-/// and reduction scratch.
+/// without reconstructing its executors or reallocating their reduction
+/// scratch.
 template <typename Kernel, std::size_t N>
 class partitioned_loop {
 public:
@@ -326,7 +326,7 @@ public:
 
     /// Re-arm a pool-recycled group for a new issue of the same call
     /// site. Grown capacity is retained everywhere it matters: the
-    /// executors keep their staging/reduction scratch blocks (contents
+    /// executors keep their reduction scratch blocks (contents
     /// are re-seeded per run by prepare_scratch), the per-partition
     /// quarantine vectors keep their buffers, and the colour-countdown
     /// array only reallocates when the partition count grew.
@@ -727,9 +727,7 @@ loop_handle issue_whole_set(loop_options const& opts, char const* name,
     ex.validate(name);  // throws before publication; ref cleans up
     node->set_site(name, 0, 0);
     node->set_probe(probe);
-    node->bind_plan(plan_get(
-        ex.set(), ex.args(),
-        plan_desc{opts.part_size, opts.staged_gather}));
+    node->bind_plan(plan_get(ex.set(), ex.args(), plan_desc{opts.part_size}));
 
     // Quarantine: register the spans a failure would taint (whole dat —
     // a whole-set node has no partition attribution), and fail fast if
@@ -841,9 +839,9 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
                               tune::probe probe = {}) {
     // Acquire the group from the cross-issue pool when possible: a
     // steady-state chain then re-issues each loop with zero executor
-    // construction and zero scratch reallocation (the staging and
-    // reduction buffers retained in the recycled executors are
-    // re-seeded per run, never trusted).
+    // construction and zero scratch reallocation (the reduction
+    // buffers retained in the recycled executors are re-seeded per run,
+    // never trusted).
     partitioned_loop<Kernel, N>* graw =
         opts.exec_pool ? group_pool<Kernel, N>::take() : nullptr;
     if (graw != nullptr) {
@@ -869,9 +867,8 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
     // can leave a partition plan with sparse colour classes, and empty
     // ones get no sub-node.
     for (std::size_t p = 0; p < nparts; ++p) {
-        op_plan const& plan = plan_get(
-            set, grp->executor(0).args(),
-            plan_desc{opts.part_size, opts.staged_gather, nparts, p});
+        op_plan const& plan = plan_get(set, grp->executor(0).args(),
+                                       plan_desc{opts.part_size, nparts, p});
         grp->bind_plan(plan);
         grp->executor(p).setup(plan);
         std::size_t live = 0;
@@ -1544,8 +1541,8 @@ inline fusion_window& tls_fusion_window() {
 /// Chain-fusion legality, provable from issue-time metadata plus
 /// already-cached plans:
 ///  (1) same iteration set and identical execution shape (pool,
-///      partition count, block size, staged gather, placement) — the
-///      fused pass runs one shape;
+///      partition count, block size, placement) — the fused pass runs
+///      one shape;
 ///  (2) every dat through which the two loops are *ordered* (written
 ///      by one, touched by the other) is accessed only directly
 ///      (OP_ID) by both loops: within a fused (partition, colour)
@@ -1570,8 +1567,7 @@ inline bool fusion_compatible(deferred_issue const& d,
         d.nparts != nparts) {
         return false;
     }
-    if (oa.part_size != ob.part_size || !oa.staged_gather ||
-        !ob.staged_gather || oa.placement != ob.placement) {
+    if (oa.part_size != ob.part_size || oa.placement != ob.placement) {
         return false;
     }
     auto ordered_indirect = [](std::span<op_arg const> xs,
@@ -1827,7 +1823,7 @@ loop_handle fuse_or_defer(loop_options const& opts, char const* name,
             std::vector<op_plan const*> uplans(nparts);
             bool colors_ok = true;
             for (std::size_t p = 0; p < nparts && colors_ok; ++p) {
-                plan_desc const desc{opts.part_size, true, nparts, p};
+                plan_desc const desc{opts.part_size, nparts, p};
                 op_plan const& up = plan_get(iset, uargs, desc);
                 colors_ok = plan_colors_equal(up, plan_get(iset, pa, desc)) &&
                             plan_colors_equal(up, plan_get(iset, pb, desc));
@@ -1923,9 +1919,8 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
             if (auto qerr = detail::check_quarantine(ex.args(), name)) {
                 std::rethrow_exception(qerr);
             }
-            op_plan const& plan = plan_get(
-                ex.set(), ex.args(),
-                plan_desc{opts.part_size, opts.staged_gather});
+            op_plan const& plan =
+                plan_get(ex.set(), ex.args(), plan_desc{opts.part_size});
             try {
                 fault::on_kernel(name, 0, 0);
                 detail::staged_sweep(ex, plan, backend_kind::staged, name);
@@ -1959,8 +1954,7 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
                     // First consult of this site: warm the ladder's
                     // candidate plans so exploration never measures a
                     // cold plan build (plans are cached per context).
-                    plan_prewarm(set, argv, eff.part_size,
-                                 eff.staged_gather, d.prewarm);
+                    plan_prewarm(set, argv, eff.part_size, d.prewarm);
                 }
             }
             std::size_t const nparts =

@@ -9,18 +9,6 @@
 namespace op2 {
 
 namespace detail {
-/// Process default of loop_options::simd_gather: true unless the
-/// OP2HPX_SIMD_GATHER environment variable is set to 0/off/false/no —
-/// that is how a CI leg runs the whole tier-1 suite over the scalar
-/// oracle path without touching every test. Read once, cached.
-[[nodiscard]] bool simd_gather_default() noexcept;
-
-/// Process default of loop_options::simd_scatter: true unless
-/// OP2HPX_SIMD_SCATTER is set to 0/off/false/no. The off state is the
-/// scalar scatter oracle the CI differential leg runs the whole suite
-/// over. Read once, cached.
-[[nodiscard]] bool simd_scatter_default() noexcept;
-
 /// Process default of loop_options::exec_pool: true unless
 /// OP2HPX_EXEC_POOL is set to 0/off/false/no (the per-issue
 /// construct-and-discard baseline, kept for differential testing and
@@ -108,50 +96,13 @@ struct loop_options {
     /// per-record edges (differential oracle / bench baseline).
     bool color_exemption = true;
 
-    /// Use the plan's staged gather tables (pre-resolved byte offsets)
-    /// for indirect arguments and pointer-bumping for direct ones. Off
-    /// reproduces the seed's per-element map resolution — kept for
-    /// differential testing and as the benchmark baseline.
-    bool staged_gather = true;
-
-    /// Vectorised gather for read-only indirect arguments whose class is
-    /// uniformly strided at 16/32 bytes per element (dim-2/dim-4
-    /// doubles): the staged executor copies a block's operands into
-    /// cache-line-aligned contiguous scratch with unrolled fixed-stride
-    /// kernels (op2/memory.hpp) and the inner loop reads them as a
-    /// pointer bump — no per-element table load, and the kernel streams
-    /// aligned contiguous memory. Bitwise-identical to the scalar staged
-    /// path (a gather copies, it does not reorder arithmetic); off keeps
-    /// the per-element staged resolution as the oracle and bench
-    /// baseline. Requires staged_gather. Default from
-    /// detail::simd_gather_default() (OP2HPX_SIMD_GATHER env).
-    bool simd_gather = detail::simd_gather_default();
-
-    /// Vectorised scatter for OP_INC indirect arguments of the same
-    /// 16/32-byte uniform-stride classes: the staged executor gives the
-    /// kernel a zeroed block-private accumulation buffer in tls scratch
-    /// instead of per-element target pointers, then scatters the net
-    /// per-element contributions back with unrolled fixed-stride add
-    /// kernels (memory::scatter_add) in element order — the same order
-    /// the scalar path accumulates in, so the result is bitwise
-    /// identical as long as the kernel accumulates each output
-    /// component once per element (every kernel in this repo does; a
-    /// kernel that read back its own partial increments within one
-    /// element would observe the private buffer instead of the dat).
-    /// When several INC arguments of one loop target the *same* dat,
-    /// their buffers scatter jointly element-major to preserve the
-    /// scalar interleaving. Off keeps per-element scalar scatter as the
-    /// bitwise oracle. Requires staged_gather. Default from
-    /// detail::simd_scatter_default() (OP2HPX_SIMD_SCATTER env).
-    bool simd_scatter = detail::simd_scatter_default();
-
     /// Cross-issue executor/scratch pooling of the hpx_dataflow
     /// partitioned path: retired loop groups (executors, plan bindings,
-    /// grow-only reduction/gather scratch, quarantine target vectors)
-    /// park in a sharded, thread-local-first free pool keyed per issue
-    /// site and are rebound on the next issue instead of constructed
-    /// from scratch — the steady state of a time-marching chain
-    /// allocates nothing per loop. Off restores the per-issue
+    /// grow-only reduction scratch, quarantine target vectors) park in a
+    /// sharded, thread-local-first free pool keyed per issue site and
+    /// are rebound on the next issue instead of constructed from
+    /// scratch — the steady state of a time-marching chain allocates
+    /// nothing per loop. Off restores the per-issue
     /// construct-and-discard lifecycle (differential oracle and the
     /// bench_micro_op2 dispatch-overhead denominator). Default from
     /// detail::exec_pool_default() (OP2HPX_EXEC_POOL env).

@@ -1,19 +1,18 @@
 #pragma once
 
-// Locality-aware memory layer for dat storage (and executor scratch).
+// Locality-aware memory layer for dat storage (and the halo and
+// checkpoint buffers built on the same allocation).
 //
 // The async OP2-on-HPX design wins by keeping each partition's working
 // set hot on one core: the dataflow backend pins partition p's sub-nodes
 // to worker p % pool_size (loop_options::placement). Before this layer,
 // the *data* undercut the hint — every dat was a bare std::vector whose
 // pages were first-touched wholesale by the mesh-loading thread, with no
-// alignment guarantee for the staged copy kernels. This layer closes the
-// gap:
+// alignment guarantee. This layer closes the gap:
 //
 //  * aligned_buffer — the storage every dat allocates through: the base
 //    is 64-byte (cache-line) aligned and the capacity is padded to a
-//    whole number of cache lines, so fixed-stride copy kernels can be
-//    vectorised without edge peeling and two dats never share a line.
+//    whole number of cache lines, so two dats never share a line.
 //  * partition-affine first touch — on request (OP2HPX_FIRST_TOUCH / ​
 //    set_first_touch), a dat's pages are initialised by one task per set
 //    partition, fanned through the pool's affinity inboxes
@@ -23,22 +22,9 @@
 //    lines with a boundary-straddling line owned by the lower partition,
 //    so no line is written by two touch tasks. Off (the default) keeps
 //    the old loader-thread initialisation as the oracle.
-//  * tls_scratch — a per-thread cache-line-aligned arena for the staged
-//    executor's SIMD gather path (grown geometrically, reused across
-//    blocks and loops; no per-run allocation).
-//  * gather kernels — unrolled fixed-stride copy loops (16/32 bytes per
-//    element: dim-2/dim-4 doubles, dim-4/dim-8 floats) that turn a plan
-//    gather table into one contiguous scratch stream.
-//  * scatter-add kernels — the write-side counterpart for OP_INC
-//    arguments: typed, unrolled fixed-stride accumulation of a block's
-//    private contribution buffer back through the same tables, in
-//    element order so the result stays bitwise identical to the scalar
-//    per-element scatter.
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -84,7 +70,7 @@ public:
         if (bytes != 0) {
             // Fault-injection point: an armed alloc=K plan makes the
             // K-th buffer allocation throw (dat declaration, checkpoint
-            // snapshots, executor scratch). One relaxed load when off.
+            // snapshots, halo channels). One relaxed load when off.
             fault::on_alloc(bytes);
             capacity_ = pad_to_line(bytes);
             data_ = static_cast<std::byte*>(
@@ -226,121 +212,5 @@ void warm_partitions(std::byte const* base, std::size_t total,
                      set_partition const& part, std::size_t stride,
                      hpxlite::threads::thread_pool& pool,
                      std::shared_ptr<void> keepalive);
-
-// --- per-thread aligned scratch ------------------------------------------
-
-/// A cache-line-aligned scratch block of at least `bytes` bytes, owned by
-/// the calling thread and reused across calls (grown geometrically).
-/// Contents are unspecified on entry. The pointer stays valid until the
-/// next tls_scratch call on the same thread with a larger request.
-[[nodiscard]] std::byte* tls_scratch(std::size_t bytes);
-
-// --- staged gather kernels ------------------------------------------------
-
-/// True when `stride` is one of the fixed-stride classes the vectorised
-/// gather kernels handle (16/32 bytes per element: the paper's dim-2 and
-/// dim-4 double arguments).
-[[nodiscard]] constexpr bool simd_stride(std::size_t stride) noexcept {
-    return stride == 16 || stride == 32;
-}
-
-namespace detail {
-
-/// Fixed-stride gather: dst[k] = base + off[k], S bytes per element,
-/// 4-way unrolled. The compiler turns the fixed-size memcpy into one or
-/// two vector moves per element; with a 64-byte-aligned dst (tls_scratch)
-/// and a 64-byte-aligned dat base the accesses stay naturally aligned.
-template <std::size_t S>
-inline void gather_fixed(std::byte* dst, std::byte const* base,
-                         std::uint32_t const* off, std::size_t n) {
-    std::size_t k = 0;
-    for (; k + 4 <= n; k += 4) {
-        std::memcpy(dst + (k + 0) * S, base + off[k + 0], S);
-        std::memcpy(dst + (k + 1) * S, base + off[k + 1], S);
-        std::memcpy(dst + (k + 2) * S, base + off[k + 2], S);
-        std::memcpy(dst + (k + 3) * S, base + off[k + 3], S);
-    }
-    for (; k < n; ++k) {
-        std::memcpy(dst + k * S, base + off[k], S);
-    }
-}
-
-/// Fixed-stride scatter-add: base[off[k]] += src[k] componentwise, S
-/// bytes (S/8 doubles) per element, 2-way unrolled on the element axis
-/// with the component adds fully unrolled. Unlike gather_fixed this is
-/// typed — an accumulation needs real adds, not byte copies — which is
-/// why the executor's scatter eligibility is pinned to 8-byte (double)
-/// components. Element order is preserved: contribution k lands before
-/// contribution k+1, exactly the order the scalar per-element scatter
-/// accumulates in, so the result is bitwise identical to it.
-template <std::size_t S>
-inline void scatter_add_fixed(std::byte* base, std::byte const* src,
-                              std::uint32_t const* off, std::size_t n) {
-    static_assert(S % sizeof(double) == 0);
-    constexpr std::size_t D = S / sizeof(double);
-    auto const* s = reinterpret_cast<double const*>(src);
-    std::size_t k = 0;
-    for (; k + 2 <= n; k += 2) {
-        auto* d0 = reinterpret_cast<double*>(base + off[k + 0]);
-        for (std::size_t c = 0; c < D; ++c) {
-            d0[c] += s[(k + 0) * D + c];
-        }
-        auto* d1 = reinterpret_cast<double*>(base + off[k + 1]);
-        for (std::size_t c = 0; c < D; ++c) {
-            d1[c] += s[(k + 1) * D + c];
-        }
-    }
-    for (; k < n; ++k) {
-        auto* d = reinterpret_cast<double*>(base + off[k]);
-        for (std::size_t c = 0; c < D; ++c) {
-            d[c] += s[k * D + c];
-        }
-    }
-}
-
-}  // namespace detail
-
-/// Gather `n` elements of `stride` bytes each from `base` through the
-/// plan's byte-offset table `off` into contiguous `dst`. Dispatches to
-/// the unrolled fixed-stride kernels for the simd_stride classes and to
-/// a generic per-element copy otherwise.
-inline void gather(std::byte* dst, std::byte const* base,
-                   std::uint32_t const* off, std::size_t n,
-                   std::size_t stride) {
-    if (stride == 16) {
-        detail::gather_fixed<16>(dst, base, off, n);
-    } else if (stride == 32) {
-        detail::gather_fixed<32>(dst, base, off, n);
-    } else {
-        for (std::size_t k = 0; k < n; ++k) {
-            std::memcpy(dst + k * stride, base + off[k], stride);
-        }
-    }
-}
-
-/// Scatter-add `n` contiguous double-component elements of `stride`
-/// bytes each from `src` back through the plan's byte-offset table
-/// `off` into `base`, in element order (the scalar accumulation order —
-/// the SIMD scatter path's bitwise-oracle property rests on this).
-/// Dispatches to the unrolled fixed-stride kernels for the simd_stride
-/// classes and to a generic per-element add loop otherwise.
-inline void scatter_add(std::byte* base, std::byte const* src,
-                        std::uint32_t const* off, std::size_t n,
-                        std::size_t stride) {
-    if (stride == 16) {
-        detail::scatter_add_fixed<16>(base, src, off, n);
-    } else if (stride == 32) {
-        detail::scatter_add_fixed<32>(base, src, off, n);
-    } else {
-        std::size_t const dim = stride / sizeof(double);
-        auto const* s = reinterpret_cast<double const*>(src);
-        for (std::size_t k = 0; k < n; ++k) {
-            auto* d = reinterpret_cast<double*>(base + off[k]);
-            for (std::size_t c = 0; c < dim; ++c) {
-                d[c] += s[k * dim + c];
-            }
-        }
-    }
-}
 
 }  // namespace op2::memory

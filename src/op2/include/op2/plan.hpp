@@ -27,14 +27,6 @@ struct plan_stage {
     std::uint64_t map_id = 0;
     int idx = 0;
     std::size_t stride = 0;          // bytes per target-set element
-    /// Nonzero when the class is uniformly strided at one of the widths
-    /// the vectorised gather kernels handle (16/32 bytes per element —
-    /// dim-2/dim-4 doubles; every table entry is then a multiple of this
-    /// value by construction). The executor's SIMD gather path
-    /// (loop_options::simd_gather) stages such read-only arguments into
-    /// aligned contiguous scratch with unrolled copy kernels instead of
-    /// resolving them per element.
-    std::size_t simd = 0;
     std::vector<std::uint32_t> off;  // [set_size] byte offsets into the dat
 };
 
@@ -56,16 +48,27 @@ struct plan_footprint {
 struct plan_desc {
     /// Block (mini-partition) size; 0 normalises to default_part_size.
     std::size_t part_size = default_part_size;
-    /// Whether staged gather tables are built. Plans for
-    /// staged_gather == false carry no tables (the legacy executor
-    /// resolves per element), so the two configurations must not share
-    /// a cache slot.
-    bool staged_gather = true;
     /// Partition granularity of the iteration set and every indirect
     /// target set (1 = whole-set plan).
     std::size_t npartitions = 1;
     /// Which partition this plan covers (< npartitions).
     std::size_t partition = 0;
+
+    constexpr plan_desc() noexcept = default;
+    constexpr explicit plan_desc(std::size_t part_size_,
+                                 std::size_t npartitions_ = 1,
+                                 std::size_t partition_ = 0) noexcept
+      : part_size(part_size_),
+        npartitions(npartitions_),
+        partition(partition_) {}
+    /// The older four-value form, whose second value selected whether
+    /// staged gather tables were built. Tables are always built now, so
+    /// the flag is ignored; the form stays for callers that still pass
+    /// it (the perfbench harness).
+    constexpr explicit plan_desc(std::size_t part_size_, bool /*staged*/,
+                                 std::size_t npartitions_,
+                                 std::size_t partition_) noexcept
+      : plan_desc(part_size_, npartitions_, partition_) {}
 };
 
 /// An execution plan for one (set, args, part_size) combination:
@@ -180,7 +183,7 @@ op_plan const& plan_get(op_set const& set, std::span<op_arg const> args,
 /// measurement rides on a cold plan build the exploited configuration
 /// would never pay. A count <= 1 warms the whole-set plan.
 void plan_prewarm(op_set const& set, std::span<op_arg const> args,
-                  std::size_t part_size, bool staged_gather,
+                  std::size_t part_size,
                   std::span<std::size_t const> candidates);
 
 /// Build a plan without consulting the cache (exposed for tests).

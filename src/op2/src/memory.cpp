@@ -189,16 +189,4 @@ void warm_partitions(std::byte const* base, std::size_t total,
     }
 }
 
-std::byte* tls_scratch(std::size_t bytes) {
-    thread_local aligned_buffer arena;
-    if (arena.capacity() < bytes) {
-        std::size_t grown = arena.capacity() == 0 ? 4096 : arena.capacity();
-        while (grown < bytes) {
-            grown *= 2;
-        }
-        arena = aligned_buffer(grown);
-    }
-    return arena.data();
-}
-
 }  // namespace op2::memory

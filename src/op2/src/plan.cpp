@@ -1,7 +1,6 @@
 #include <op2/plan.hpp>
 
 #include <op2/context.hpp>
-#include <op2/memory.hpp>
 
 #include <algorithm>
 #include <atomic>
@@ -64,9 +63,9 @@ std::vector<stage_ref> collect_stage_refs(std::span<op_arg const> args) {
 }
 
 /// Every plan-affecting input is part of the key: the set, every
-/// plan_desc field (part_size, staged_gather, partition granularity and
-/// index) and the indirect argument classes. See the key-collision
-/// regression tests in test_plan.cpp.
+/// plan_desc field (part_size, partition granularity and index) and the
+/// indirect argument classes. See the key-collision regression tests in
+/// test_plan.cpp.
 ///
 /// The issuing runtime_context's id is part of the key too. Entity ids
 /// are process-unique, so two jobs' same-shaped sets already hash apart
@@ -77,7 +76,6 @@ struct plan_key {
     std::uint64_t set_id = 0;
     std::uint64_t ctx = 0;
     std::size_t part_size = 0;
-    bool staged_gather = true;
     std::size_t npartitions = 1;
     std::size_t partition = 0;
     // (map id, slot, stride, mutating) per indirect argument class.
@@ -85,10 +83,8 @@ struct plan_key {
 
     bool operator==(plan_key const& o) const {
         return set_id == o.set_id && ctx == o.ctx &&
-               part_size == o.part_size &&
-               staged_gather == o.staged_gather &&
-               npartitions == o.npartitions && partition == o.partition &&
-               refs == o.refs;
+               part_size == o.part_size && npartitions == o.npartitions &&
+               partition == o.partition && refs == o.refs;
     }
 };
 
@@ -101,7 +97,6 @@ struct plan_key_hash {
         mix(k.set_id);
         mix(k.ctx);
         mix(k.part_size);
-        mix(k.staged_gather ? 1 : 0);
         mix(k.npartitions);
         mix(k.partition);
         for (auto const& [id, idx, stride, mut] : k.refs) {
@@ -120,7 +115,6 @@ plan_key make_key(op_set const& set, plan_desc const& desc,
     key.set_id = set.id();
     key.ctx = current_context()->id();
     key.part_size = desc.part_size;
-    key.staged_gather = desc.staged_gather;
     key.npartitions = desc.npartitions;
     key.partition = desc.partition;
     key.refs.reserve(refs.size());
@@ -238,10 +232,10 @@ std::vector<int> sweep_colors(std::vector<color_span> const& spans,
 
 /// Memo of the global sweep shared by the partition plans of one
 /// configuration. The sweep's input is fully determined by (set,
-/// part_size, npartitions, mutating indirect classes) — partition index
-/// and staged_gather do not affect colouring — so the first partition
-/// plan built computes it once and the other P-1 reuse the result
-/// instead of each re-walking the whole set. Entries are dropped by
+/// part_size, npartitions, mutating indirect classes) — the partition
+/// index does not affect colouring — so the first partition plan built
+/// computes it once and the other P-1 reuse the result instead of each
+/// re-walking the whole set. Entries are dropped by
 /// plan_cache_clear() along with the plans that reference them.
 struct color_memo {
     std::mutex mtx;
@@ -255,12 +249,11 @@ std::shared_ptr<std::vector<int> const> sweep_colors_cached(
     op_plan const& plan, op_set const& set,
     std::vector<color_span> const& spans,
     std::vector<stage_ref> const& color_refs) {
-    // Key normalised to the memo's granularity — partition 0,
-    // staged_gather fixed, mutating classes only — so there is one
-    // entry per configuration whose colouring actually differs.
-    plan_key key = make_key(
-        set, plan_desc{plan.part_size, true, plan.npartitions, 0},
-        color_refs);
+    // Key normalised to the memo's granularity — partition 0, mutating
+    // classes only — so there is one entry per configuration whose
+    // colouring actually differs.
+    plan_key key = make_key(set, plan_desc{plan.part_size, plan.npartitions},
+                            color_refs);
     {
         std::lock_guard<std::mutex> lk(g_color_memo.mtx);
         if (auto it = g_color_memo.map.find(key);
@@ -380,7 +373,6 @@ void build_stages(op_plan& plan, std::vector<stage_ref> const& refs) {
         st.map_id = r.map.id();
         st.idx = r.idx;
         st.stride = r.stride;
-        st.simd = memory::simd_stride(r.stride) ? r.stride : 0;
         st.off.resize(plan.set_size);
         int const* table = r.map.table().data() +
                            plan.elem_base * static_cast<std::size_t>(
@@ -446,9 +438,7 @@ op_plan plan_build_impl(op_set const& set, plan_desc const& desc,
         plan.nelems[b] = std::min(part_size, n - plan.offset[b]);
     }
 
-    if (desc.staged_gather) {
-        build_stages(plan, refs);
-    }
+    build_stages(plan, refs);
     if (desc.npartitions > 1) {
         build_footprints(plan, refs);
     }
@@ -559,16 +549,15 @@ op_plan const& plan_get(op_set const& set, std::span<op_arg const> args,
 }
 
 void plan_prewarm(op_set const& set, std::span<op_arg const> args,
-                  std::size_t part_size, bool staged_gather,
+                  std::size_t part_size,
                   std::span<std::size_t const> candidates) {
     for (std::size_t nparts : candidates) {
         if (nparts <= 1) {
-            (void)plan_get(set, args, plan_desc{part_size, staged_gather});
+            (void)plan_get(set, args, plan_desc{part_size});
             continue;
         }
         for (std::size_t p = 0; p < nparts; ++p) {
-            (void)plan_get(set, args,
-                           plan_desc{part_size, staged_gather, nparts, p});
+            (void)plan_get(set, args, plan_desc{part_size, nparts, p});
         }
     }
 }

@@ -9,18 +9,6 @@ namespace op2 {
 
 namespace detail {
 
-bool simd_gather_default() noexcept {
-    static bool const on =
-        hpxlite::util::env_flag("OP2HPX_SIMD_GATHER", true);
-    return on;
-}
-
-bool simd_scatter_default() noexcept {
-    static bool const on =
-        hpxlite::util::env_flag("OP2HPX_SIMD_SCATTER", true);
-    return on;
-}
-
 bool exec_pool_default() noexcept {
     static bool const on =
         hpxlite::util::env_flag("OP2HPX_EXEC_POOL", true);

@@ -14,6 +14,7 @@
 
 #include <hpxlite/runtime.hpp>
 #include <hpxlite/threads/thread_pool.hpp>
+#include <hpxlite/threads/topology.hpp>
 
 using hpxlite::threads::pool_options;
 using hpxlite::threads::thread_pool;
@@ -319,54 +320,54 @@ TEST(ThreadPool, BindWorkersPinsEachWorkerToOneCpu) {
     pool_options opts;
     opts.bind_workers = true;
     thread_pool pool(2, opts);
-    // Binding happens at worker_loop entry, so an immediate
-    // bound_workers() read races thread startup and could skip
-    // spuriously. Two tasks that rendezvous force both workers into
-    // their loops (and therefore past their binding attempt) first.
-    {
-        std::atomic<std::size_t> live{0};
-        for (int i = 0; i < 2; ++i) {
-            pool.submit([&] {
-                live.fetch_add(1);
-                while (live.load(std::memory_order_acquire) < 2) {
-                    std::this_thread::yield();
-                }
-            });
-        }
-        // Spin here (not wait_idle, which would *help* and let this
-        // thread claim a rendezvous task meant to prove a worker live).
-        while (live.load() < 2) {
-            std::this_thread::yield();
-        }
-        pool.wait_idle();
+    // Two tasks that rendezvous must run on two distinct workers, so
+    // between them they see both workers' affinity masks. Each records
+    // the worker that actually ran it: a hinted submit_to would not pin
+    // that down, since an idle worker may take a task out of another
+    // worker's inbox. The rendezvous also puts both workers past their
+    // binding attempt (made at worker_loop entry) before bound_workers()
+    // is read below.
+    struct observation {
+        std::size_t worker = SIZE_MAX;
+        cpu_set_t mask{};
+        bool read = false;
+    };
+    std::array<observation, 2> seen;
+    std::atomic<std::size_t> live{0};
+    for (auto& o : seen) {
+        pool.submit([&] {
+            o.worker = pool.worker_index();
+            CPU_ZERO(&o.mask);
+            o.read = pthread_getaffinity_np(pthread_self(), sizeof(o.mask),
+                                            &o.mask) == 0;
+            live.fetch_add(1);
+            while (live.load(std::memory_order_acquire) < 2) {
+                std::this_thread::yield();
+            }
+        });
     }
+    // Spin here (not wait_idle, which would *help* and let this thread
+    // claim a rendezvous task meant to run on a worker).
+    while (live.load() < 2) {
+        std::this_thread::yield();
+    }
+    pool.wait_idle();
     if (pool.bound_workers() != 2) {
         GTEST_SKIP() << "pthread_setaffinity_np rejected (restricted "
                         "cpuset?); binding is best-effort";
     }
-    std::size_t ncpu = std::thread::hardware_concurrency();
-    if (ncpu == 0) {
-        ncpu = 1;
-    }
-    for (std::size_t w = 0; w < 2; ++w) {
-        std::atomic<int> cpus{-1};
-        std::atomic<bool> on_cpu{false};
-        std::atomic<bool> done{false};
-        pool.submit_to(w, [&, w] {
-            cpu_set_t set;
-            CPU_ZERO(&set);
-            if (pthread_getaffinity_np(pthread_self(), sizeof(set), &set) ==
-                0) {
-                cpus.store(CPU_COUNT(&set));
-                on_cpu.store(CPU_ISSET(w % ncpu, &set));
-            }
-            done.store(true, std::memory_order_release);
-        });
-        while (!done.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-        }
-        EXPECT_EQ(cpus.load(), 1) << "worker " << w;
-        EXPECT_TRUE(on_cpu.load()) << "worker " << w;
+    // The pool binds worker i to the i-th CPU in node-major order.
+    auto const& topo = hpxlite::threads::topology();
+    std::size_t const ncpu = topo.cpus() == 0 ? 1 : topo.cpus();
+    EXPECT_NE(seen[0].worker, seen[1].worker);
+    for (auto const& o : seen) {
+        ASSERT_LT(o.worker, 2u);
+        ASSERT_TRUE(o.read) << "worker " << o.worker;
+        auto const cpu =
+            static_cast<std::size_t>(topo.node_major[o.worker % ncpu]);
+        EXPECT_EQ(CPU_COUNT(&o.mask), 1) << "worker " << o.worker;
+        EXPECT_TRUE(CPU_ISSET(cpu, &o.mask))
+            << "worker " << o.worker << " not on cpu " << cpu;
     }
 }
 #endif

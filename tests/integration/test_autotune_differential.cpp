@@ -256,11 +256,16 @@ TEST_P(TuneDifferential, RandomIndirectDagTunedMatchesSeqBitwise) {
             auto& dw = dats[static_cast<std::size_t>(w)];
             // Per-slot loop names: every slot is its own tuner site, so
             // one program exercises many ladders at different depths.
-            std::string const nm = "dag" + std::to_string(l % 7);
+            // Literals, because an issued node keeps the name pointer
+            // until it retires, long after this iteration's locals die.
+            static char const* const kNames[] = {"dag0", "dag1", "dag2",
+                                                 "dag3", "dag4", "dag5",
+                                                 "dag6"};
+            char const* const nm = kNames[l % 7];
             switch (kind(rng)) {
                 case 0:
                     (void)exec::run_loop(
-                        o, nm.c_str(), cells,
+                        o, nm, cells,
                         [](double const* a, double const* b, double* t) {
                             *t = std::fmod(*t + *a + 2.0 * *b, 1024.0);
                         },
@@ -270,7 +275,7 @@ TEST_P(TuneDifferential, RandomIndirectDagTunedMatchesSeqBitwise) {
                     break;
                 case 1:
                     (void)exec::run_loop(
-                        o, nm.c_str(), edges,
+                        o, nm, edges,
                         [](double const* a0, double const* a1, double* t0,
                            double* t1) {
                             *t0 += std::fmod(*a0 + 1.0, 32.0);
@@ -283,7 +288,7 @@ TEST_P(TuneDifferential, RandomIndirectDagTunedMatchesSeqBitwise) {
                     break;
                 default:
                     (void)exec::run_loop(
-                        o, nm.c_str(), edges,
+                        o, nm, edges,
                         [](double const* a, double* t) {
                             *t += std::fmod(*a, 16.0) + 1.0;
                         },

@@ -2,12 +2,15 @@
 // random programs (sequences of direct/indirect/reduction loops over a
 // shared pool of dats), run each program on the seq backend to get the
 // reference, then replay it on the hpx backend (which interleaves
-// whatever it legally can) and on fork_join, and require identical
-// results. Any missed RAW/WAR/WAW edge shows up as a numeric mismatch.
+// whatever it legally can) and on fork_join, and require bit-identical
+// results. Every value stays a bounded multiple of 1/8, so indirect
+// increments and reductions are exact in any order; any missed
+// RAW/WAR/WAW edge shows up as an exact mismatch.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <vector>
 
@@ -23,8 +26,7 @@ struct random_program {
     op_set edges;
     op_map em;
     std::vector<op_dat> dats;       // 3 cell dats
-    op_dat vec;                     // dim-2 cell dat (16-byte stride: the
-                                    // SIMD gather class when read via em)
+    op_dat vec;                     // dim-2 cell dat, read indirectly
     std::vector<int> ops;           // op codes
     std::vector<int> targets;       // dat index per op
 
@@ -94,27 +96,28 @@ struct random_program {
         switch (ops[static_cast<std::size_t>(k)]) {
             case 0:  // direct write from other dat
                 run("copy", cells,
-                    [](double const* src, double* dst) { *dst = *src * 1.01; },
+                    [](double const* src, double* dst) {
+                        *dst = std::fmod(*src * 3.0 + 1.0, 1024.0);
+                    },
                     op_arg_dat(b, -1, OP_ID, 1, "double", OP_READ),
                     op_arg_dat(a, -1, OP_ID, 1, "double", OP_WRITE));
                 break;
             case 1:  // direct read-modify-write (keeps vec evolving too)
                 run("scale", cells,
                     [](double* x, double* v) {
-                        *x = *x * 0.5 + 1.0;
-                        v[0] = v[0] * 0.75 + *x;
+                        *x = std::fmod(*x * 3.0 + 1.0, 1024.0);
+                        v[0] = std::fmod(v[0] + *x, 1024.0);
                         v[1] += 0.5;
                     },
                     op_arg_dat(a, -1, OP_ID, 1, "double", OP_RW),
                     op_arg_dat(vec, -1, OP_ID, 2, "double", OP_RW));
                 break;
-            case 2:  // indirect scatter-increment, with a dim-2 (16-byte
-                     // stride) indirect read — the SIMD gather class
+            case 2:  // indirect scatter-increment, with a dim-2 indirect read
                 run("scatter", edges,
                     [](double const* s1, double const* s2, double const* v,
                        double* t1, double* t2) {
-                        *t1 += 0.001 * *s2 + 0.003 * v[0];
-                        *t2 += 0.002 * *s1 + 0.004 * v[1];
+                        *t1 += std::fmod(*s2 + 3.0 * v[0], 64.0);
+                        *t2 += std::fmod(2.0 * *s1 + v[1], 64.0);
                     },
                     op_arg_dat(b, 0, em, 1, "double", OP_READ),
                     op_arg_dat(b, 1, em, 1, "double", OP_READ),
@@ -130,7 +133,9 @@ struct random_program {
                 break;
             default:  // two-dat combine
                 run("axpy", cells,
-                    [](double const* x, double* y) { *y += 0.25 * *x; },
+                    [](double const* x, double* y) {
+                        *y = std::fmod(*y + 2.0 * *x, 1024.0);
+                    },
                     op_arg_dat(b, -1, OP_ID, 1, "double", OP_READ),
                     op_arg_dat(a, -1, OP_ID, 1, "double", OP_RW));
                 break;
@@ -180,62 +185,16 @@ TEST_P(RandomLoops, HpxAndForkJoinMatchSeq) {
     auto ref = prog.execute(backend::seq, opts);
     for (auto be : {backend::fork_join, backend::hpx}) {
         auto got = prog.execute(be, opts);
+        ASSERT_EQ(got.fields.size(), ref.fields.size());
         for (std::size_t d = 0; d < ref.fields.size(); ++d) {
-            for (std::size_t i = 0; i < ref.fields[d].size(); ++i) {
-                ASSERT_NEAR(got.fields[d][i], ref.fields[d][i],
-                            1e-9 * (1.0 + std::fabs(ref.fields[d][i])))
-                    << "backend " << to_string(be) << " dat " << d
-                    << " elem " << i;
-            }
+            ASSERT_EQ(std::memcmp(got.fields[d].data(), ref.fields[d].data(),
+                                  ref.fields[d].size() * sizeof(double)),
+                      0)
+                << "backend " << to_string(be) << " dat " << d;
         }
         for (std::size_t k = 0; k < ref.reductions.size(); ++k) {
-            ASSERT_NEAR(got.reductions[k], ref.reductions[k],
-                        1e-9 * (1.0 + std::fabs(ref.reductions[k])))
+            ASSERT_EQ(got.reductions[k], ref.reductions[k])
                 << "backend " << to_string(be) << " reduction " << k;
-        }
-    }
-}
-
-/// SIMD-vs-scalar gather differential on the random RW DAG: with an
-/// identical plan and block schedule, gathering the 16-byte-stride
-/// indirect reads into aligned scratch copies bytes but reorders no
-/// arithmetic, so the fields must match *bitwise* (memcmp, non-integer
-/// values and all). Reductions combine in schedule order under the hpx
-/// backend, so they get the usual tolerance there.
-TEST_P(RandomLoops, SimdGatherMatchesScalarGatherBitwise) {
-    random_program prog(GetParam());
-    loop_options simd_on;
-    simd_on.part_size = 48;
-    // The bitwise claim rests on both runs sharing one plan and block
-    // schedule; pin the partition count so OP2HPX_AUTOTUNE cannot give
-    // the two runs different partitionings (explicit counts bypass the
-    // tuner).
-    simd_on.partitions = 4;
-    simd_on.simd_gather = true;
-    loop_options simd_off = simd_on;
-    simd_off.simd_gather = false;
-
-    for (auto be : {backend::fork_join, backend::hpx}) {
-        auto scalar = prog.execute(be, simd_off);
-        auto simd = prog.execute(be, simd_on);
-        ASSERT_EQ(simd.fields.size(), scalar.fields.size());
-        for (std::size_t d = 0; d < scalar.fields.size(); ++d) {
-            ASSERT_EQ(std::memcmp(simd.fields[d].data(),
-                                  scalar.fields[d].data(),
-                                  scalar.fields[d].size() * sizeof(double)),
-                      0)
-                << "backend " << to_string(be) << " dat " << d
-                << ": SIMD gather diverged from the scalar oracle";
-        }
-        for (std::size_t k = 0; k < scalar.reductions.size(); ++k) {
-            if (be == backend::fork_join) {
-                ASSERT_EQ(simd.reductions[k], scalar.reductions[k])
-                    << "reduction " << k;
-            } else {
-                ASSERT_NEAR(simd.reductions[k], scalar.reductions[k],
-                            1e-9 * (1.0 + std::fabs(scalar.reductions[k])))
-                    << "reduction " << k;
-            }
         }
     }
 }

@@ -1,7 +1,6 @@
 // Tests for the locality-aware memory layer (op2/memory.hpp): the
 // cache-line-aligned buffer every dat allocates through, the
-// partition-affine touch-range geometry, the per-thread aligned scratch
-// arena, the fixed-stride gather kernels, and — trace-based, with the
+// partition-affine touch-range geometry, and — trace-based, with the
 // blocker protocol of the PR 4 placement test — that partition-affine
 // first touch really writes each partition's pages on its owning worker.
 
@@ -11,7 +10,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <random>
 #include <thread>
 #include <vector>
 
@@ -139,63 +137,6 @@ TEST(DatAlignment, EveryDatBaseIsCacheLineAligned) {
     auto v = d5.view<double>();
     for (std::size_t i = 0; i < vals.size(); ++i) {
         ASSERT_EQ(v[i], vals[i]);
-    }
-}
-
-// --- per-thread scratch ---------------------------------------------------
-
-TEST(TlsScratch, AlignedCachedAndGrown) {
-    std::byte* const p1 = mem::tls_scratch(100);
-    ASSERT_NE(p1, nullptr);
-    EXPECT_TRUE(aligned64(p1));
-    // A smaller (or equal) request reuses the same arena.
-    EXPECT_EQ(mem::tls_scratch(50), p1);
-    EXPECT_EQ(mem::tls_scratch(100), p1);
-    // Growth still returns an aligned block, usable end to end.
-    std::byte* const p2 = mem::tls_scratch(1 << 20);
-    EXPECT_TRUE(aligned64(p2));
-    std::memset(p2, 0x7f, 1 << 20);
-    // Another thread gets its own arena.
-    std::byte* other = nullptr;
-    std::thread t([&] { other = mem::tls_scratch(64); });
-    t.join();
-    EXPECT_NE(other, p2);
-}
-
-// --- gather kernels -------------------------------------------------------
-
-TEST(GatherKernels, SimdStrideClasses) {
-    EXPECT_TRUE(mem::simd_stride(16));
-    EXPECT_TRUE(mem::simd_stride(32));
-    EXPECT_FALSE(mem::simd_stride(8));
-    EXPECT_FALSE(mem::simd_stride(24));
-    EXPECT_FALSE(mem::simd_stride(0));
-}
-
-TEST(GatherKernels, MatchNaivePerElementCopy) {
-    std::mt19937 rng(42);
-    for (std::size_t stride : {8u, 16u, 24u, 32u}) {
-        std::size_t const nsrc = 300;
-        mem::aligned_buffer src(nsrc * stride);
-        for (std::size_t i = 0; i < src.size(); ++i) {
-            src.data()[i] = static_cast<std::byte>(rng() & 0xff);
-        }
-        for (std::size_t n : {0u, 1u, 3u, 4u, 7u, 128u, 131u}) {
-            std::uniform_int_distribution<std::uint32_t> ed(0, nsrc - 1);
-            std::vector<std::uint32_t> off(n);
-            for (auto& o : off) {
-                o = ed(rng) * static_cast<std::uint32_t>(stride);
-            }
-            std::vector<std::byte> expect(n * stride);
-            for (std::size_t k = 0; k < n; ++k) {
-                std::memcpy(expect.data() + k * stride,
-                            src.data() + off[k], stride);
-            }
-            mem::aligned_buffer got(n * stride + 1);
-            mem::gather(got.data(), src.data(), off.data(), n, stride);
-            EXPECT_EQ(std::memcmp(got.data(), expect.data(), n * stride), 0)
-                << "stride " << stride << " n " << n;
-        }
     }
 }
 

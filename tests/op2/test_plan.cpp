@@ -197,7 +197,7 @@ TEST(PlanPartition, PartitionPlansTileTheSet) {
     std::size_t covered = 0;
     std::size_t expect_base = 0;
     for (std::size_t p = 0; p < 3; ++p) {
-        auto plan = plan_build(r.edges, args, plan_desc{64, true, 3, p});
+        auto plan = plan_build(r.edges, args, plan_desc{64, 3, p});
         EXPECT_EQ(plan.npartitions, 3u);
         EXPECT_EQ(plan.partition, p);
         EXPECT_EQ(plan.elem_base, expect_base);
@@ -219,7 +219,7 @@ TEST(PlanPartition, PartitionStageTablesAreRelativeWithAbsoluteOffsets) {
     auto args = r.inc_args();
     std::size_t const stride = sizeof(double);
     for (std::size_t p = 0; p < 4; ++p) {
-        auto plan = plan_build(r.edges, args, plan_desc{64, true, 4, p});
+        auto plan = plan_build(r.edges, args, plan_desc{64, 4, p});
         for (int idx : {0, 1}) {
             auto const* st = plan.find_stage(r.em.id(), idx, stride);
             ASSERT_NE(st, nullptr);
@@ -240,7 +240,7 @@ TEST(PlanPartition, FootprintsMatchMapReachabilityExactly) {
     constexpr std::size_t kParts = 5;
     auto tpart = r.nodes.partition(kParts);
     for (std::size_t p = 0; p < kParts; ++p) {
-        auto plan = plan_build(r.edges, args, plan_desc{32, true, kParts, p});
+        auto plan = plan_build(r.edges, args, plan_desc{32, kParts, p});
         for (int idx : {0, 1}) {
             auto const* fp = plan.find_footprint(r.em.id(), idx);
             ASSERT_NE(fp, nullptr);
@@ -277,7 +277,7 @@ TEST(PlanPartition, ColoringIsConflictFreeAcrossPartitions) {
         std::map<std::size_t, std::set<int>> targets_by_color;
         for (std::size_t p = 0; p < nparts; ++p) {
             auto plan = plan_build(r.edges, args,
-                                   plan_desc{part_size, true, nparts, p});
+                                   plan_desc{part_size, nparts, p});
             for (std::size_t c = 0; c < plan.ncolors; ++c) {
                 for (std::size_t b : plan.blocks_of_color(c)) {
                     std::set<int> mine;
@@ -311,7 +311,7 @@ TEST(PlanPartition, SingleBlockPartitionsAreColoredGlobally) {
     auto args = r.inc_args();
     std::set<int> colors;
     for (std::size_t p = 0; p < 2; ++p) {
-        auto plan = plan_build(r.edges, args, plan_desc{500, true, 2, p});
+        auto plan = plan_build(r.edges, args, plan_desc{500, 2, p});
         ASSERT_EQ(plan.nblocks, 1u);
         EXPECT_TRUE(plan.colored);
         // The block's colour is ncolors - 1 (the only non-empty class).
@@ -327,16 +327,8 @@ TEST(PlanPartition, SingleBlockPartitionsAreColoredGlobally) {
 TEST(PlanPartition, WholeSetPlansCarryNoFootprints) {
     ring r(300);
     auto args = r.inc_args();
-    auto plan = plan_build(r.edges, args, plan_desc{32, true, 1, 0});
+    auto plan = plan_build(r.edges, args, plan_desc{32, 1, 0});
     EXPECT_TRUE(plan.footprints.empty());
-}
-
-TEST(PlanPartition, LegacyPlansCarryNoStageTables) {
-    ring r(300);
-    auto args = r.inc_args();
-    auto plan = plan_build(r.edges, args, plan_desc{32, false, 1, 0});
-    EXPECT_TRUE(plan.stages.empty());
-    EXPECT_TRUE(plan.colored);  // colouring is independent of staging
 }
 
 // --- plan-cache key audit (regression: every plan-affecting
@@ -347,34 +339,27 @@ TEST(PlanCache, KeyIncludesEveryPlanAffectingField) {
     ring r(512);
     auto args = r.inc_args();
 
-    auto const& base = plan_get(r.edges, args, plan_desc{64, true, 1, 0});
-
-    // staged_gather off: different contents (no gather tables) — must
-    // not collide with the staged plan.
-    auto const& legacy = plan_get(r.edges, args, plan_desc{64, false, 1, 0});
-    EXPECT_NE(&base, &legacy);
+    auto const& base = plan_get(r.edges, args, plan_desc{64, 1, 0});
     EXPECT_FALSE(base.stages.empty());
-    EXPECT_TRUE(legacy.stages.empty());
 
     // Partition granularity and partition index each key separately.
-    auto const& part0 = plan_get(r.edges, args, plan_desc{64, true, 2, 0});
-    auto const& part1 = plan_get(r.edges, args, plan_desc{64, true, 2, 1});
+    auto const& part0 = plan_get(r.edges, args, plan_desc{64, 2, 0});
+    auto const& part1 = plan_get(r.edges, args, plan_desc{64, 2, 1});
     EXPECT_NE(&base, &part0);
     EXPECT_NE(&part0, &part1);
     EXPECT_EQ(part0.elem_base, 0u);
     EXPECT_EQ(part1.elem_base, 256u);
 
     // part_size still keys (pre-existing behaviour).
-    auto const& coarse = plan_get(r.edges, args, plan_desc{128, true, 1, 0});
+    auto const& coarse = plan_get(r.edges, args, plan_desc{128, 1, 0});
     EXPECT_NE(&base, &coarse);
 
-    EXPECT_EQ(plan_cache_size(), 5u);
+    EXPECT_EQ(plan_cache_size(), 4u);
 
     // Identical descriptors hit the same entries, in any order.
-    EXPECT_EQ(&plan_get(r.edges, args, plan_desc{64, false, 1, 0}), &legacy);
-    EXPECT_EQ(&plan_get(r.edges, args, plan_desc{64, true, 2, 1}), &part1);
-    EXPECT_EQ(&plan_get(r.edges, args, plan_desc{64, true, 1, 0}), &base);
-    EXPECT_EQ(plan_cache_size(), 5u);
+    EXPECT_EQ(&plan_get(r.edges, args, plan_desc{64, 2, 1}), &part1);
+    EXPECT_EQ(&plan_get(r.edges, args, plan_desc{64, 1, 0}), &base);
+    EXPECT_EQ(plan_cache_size(), 4u);
     plan_cache_clear();
 }
 

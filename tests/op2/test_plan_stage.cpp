@@ -91,36 +91,6 @@ TEST(PlanStage, GatherTablesMatchMapArithmetic) {
     EXPECT_EQ(plan.find_stage(m.em.id(), 0, 12345), nullptr);
 }
 
-TEST(PlanStage, SimdStrideClassesAreRecordedOnGatherTables) {
-    random_mesh m(400, 100, 11u);
-    // dim-4 double (32 bytes) and dim-1 double (8 bytes) from the mixed
-    // args; add a dim-2 double (16 bytes) read for the other SIMD class.
-    auto cv = op_decl_dat_zero<double>(m.cells, 2, "double", "cv");
-    std::array<op_arg, 4> args = {
-        op_arg_dat(m.cq, 0, m.em, 4, "double", OP_READ),
-        op_arg_dat(cv, 0, m.em, 2, "double", OP_READ),
-        op_arg_dat(m.cd, 0, m.em, 1, "double", OP_INC),
-        op_arg_dat(m.cd, 1, m.em, 1, "double", OP_INC)};
-    auto plan = plan_build(m.edges, args, 64);
-
-    auto const* st32 = plan.find_stage(m.em.id(), 0, 32);
-    ASSERT_NE(st32, nullptr);
-    EXPECT_EQ(st32->simd, 32u);  // dim-4 doubles: vectorised class
-    auto const* st16 = plan.find_stage(m.em.id(), 0, 16);
-    ASSERT_NE(st16, nullptr);
-    EXPECT_EQ(st16->simd, 16u);  // dim-2 doubles: vectorised class
-    auto const* st8 = plan.find_stage(m.em.id(), 0, 8);
-    ASSERT_NE(st8, nullptr);
-    EXPECT_EQ(st8->simd, 0u);  // dim-1: stays on the per-element path
-    // Every SIMD-flagged table is uniformly strided: offsets are
-    // multiples of the stride (what lets the fixed-stride kernels copy).
-    for (auto const* st : {st32, st16}) {
-        for (std::uint32_t o : st->off) {
-            ASSERT_EQ(o % st->simd, 0u);
-        }
-    }
-}
-
 TEST(PlanStage, SinglePassColoringIsConflictFree) {
     for (unsigned seed : {1u, 2u, 3u, 4u}) {
         random_mesh m(1200, 90, seed);

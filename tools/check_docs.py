@@ -9,11 +9,15 @@ standard library):
    links and pure #anchors are skipped; a #fragment on a relative link
    is checked for file existence only).
 
-2. **Knob-table coverage.** Every field of `struct loop_options`
-   (parsed from src/op2/include/op2/loop_options.hpp) and every
-   `OP2HPX_*` environment variable that appears anywhere in the
-   sources must be mentioned in ARCHITECTURE.md's "Knob table"
-   section. Adding a knob without documenting it fails this script,
+2. **Knob-table coverage, both ways.** Every field of
+   `struct loop_options` (parsed from
+   src/op2/include/op2/loop_options.hpp) and every `OP2HPX_*`
+   environment variable that appears anywhere in the sources must be
+   mentioned in ARCHITECTURE.md's "Knob table" section. Conversely,
+   every `loop_options::X` the table names must be a field of the
+   struct, and every `OP2HPX_*` name it mentions must be referenced by
+   a source file or a CMakeLists.txt. Adding a knob without documenting
+   it, or deleting one and leaving its row behind, fails this script,
    and therefore CI.
 
 Exit status: 0 clean, 1 with findings (each printed on its own line).
@@ -29,13 +33,22 @@ REPO = Path(__file__).resolve().parent.parent
 ARCHITECTURE = REPO / "ARCHITECTURE.md"
 LOOP_OPTIONS = REPO / "src" / "op2" / "include" / "op2" / "loop_options.hpp"
 
+# Build trees and VCS metadata hold no files of ours.
+SKIP_DIRS = {"build", ".git", "build-tsan", "build-asan", ".bench_build",
+             ".bench_out"}
+
+
+def repo_files(pattern: str) -> list[Path]:
+    return [p for p in sorted(REPO.rglob(pattern))
+            if not any(part in SKIP_DIRS for part in p.parts)]
+
+
 # Directories whose *.md / sources are ours to check. ISSUE.md and the
 # paper-metadata files are driver-managed inputs, not handbook pages.
 DOC_FILES = [
     p
     for p in sorted(REPO.rglob("*.md"))
-    if not any(part in {"build", ".git", "build-tsan", "build-asan"}
-               for part in p.parts)
+    if not any(part in SKIP_DIRS for part in p.parts)
     and p.name not in {"ISSUE.md", "PAPER.md", "PAPERS.md", "SNIPPETS.md"}
 ]
 SOURCE_DIRS = [REPO / "src", REPO / "bench", REPO / "examples",
@@ -44,6 +57,7 @@ SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 ENV_RE = re.compile(r"\bOP2HPX_[A-Z_]+\b")
+FIELD_REF_RE = re.compile(r"\bloop_options::(\w+)")
 
 
 def check_links() -> list[str]:
@@ -97,6 +111,13 @@ def env_vars_in_sources() -> set[str]:
     return found
 
 
+def env_vars_in_cmake() -> set[str]:
+    found = set()
+    for cmake in repo_files("CMakeLists.txt"):
+        found.update(ENV_RE.findall(cmake.read_text(encoding="utf-8")))
+    return found
+
+
 def knob_table_section() -> str:
     text = ARCHITECTURE.read_text(encoding="utf-8")
     m = re.search(r"^## Knob table$(.*?)(?=^## )", text,
@@ -108,18 +129,29 @@ def knob_table_section() -> str:
 
 def check_knob_table() -> list[str]:
     section = knob_table_section()
+    fields = loop_option_fields()
+    source_vars = env_vars_in_sources()
     problems = []
-    for field in loop_option_fields():
+    for field in fields:
         if f"loop_options::{field}" not in section:
             problems.append(
                 "ARCHITECTURE.md knob table: missing loop_options field "
                 f"`loop_options::{field}` (declared in "
                 "src/op2/include/op2/loop_options.hpp)")
-    for var in sorted(env_vars_in_sources()):
+    for var in sorted(source_vars):
         if var not in section:
             problems.append(
                 f"ARCHITECTURE.md knob table: missing env var `{var}` "
                 "(referenced in the sources)")
+    for field in sorted(set(FIELD_REF_RE.findall(section)) - set(fields)):
+        problems.append(
+            f"ARCHITECTURE.md knob table: `loop_options::{field}` is not "
+            "a field of struct loop_options (stale row?)")
+    known_vars = source_vars | env_vars_in_cmake()
+    for var in sorted(set(ENV_RE.findall(section)) - known_vars):
+        problems.append(
+            f"ARCHITECTURE.md knob table: `{var}` is referenced by no "
+            "source file or CMakeLists.txt (stale row?)")
     return problems
 
 
