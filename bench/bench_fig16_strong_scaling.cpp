@@ -4,111 +4,16 @@
 // Paper observation: ~33% better performance for dataflow at scale, due
 // to asynchronous task execution and interleaving of dependent loops;
 // the scaling knee appears at 16 threads where hyper-threading engages.
-//
-// Plus the sharded-execution section: the same airfoil-shaped chain run
-// host-measured at 2 logical localities (op2/comm halo exchange over
-// partitions), once bulk-synchronous (every loop's handle waited — a
-// halo can never overlap compute) and once fully asynchronous (one
-// fence at the end — exchanges overlap interior sub-nodes). The ratio
-// is exactly what the async halo machinery buys over per-loop barriers
-// on a sharded run. Both variants are checked bitwise against each
-// other before any row is emitted.
-//
-// Emits into BENCH_op2.json (schema op2hpx-bench-v1):
-//   locality_sync_per_get   ns per loop, localities=2, per-loop get()
-//   locality_async          ns per loop, localities=2, one final fence
-//   locality_speedup        x, async vs bulk-sync at 2 localities
-//   halo_exchange_count     exchanges issued during the async run
-//   halo_exchange_bytes     bytes moved by those exchanges
-//
-// `--quick` shrinks the mesh and repetitions for the CI smoke run.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include <hpxlite/hpxlite.hpp>
-#include <op2/op2.hpp>
 #include <psim/testbed.hpp>
 
 #include "bench_common.hpp"
-#include "bench_json.hpp"
 
-namespace {
-
-// Sharded chain: save_soln / adt_calc / res_calc / update shapes over a
-// ring edges->cells mesh, the airfoil time-march in miniature.
-std::size_t g_cells = 131072;  // (--quick: 32768)
-int g_iters = 24;              // chain iterations measured (--quick: 8)
-int g_reps = 5;                // repetitions measured (--quick: 2)
-
-double run_chain(op2::op_set cells, op2::op_set edges, op2::op_map em,
-                 op2::op_dat q, op2::op_dat qold, op2::op_dat res,
-                 bool per_loop_get) {
-    using namespace op2;
-    loop_options o;
-    o.backend = exec::backend_kind::hpx_dataflow;
-    o.part_size = 256;
-    o.partitions = 4;
-    o.localities = 2;
-    o.fuse = false;  // a fusing issue runs unsharded (fuse precedence)
-
-    for (auto& x : q.view<double>()) x = 1.0;
-    for (auto& x : qold.view<double>()) x = 0.0;
-    for (auto& x : res.view<double>()) x = 0.0;
-
-    hpxlite::util::stopwatch sw;
-    for (int it = 0; it < g_iters; ++it) {
-        auto h1 = exec::run_loop(o, "save_soln", cells,
-                                 [](double const* a, double* b) { *b = *a; },
-                                 op_arg_dat(q, -1, OP_ID, 1, "double",
-                                            OP_READ),
-                                 op_arg_dat(qold, -1, OP_ID, 1, "double",
-                                            OP_WRITE));
-        auto h2 = exec::run_loop(
-            o, "res_calc", edges,
-            [](double const* a, double const* b, double* r0, double* r1) {
-                double const f = *a + *b;
-                *r0 += f;
-                *r1 += f;
-            },
-            op_arg_dat(q, 0, em, 1, "double", OP_READ),
-            op_arg_dat(q, 1, em, 1, "double", OP_READ),
-            op_arg_dat(res, 0, em, 1, "double", OP_INC),
-            op_arg_dat(res, 1, em, 1, "double", OP_INC));
-        auto h3 = exec::run_loop(
-            o, "update", cells,
-            [](double const* qo, double* r, double* qq) {
-                *qq = *qo + (*r > 1024.0 ? 0.0 : 1.0);
-                *r = 0.0;
-            },
-            op_arg_dat(qold, -1, OP_ID, 1, "double", OP_READ),
-            op_arg_dat(res, -1, OP_ID, 1, "double", OP_RW),
-            op_arg_dat(q, -1, OP_ID, 1, "double", OP_WRITE));
-        if (per_loop_get) {
-            // Bulk-synchronous shape: every handle waited before the
-            // next loop issues — halo exchanges serialise with compute.
-            h1.get();
-            h2.get();
-            h3.get();
-        }
-    }
-    op2::op_fence_all();
-    return sw.elapsed_s();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int main() {
     using namespace benchutil;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            g_cells = 32768;
-            g_iters = 8;
-            g_reps = 2;
-        }
-    }
     print_title("Figure 16", "strong-scaling speedup: omp vs dataflow");
 
     auto tb = psim::paper_testbed();
@@ -141,85 +46,5 @@ int main(int argc, char** argv) {
     std::printf("\npaper: ~33%% better performance for dataflow at high "
                 "thread counts; modeled at 32 threads: %+.1f%%\n",
                 gain32 * 100.0);
-
-    // --- host-measured: sharded execution with async halo exchange ----
-    hpxlite::init(hpxlite::runtime_config{4});
-    {
-        using namespace op2;
-        std::size_t const ncells = g_cells;
-        auto cells = op_decl_set(ncells, "shard_cells");
-        auto edges = op_decl_set(ncells, "shard_edges");
-        std::vector<int> tab(2 * ncells);
-        for (std::size_t e = 0; e < ncells; ++e) {
-            tab[2 * e] = static_cast<int>(e);
-            tab[2 * e + 1] = static_cast<int>((e + 1) % ncells);
-        }
-        auto em = op_decl_map(edges, cells, 2, tab, "shard_em");
-        auto q = op_decl_dat_zero<double>(cells, 1, "double", "shard_q");
-        auto qold =
-            op_decl_dat_zero<double>(cells, 1, "double", "shard_qold");
-        auto res = op_decl_dat_zero<double>(cells, 1, "double", "shard_res");
-
-        // Warm plans, halo plans and staging channels, then check the
-        // two variants agree bitwise before timing anything.
-        (void)run_chain(cells, edges, em, q, qold, res, true);
-        std::vector<double> sync_q(q.view<double>().begin(),
-                                   q.view<double>().end());
-        (void)run_chain(cells, edges, em, q, qold, res, false);
-        if (std::memcmp(sync_q.data(), q.view<double>().data(),
-                        sync_q.size() * sizeof(double)) != 0) {
-            std::fprintf(stderr,
-                         "FAIL: sync and async sharded runs diverged\n");
-            return 1;
-        }
-
-        double sync_s = 0.0;
-        double async_s = 0.0;
-        op2::comm::reset_stats();
-        for (int r = 0; r < g_reps; ++r) {
-            sync_s += run_chain(cells, edges, em, q, qold, res, true);
-        }
-        std::uint64_t const sync_exch = op2::comm::stats().exchanges.load();
-        op2::comm::reset_stats();
-        for (int r = 0; r < g_reps; ++r) {
-            async_s += run_chain(cells, edges, em, q, qold, res, false);
-        }
-        std::uint64_t const exchanges = op2::comm::stats().exchanges.load();
-        std::uint64_t const bytes = op2::comm::stats().bytes.load();
-
-        double const loops =
-            static_cast<double>(g_reps) * g_iters * 3.0;
-        double const sync_ns = sync_s * 1e9 / loops;
-        double const async_ns = async_s * 1e9 / loops;
-        std::size_t const nworkers = hpxlite::get_num_worker_threads();
-        std::string const label_tail =
-            "2 localities, 4 partitions, " + std::to_string(nworkers) +
-            " workers";
-        std::printf("\nsharded chain, %zu cells, %d iters x %d reps (%s):\n",
-                    ncells, g_iters, g_reps, label_tail.c_str());
-        std::printf("  bulk-sync (per-loop get) : %9.1f ns/loop "
-                    "(%llu exchanges)\n",
-                    sync_ns, static_cast<unsigned long long>(sync_exch));
-        std::printf("  async (one fence)        : %9.1f ns/loop "
-                    "(%llu exchanges, %.1f KiB)\n",
-                    async_ns, static_cast<unsigned long long>(exchanges),
-                    static_cast<double>(bytes) / 1024.0);
-        std::printf("  locality speedup         : %9.2fx\n",
-                    sync_ns / async_ns);
-
-        benchutil::bench_log log("bench_fig16_strong_scaling");
-        log.add("locality_sync_per_get", sync_ns, "ns/iter",
-                "sharded airfoil chain, per-loop get, " + label_tail);
-        log.add("locality_async", async_ns, "ns/iter",
-                "sharded airfoil chain, single fence, " + label_tail);
-        log.add("locality_speedup", sync_ns / async_ns, "x",
-                "async_halo_overlap_vs_bulk_sync, " + label_tail);
-        log.add("halo_exchange_count", static_cast<double>(exchanges),
-                "count", "exchanges during the async reps, " + label_tail);
-        log.add("halo_exchange_bytes", static_cast<double>(bytes), "bytes",
-                "bytes moved by those exchanges, " + label_tail);
-        log.write();
-    }
-    hpxlite::finalize();
     return 0;
 }

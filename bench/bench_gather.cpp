@@ -1,23 +1,13 @@
-// Two perf rows of the memory and dataflow layers:
-//
-//  * Partition-affine first touch (OP2HPX_FIRST_TOUCH /
-//    memory::set_first_touch): the bench_dataflow_chain partition sweep
-//    — a dependent direct RW chain at 4 partitions with affinity
-//    placement — over a dat whose pages were first-touched by their
-//    owning workers vs. one initialised wholesale by the loading
-//    thread. On a single NUMA node this measures cache-warmth at best
-//    (parity is expected on small machines); the row exists so the
-//    trajectory shows the effect the day CI lands on bigger iron.
-//
-//  * Chain fusion (loop_options::fuse): a direct producer/consumer
-//    loop pair (save_soln/adt_calc shape) issued fused vs unfused on
-//    the dataflow backend — fusion halves the graph nodes and pins the
-//    intermediate dat hot between the merged passes.
+// Partition-affine first touch (OP2HPX_FIRST_TOUCH /
+// memory::set_first_touch): the bench_dataflow_chain partition sweep — a
+// dependent direct RW chain at 4 partitions with affinity placement —
+// over a dat whose pages were first-touched by their owning workers vs.
+// one initialised wholesale by the loading thread. On a single NUMA node
+// this measures cache-warmth at best (parity is expected on small
+// machines); the row exists so the trajectory shows the effect the day
+// CI lands on bigger iron.
 //
 // Emits into BENCH_op2.json (schema op2hpx-bench-v1):
-//   fusion_fused           ns/pair, direct loop pair, fused pass
-//   fusion_unfused         ns/pair, direct loop pair, two solo issues
-//   fusion_speedup         x, fused vs unfused
 //   first_touch_on         ns/loop, affinity chain, owner-touched pages
 //   first_touch_off        ns/loop, affinity chain, loader-touched pages
 //   first_touch_speedup    x, on vs off
@@ -26,9 +16,7 @@
 
 #include <cstdio>
 #include <cstring>
-#include <random>
 #include <string>
-#include <vector>
 
 #include <hpxlite/hpxlite.hpp>
 #include <op2/op2.hpp>
@@ -42,47 +30,6 @@ namespace {
 constexpr std::size_t kChainElems = 262144;
 constexpr int kChainLen = 8;
 int g_chains = 30;  // (--quick: 5)
-
-/// A fusable direct pair per iteration (flux = f(q); q += g(flux)) on
-/// the dataflow backend; with fuse on, each pair runs as one merged
-/// staged pass. Returns ns per pair; the caller compares final fields
-/// bitwise across the fused/unfused runs.
-double time_fusion_chain(op_dat& q, op_dat& flux, op_set const& cells,
-                         bool fuse, int chains) {
-    loop_options o;
-    o.backend = exec::backend_kind::hpx_dataflow;
-    o.part_size = 256;
-    o.partitions = 4;
-    o.placement = placement_kind::affinity;
-    o.fuse = fuse;
-    auto run_chain = [&] {
-        exec::loop_handle last;
-        for (int l = 0; l < kChainLen; ++l) {
-            (void)exec::run_loop(
-                o, "fuse_a", cells,
-                [](double const* qq, double* f) {
-                    *f = *qq * 0.5 + 0.125;
-                },
-                op_arg_dat(q, -1, OP_ID, 1, "double", OP_READ),
-                op_arg_dat(flux, -1, OP_ID, 1, "double", OP_WRITE));
-            last = exec::run_loop(
-                o, "fuse_b", cells,
-                [](double const* f, double* qq) { *qq += *f * 0.25; },
-                op_arg_dat(flux, -1, OP_ID, 1, "double", OP_READ),
-                op_arg_dat(q, -1, OP_ID, 1, "double", OP_RW));
-        }
-        last.wait();  // flushes the fusion window, then drains the chain
-    };
-    for (int w = 0; w < 3; ++w) {
-        run_chain();
-    }
-    hpxlite::util::stopwatch sw;
-    for (int c = 0; c < chains; ++c) {
-        run_chain();
-    }
-    return sw.elapsed_s() * 1e9 /
-           (static_cast<double>(chains) * kChainLen);
-}
 
 double time_chain(op_dat& d, op_set const& cells, int chains) {
     loop_options o;
@@ -125,45 +72,6 @@ int main(int argc, char** argv) {
         std::to_string(nworkers) + " workers";
     benchutil::bench_log log("bench_gather");
 
-    std::mt19937 rng(1234);
-    std::uniform_real_distribution<double> vd(0.0, 1.0);
-
-    // --- chain fusion --------------------------------------------------
-    auto fu_cells = op_decl_set(kChainElems, "fu_cells");
-    std::vector<double> fu_init(kChainElems);
-    for (auto& v : fu_init) {
-        v = vd(rng);
-    }
-    auto q_unf = op_decl_dat<double>(fu_cells, 1, "double", fu_init, "q_unf");
-    auto f_unf = op_decl_dat_zero<double>(fu_cells, 1, "double", "f_unf");
-    double const unfused_ns =
-        time_fusion_chain(q_unf, f_unf, fu_cells, false, g_chains);
-    auto q_fus = op_decl_dat<double>(fu_cells, 1, "double", fu_init, "q_fus");
-    auto f_fus = op_decl_dat_zero<double>(fu_cells, 1, "double", "f_fus");
-    double const fused_ns =
-        time_fusion_chain(q_fus, f_fus, fu_cells, true, g_chains);
-    // Bitwise oracle: fusion only reorders *issue*, never arithmetic.
-    if (std::memcmp(q_unf.view<double>().data(),
-                    q_fus.view<double>().data(),
-                    kChainElems * sizeof(double)) != 0) {
-        std::fprintf(stderr,
-                     "FAIL: fused chain diverged from the unfused run\n");
-        return 1;
-    }
-    std::printf("chain fusion (%d direct pairs, %zu elems, %s):\n",
-                kChainLen, kChainElems, workers_label.c_str());
-    std::printf("  unfused pair    : %12.1f ns/pair\n", unfused_ns);
-    std::printf("  fused pair      : %12.1f ns/pair\n", fused_ns);
-    std::printf("  speedup         : %12.2fx\n", unfused_ns / fused_ns);
-    log.add("fusion_unfused", unfused_ns, "ns/iter",
-            "direct producer/consumer pair, two solo issues, " +
-                workers_label);
-    log.add("fusion_fused", fused_ns, "ns/iter",
-            "direct producer/consumer pair, fused pass, " + workers_label);
-    log.add("fusion_speedup", unfused_ns / fused_ns, "x",
-            "fused_vs_unfused_pair, " + workers_label);
-
-    // --- partition-affine first touch ----------------------------------
     auto chain_cells = op_decl_set(kChainElems, "ft_cells");
     auto d_off = [&] {
         op2::memory::first_touch_scope scope(false);

@@ -9,7 +9,7 @@
 // Usage: airfoil_app [seq|fork_join|hpx] [nx ny] [niter]
 //                    [--mesh-file PATH] [--checkpoint-every N]
 //                    [--retries K] [--fault PLAN] [--watchdog-ms T]
-//                    [--fuse] [--localities N] [--no-exec-pool]
+//                    [--no-exec-pool]
 //
 //   --mesh-file PATH       load a new_grid.dat mesh instead of
 //                          generating one (errors name file, section
@@ -20,12 +20,6 @@
 //                          e.g. "kernel=res_calc@1.0")
 //   --watchdog-ms T        report a graph dump after T ms without
 //                          progress
-//   --fuse                 fuse adjacent compatible loops of the chain
-//                          into single staged passes (hpx backend)
-//   --localities N         shard each loop's partitions into N logical
-//                          localities with async halo exchange (hpx
-//                          backend; also OP2HPX_LOCALITIES; default 1
-//                          = shared-everything; fuse takes precedence)
 //   --no-exec-pool         disable cross-issue executor pooling (also
 //                          OP2HPX_EXEC_POOL=0)
 
@@ -66,12 +60,6 @@ void help(char const* argv0, std::FILE* out) {
         "                         e.g. \"kernel=res_calc@1.0\")\n"
         "  --watchdog-ms T        dump the epoch graph after T ms without\n"
         "                         progress\n"
-        "  --fuse                 fuse adjacent compatible loops into\n"
-        "                         single staged passes (hpx backend)\n"
-        "  --localities N         shard partitions into N logical\n"
-        "                         localities with async halo exchange\n"
-        "                         (hpx backend; also OP2HPX_LOCALITIES;\n"
-        "                         default 1; fuse takes precedence)\n"
         "  --no-exec-pool         fresh executors per issue (also\n"
         "                         OP2HPX_EXEC_POOL=0)\n"
         "  --service N            service mode: run N independent\n"
@@ -131,19 +119,6 @@ int main(int argc, char** argv) {
             fault_plan = v;
         } else if (char const* v = flag_value("--watchdog-ms")) {
             watchdog_ms = std::atol(v);
-        } else if (std::strcmp(argv[i], "--fuse") == 0) {
-            // Chain fusion (hpx backend): adjacent compatible loops of
-            // the per-iteration chain run as one staged pass.
-            cfg.opts.fuse = true;
-        } else if (char const* v = flag_value("--localities")) {
-            // Logical localities with async halo exchange (op2/comm).
-            // The comm layer engages at partition granularity, so a
-            // sharded run implies partitioned issue: two partitions per
-            // locality keeps an interior/halo split inside each shard.
-            cfg.opts.localities = static_cast<std::size_t>(std::atol(v));
-            if (cfg.opts.localities > 1 && cfg.opts.partitions == 0) {
-                cfg.opts.partitions = 2 * cfg.opts.localities;
-            }
         } else if (std::strcmp(argv[i], "--no-exec-pool") == 0) {
             cfg.opts.exec_pool = false;  // fresh executors per issue
         } else if (char const* v = flag_value("--service")) {
@@ -288,16 +263,6 @@ int main(int argc, char** argv) {
             std::printf("checkpoint: every %d iteration(s), %d recover%s\n",
                         cfg.checkpoint_every, result.recoveries,
                         result.recoveries == 1 ? "y" : "ies");
-        }
-        auto const& cs = op2::comm::stats();
-        if (cs.exchanges.load() != 0) {
-            std::printf(
-                "halo: %llu exchange(s), %llu pack(s), %llu combine(s), "
-                "%.1f KiB moved\n",
-                static_cast<unsigned long long>(cs.exchanges.load()),
-                static_cast<unsigned long long>(cs.packs.load()),
-                static_cast<unsigned long long>(cs.combines.load()),
-                static_cast<double>(cs.bytes.load()) / 1024.0);
         }
 
         std::printf("\nper-loop timing (op_timing_output):\n");

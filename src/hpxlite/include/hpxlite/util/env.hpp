@@ -1,7 +1,7 @@
 #pragma once
 
 // One env-flag parser for every boolean knob (OP2HPX_BIND_WORKERS,
-// OP2HPX_FIRST_TOUCH, OP2HPX_FUSE, ...): the accepted spellings must
+// OP2HPX_FIRST_TOUCH, OP2HPX_EXEC_POOL, ...): the accepted spellings must
 // not drift between knobs, and a fix must reach all of them.
 
 #include <cstdlib>

@@ -25,7 +25,6 @@
 #include <hpxlite/execution/policy.hpp>
 #include <hpxlite/runtime.hpp>
 #include <hpxlite/util/timing.hpp>
-#include <op2/comm.hpp>
 #include <op2/detail/executor.hpp>
 #include <op2/exec/backend_kind.hpp>
 #include <op2/exec/dataflow.hpp>
@@ -50,21 +49,14 @@ public:
         return static_cast<bool>(node_);
     }
 
-    /// Note: a loop deferred in a fusion window (loop_options::fuse)
-    /// reports not-ready until a flush point runs it; polling is_ready
-    /// alone never triggers one (this accessor stays noexcept), the
-    /// blocking waits below do.
     [[nodiscard]] bool is_ready() const noexcept {
         return !node_ || node_->done();
     }
 
     /// Block (cooperatively: helps the pool) until the loop completed.
-    /// No-op for handles of synchronous backends. Flushes any pending
-    /// fusion window first — the waited-on loop may still be deferred
-    /// in one, and a deferred loop can only run once flushed.
+    /// No-op for handles of synchronous backends.
     void wait() const {
         if (node_) {
-            fusion_flush_point();
             node_->wait();
         }
     }
@@ -72,7 +64,6 @@ public:
     /// wait(), then rethrow the loop's failure, if any.
     void get() const {
         if (node_) {
-            fusion_flush_point();
             node_->wait_and_rethrow();
         }
     }
@@ -85,19 +76,11 @@ public:
     template <typename Rep, typename Period>
     [[nodiscard]] bool wait_for(
         std::chrono::duration<Rep, Period> timeout) const {
-        if (node_) {
-            fusion_flush_point();
-        }
         return !node_ ||
                node_->wait_for(
                    std::chrono::duration_cast<std::chrono::nanoseconds>(
                        timeout));
     }
-
-    /// The underlying graph node (empty for synchronous backends).
-    /// The fusion layer uses this to chain a deferred loop's promise
-    /// node onto the real completion node at flush time.
-    [[nodiscard]] node_ref const& node() const noexcept { return node_; }
 
 private:
     node_ref node_;
@@ -820,23 +803,12 @@ inline std::atomic<std::uint64_t> g_exemption_loop_seq{1};
 ///    partition's own sub-nodes are still chained in colour order
 ///    (deterministic scratch prepare, single-threaded per-partition
 ///    executor), so the won concurrency is across partitions.
-///
-/// With nloc > 1 the partitions are grouped into logical localities
-/// (op2/comm.hpp) and every indirect argument's halo regions travel
-/// through pack -> exchange -> unpack/combine comm sub-nodes wired into
-/// the same per-partition records: import chains are issued *before*
-/// the compute sub-nodes (a halo-reading sub-node edges on its regions'
-/// unpack nodes; interior sub-nodes never do), export chains *after*
-/// them (the export RAW-edges on the loop's own INC sub-nodes and the
-/// combine closes the written partitions' epochs — owner-compute).
-/// nloc <= 1 leaves this function bit-for-bit the shape above.
 template <typename Kernel, std::size_t N>
 loop_handle issue_partitioned(loop_options const& opts, char const* name,
                               op_set set, std::array<op_arg, N> args,
                               Kernel kernel,
                               hpxlite::threads::thread_pool& pool,
-                              std::size_t nparts, std::size_t nloc = 1,
-                              tune::probe probe = {}) {
+                              std::size_t nparts, tune::probe probe = {}) {
     // Acquire the group from the cross-issue pool when possible: a
     // steady-state chain then re-issues each loop with zero executor
     // construction and zero scratch reallocation (the reduction
@@ -937,25 +909,6 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
                 ++i;
             }
             arg_dat[j++] = i;
-        }
-    }
-
-    // Halo import chains enter the graph before any compute sub-node:
-    // their packs read the previous epoch (RAW through stage_read), and
-    // the per-region unpack nodes are what halo-reading sub-nodes edge
-    // on below. Pins are held, so the records the chains wire into are
-    // the records the sub-nodes wire into.
-    comm::loop_halos halos(nparts, nloc, pool, name);
-    if (halos.active()) {
-        std::size_t j = 0;
-        for (op_arg const& a : grp->executor(0).args()) {
-            std::size_t const i = arg_dat[j++];
-            if (i == static_cast<std::size_t>(-1) || !a.is_indirect()) {
-                continue;
-            }
-            if (a.acc == op_access::OP_READ || a.acc == op_access::OP_RW) {
-                halos.add_import(a.dat, a.map, dats[i].pin.records());
-            }
         }
     }
 
@@ -1080,782 +1033,14 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
                     }
                 }
             }
-            if (halos.active()) {
-                // Halo-reading sub-node: wait for the landed imports of
-                // exactly the regions this partition's edges reach.
-                // Interior sub-nodes (no cross-locality edge) take no
-                // comm dependency — that is the overlap property.
-                std::size_t j2 = 0;
-                for (op_arg const& a : grp->executor(0).args()) {
-                    std::size_t const i = arg_dat[j2++];
-                    if (i == static_cast<std::size_t>(-1) ||
-                        !a.is_indirect()) {
-                        continue;
-                    }
-                    if (a.acc == op_access::OP_READ ||
-                        a.acc == op_access::OP_RW) {
-                        halos.depend_imports(*sub, a.dat, a.map, p);
-                    }
-                }
-            }
             issue(*sub, std::span<dep_request const>{reqs.data(),
                                                      reqs.size()},
                   pool);
             chain_prev = std::move(sref);
         }
     }
-    if (halos.active()) {
-        // Export chains enter after every compute sub-node: their packs
-        // RAW-edge on this loop's own INC sub-nodes (all colours — the
-        // contributions must have landed) and the owner-side combine
-        // closes the written partitions' epochs, so later readers order
-        // after the combine: owner-compute semantics for OP_INC halos.
-        std::size_t j = 0;
-        for (op_arg const& a : grp->executor(0).args()) {
-            std::size_t const i = arg_dat[j++];
-            if (i == static_cast<std::size_t>(-1) || !a.is_indirect()) {
-                continue;
-            }
-            if (a.acc != op_access::OP_READ) {
-                halos.add_export(a.dat, a.map, dats[i].pin.records());
-            }
-        }
-        // The join covers the exchanges: handle waits and fences drain
-        // in-flight halos exactly like compute.
-        for (auto const& t : halos.tails()) {
-            join->depend_on(*t);
-        }
-    }
     join->schedule();
     return loop_handle(std::move(jref));
-}
-
-// --- chain fusion (loop_options::fuse) ------------------------------------
-//
-// Two adjacent hpx_dataflow loops over the same iteration set can often
-// run as ONE staged pass: per (partition, colour) sub-node, loop A's
-// blocks of the colour run first, then loop B's — one graph node, one
-// dependency-wiring pass, one scheduling round-trip for two kernels,
-// and B's gathers run while A's working set is still cache-hot. Issuing
-// with opts.fuse opens a one-loop *fusion window* on the issuing
-// thread: the loop is deferred (its handle wraps a promise node) until
-// the next issue either fuses with it, or any flush point — a
-// non-fusing issue, a handle wait, a fence — forces it into the graph
-// solo. Legality is proven from issue-time metadata and cached plans
-// (see fusion_compatible and the colour check in fuse_or_defer), which
-// is what keeps fused execution bitwise-identical to unfused.
-
-/// Type-erased constituent of a (potential) fused pass. One virtual
-/// hop per (partition, colour, member) — noise against the kernel
-/// sweep it wraps — in exchange for a non-template window/group layer
-/// that can pair loops of different kernel types and arities.
-class fused_member {
-public:
-    virtual ~fused_member() = default;
-    [[nodiscard]] virtual char const* name() const noexcept = 0;
-    [[nodiscard]] virtual op_set const& iter_set() const noexcept = 0;
-    [[nodiscard]] virtual loop_options const& options() const noexcept = 0;
-    [[nodiscard]] virtual std::span<op_arg const> args() const noexcept = 0;
-    virtual void validate() = 0;
-    /// Bind one executor per partition against the fused pass's
-    /// *union* plans (legal only after the colour-compatibility proof).
-    virtual void bind(std::vector<op_plan const*> const& plans) = 0;
-    virtual void prepare(std::size_t p) = 0;  // caller holds the combine lock
-    virtual void run_color(std::size_t p, std::size_t c) = 0;
-    virtual void combine(std::size_t p) = 0;  // caller holds the combine lock
-    virtual void release_handles() noexcept = 0;
-    /// Issue this member alone through the normal backend path (the
-    /// window flushed without a fusion partner).
-    virtual loop_handle issue_solo(hpxlite::threads::thread_pool& pool,
-                                   std::size_t nparts) = 0;
-};
-
-template <typename Kernel, std::size_t N>
-class fused_member_impl final : public fused_member {
-public:
-    fused_member_impl(loop_options const& opts, char const* name, op_set set,
-                      std::array<op_arg, N> args, Kernel kernel,
-                      std::size_t nparts)
-      : set_(std::move(set)), args_(std::move(args)),
-        kernel_(std::move(kernel)), opts_(opts), name_(name) {
-        execs_.reserve(nparts);
-        // One executor up front (validation); the rest only if the
-        // pass actually fuses (bind) — a solo flush never needs them.
-        execs_.emplace_back(set_, args_, kernel_, opts_);
-    }
-
-    [[nodiscard]] char const* name() const noexcept override {
-        return name_;
-    }
-    [[nodiscard]] op_set const& iter_set() const noexcept override {
-        return set_;
-    }
-    [[nodiscard]] loop_options const& options() const noexcept override {
-        return opts_;
-    }
-    [[nodiscard]] std::span<op_arg const> args() const noexcept override {
-        return {args_.data(), args_.size()};
-    }
-    void validate() override { execs_[0].validate(name_); }
-    void bind(std::vector<op_plan const*> const& plans) override {
-        while (execs_.size() < plans.size()) {
-            execs_.emplace_back(set_, args_, kernel_, opts_);
-        }
-        for (std::size_t p = 0; p < plans.size(); ++p) {
-            execs_[p].setup(*plans[p]);
-        }
-        plans_ = plans;
-    }
-    void prepare(std::size_t p) override { execs_[p].prepare_scratch(); }
-    void run_color(std::size_t p, std::size_t c) override {
-        execs_[p].run_color(*plans_[p], c);
-    }
-    void combine(std::size_t p) override { execs_[p].combine(); }
-    void release_handles() noexcept override {
-        for (auto& ex : execs_) {
-            ex.release_handles();
-        }
-    }
-    loop_handle issue_solo(hpxlite::threads::thread_pool& pool,
-                           std::size_t nparts) override {
-        if (nparts <= 1) {
-            return issue_whole_set<Kernel, N>(opts_, name_, set_, args_,
-                                              kernel_, pool);
-        }
-        return issue_partitioned<Kernel, N>(opts_, name_, set_, args_,
-                                            kernel_, pool, nparts);
-    }
-
-private:
-    op_set set_;
-    std::array<op_arg, N> args_;
-    Kernel kernel_;
-    loop_options opts_;
-    char const* name_;
-    std::vector<op2::detail::loop_executor<Kernel, N>> execs_;
-    std::vector<op_plan const*> plans_;
-};
-
-/// Shared state of one fused pass: both constituents bound to the
-/// union plans, plus the same colour-countdown / quarantine / timing
-/// bookkeeping as partitioned_loop. Fused groups are rare enough (one
-/// per fused pair) that plain shared_ptr management is fine — they do
-/// not go through the executor pool.
-class fused_loop {
-public:
-    fused_loop(std::unique_ptr<fused_member> a,
-               std::unique_ptr<fused_member> b,
-               std::vector<op_plan const*> plans, std::size_t nparts)
-      : a_(std::move(a)), b_(std::move(b)), plans_(std::move(plans)),
-        fused_name_(std::string(a_->name()) + "+" + b_->name()) {
-        a_->bind(plans_);
-        b_->bind(plans_);
-        colors_left_ =
-            std::make_unique<std::atomic<std::size_t>[]>(nparts);
-        qtargets_.resize(nparts);
-    }
-
-    [[nodiscard]] char const* name() const noexcept {
-        return fused_name_.c_str();
-    }
-    [[nodiscard]] char const* a_name() const noexcept { return a_->name(); }
-    [[nodiscard]] char const* b_name() const noexcept { return b_->name(); }
-    [[nodiscard]] std::span<op_arg const> a_args() const noexcept {
-        return a_->args();
-    }
-    [[nodiscard]] std::span<op_arg const> b_args() const noexcept {
-        return b_->args();
-    }
-    [[nodiscard]] op_plan const& plan(std::size_t p) const {
-        return *plans_[p];
-    }
-
-    void mark_start() noexcept {
-        std::int64_t expected = -1;
-        (void)start_ns_.compare_exchange_strong(expected, now_ns(),
-                                                std::memory_order_relaxed);
-    }
-    [[nodiscard]] double wall_seconds() const noexcept {
-        std::int64_t const s = start_ns_.load(std::memory_order_relaxed);
-        return s < 0 ? 0.0 : static_cast<double>(now_ns() - s) * 1e-9;
-    }
-
-    void init_colors(std::size_t p, std::size_t ncolors) noexcept {
-        colors_left_[p].store(ncolors, std::memory_order_relaxed);
-    }
-    [[nodiscard]] bool finish_color(std::size_t p) noexcept {
-        return colors_left_[p].fetch_sub(1, std::memory_order_acq_rel) == 1;
-    }
-
-    void prepare_partition(std::size_t p) {
-        std::lock_guard<hpxlite::util::spinlock> lk(ctx_->combine_mtx);
-        a_->prepare(p);
-        b_->prepare(p);
-    }
-    /// The fused sub-node body: A's blocks of the colour, then B's.
-    /// Same blocks, same order as the two solo passes (the colour
-    /// proof guarantees it), so B's direct reads of A's direct writes
-    /// land after A wrote them, element for element.
-    void run_color(std::size_t p, std::size_t c) {
-        a_->run_color(p, c);
-        b_->run_color(p, c);
-    }
-    void combine_partition(std::size_t p) {
-        std::lock_guard<hpxlite::util::spinlock> lk(ctx_->combine_mtx);
-        a_->combine(p);
-        b_->combine(p);
-    }
-    void release_handles() noexcept {
-        a_->release_handles();
-        b_->release_handles();
-    }
-
-    void add_quarantine_target(std::size_t p, quarantine_target t) {
-        qtargets_[p].push_back(t);
-    }
-    /// A failed fused sub-node taints the written spans of BOTH
-    /// constituents (qtargets_ holds the union): either kernel may
-    /// have half-run when the node died, and A completing "its" part
-    /// is worthless once B's poisoning rolls the pass back anyway.
-    void poison_partition(std::size_t p, std::size_t color,
-                          std::exception_ptr origin) noexcept {
-        try {
-            for (auto const& t : qtargets_[p]) {
-                auto info = std::make_shared<poison_info>();
-                info->loop = fused_name_;
-                info->dat = t.dat->name;
-                info->partition = p;
-                info->color = color;
-                info->origin = origin;
-                t.dat->dep.add_poison(t.lo, t.hi, std::move(info));
-            }
-        } catch (...) {
-        }
-    }
-
-private:
-    [[nodiscard]] static std::int64_t now_ns() noexcept {
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    }
-
-    std::unique_ptr<fused_member> a_;
-    std::unique_ptr<fused_member> b_;
-    std::vector<op_plan const*> plans_;
-    std::unique_ptr<std::atomic<std::size_t>[]> colors_left_;
-    std::vector<std::vector<quarantine_target>> qtargets_;  // [partition]
-    std::atomic<std::int64_t> start_ns_{-1};
-    // Issuing context (fusion windows are per-thread, so both members
-    // were issued under it): owns the combine lock the pass uses.
-    std::shared_ptr<runtime_context> ctx_ = current_context();
-    std::string fused_name_;
-};
-
-/// One (partition, colour) sub-node of a fused pass. Mirrors part_node;
-/// the one semantic addition is the double injection point — a fault
-/// site armed on EITHER constituent's kernel name fires here, and the
-/// resulting poison covers both loops' written spans.
-class fused_part_node final : public dataflow_node {
-public:
-    fused_part_node(std::shared_ptr<fused_loop> grp, std::size_t partition,
-                    std::size_t color, bool first) noexcept
-      : grp_(std::move(grp)), partition_(partition), color_(color),
-        first_(first) {}
-
-private:
-    void run_body() override {
-        grp_->mark_start();
-        fault::on_kernel(grp_->a_name(), partition_, color_);
-        fault::on_kernel(grp_->b_name(), partition_, color_);
-        if (first_) {
-            grp_->prepare_partition(partition_);
-        }
-        grp_->run_color(partition_, color_);
-        if (grp_->finish_color(partition_)) {
-            grp_->combine_partition(partition_);
-        }
-    }
-
-    void on_complete() noexcept override {
-        if (error()) {
-            grp_->poison_partition(partition_, color_, error());
-        }
-        grp_.reset();
-    }
-
-    std::shared_ptr<fused_loop> grp_;
-    std::size_t partition_;
-    std::size_t color_;
-    bool first_;
-};
-
-class fused_join_node final : public dataflow_node {
-public:
-    explicit fused_join_node(std::shared_ptr<fused_loop> grp) noexcept
-      : grp_(std::move(grp)) {}
-
-private:
-    void run_body() override {
-        op_timing_record(grp_->name(), to_string(backend_kind::hpx_dataflow),
-                         grp_->wall_seconds());
-    }
-
-    void on_complete() noexcept override {
-        grp_->release_handles();
-        grp_.reset();
-    }
-
-    std::shared_ptr<fused_loop> grp_;
-};
-
-/// Placeholder completion node handed out for a *deferred* loop: its
-/// loop_handle exists before the loop has entered the graph. At flush
-/// time the promise is chained onto the real completion node (fused
-/// join or solo issue) and scheduled, inheriting that node's error —
-/// handle.get() then reports failures exactly as for a directly issued
-/// loop.
-class promise_node final : public dataflow_node {
-    void run_body() override {}
-};
-
-/// A loop parked in a fusion window, with everything needed to issue
-/// it later (fused or solo).
-struct deferred_issue {
-    std::unique_ptr<fused_member> loop;
-    hpxlite::threads::thread_pool* pool = nullptr;
-    std::size_t nparts = 1;
-    node_ref promise;
-};
-
-/// One issuing thread's fusion window: at most one deferred loop
-/// awaiting a partner. The spinlock serialises the owner thread
-/// against cross-thread flushes (fences flush every window).
-struct fusion_window {
-    hpxlite::util::spinlock mtx;
-    std::unique_ptr<deferred_issue> pending;
-};
-
-inline hpxlite::util::spinlock g_fusion_windows_mtx;
-inline std::vector<fusion_window*>& fusion_windows() {
-    static std::vector<fusion_window*> v;
-    return v;
-}
-
-/// Issue a deferred loop solo and resolve its promise. On an issue
-/// failure the promise is failed (waiters must not hang) and the error
-/// still propagates to the flushing caller.
-inline void flush_solo(std::unique_ptr<deferred_issue> d) {
-    loop_handle h;
-    try {
-        h = d->loop->issue_solo(*d->pool, d->nparts);
-    } catch (...) {
-        d->promise->seed_error(std::current_exception());
-        d->promise->schedule();
-        throw;
-    }
-    if (h.node()) {
-        d->promise->depend_on(*h.node());
-    }
-    d->promise->schedule();
-}
-
-inline void flush_window(fusion_window& w) {
-    std::unique_ptr<deferred_issue> d;
-    {
-        std::lock_guard<hpxlite::util::spinlock> lk(w.mtx);
-        d = std::move(w.pending);
-    }
-    if (!d) {
-        return;
-    }
-    g_fusion_deferred.fetch_sub(1, std::memory_order_release);
-    flush_solo(std::move(d));
-}
-
-/// Global flush (installed as exec::detail::g_fusion_flush_all):
-/// fences and handle waits must force EVERY thread's deferred loop
-/// into the graph, not just the calling thread's. The pending loops
-/// are *popped* under the registry lock (so an exiting thread's
-/// window — erased by its registration destructor, below — cannot
-/// vanish mid-walk) but *issued* after it is released: an issue can
-/// drain a dat's records, and a draining thread helps the pool, so it
-/// may execute a task that itself reaches for a fusion window — with
-/// the registry lock still held that task would spin on a lock its
-/// own stack transitively owns.
-inline void flush_all_fusion_windows() {
-    std::vector<std::unique_ptr<deferred_issue>> popped;
-    {
-        std::lock_guard<hpxlite::util::spinlock> lk(g_fusion_windows_mtx);
-        for (fusion_window* w : fusion_windows()) {
-            std::lock_guard<hpxlite::util::spinlock> wlk(w->mtx);
-            if (w->pending) {
-                popped.push_back(std::move(w->pending));
-                g_fusion_deferred.fetch_sub(1, std::memory_order_release);
-            }
-        }
-    }
-    // Every loop is flushed even if one throws (flush_solo fails the
-    // thrower's promise before rethrowing, so nobody hangs); the first
-    // error propagates to the fencing caller, like a solo flush's.
-    std::exception_ptr first;
-    for (auto& d : popped) {
-        try {
-            flush_solo(std::move(d));
-        } catch (...) {
-            if (!first) {
-                first = std::current_exception();
-            }
-        }
-    }
-    if (first) {
-        std::rethrow_exception(first);
-    }
-}
-
-inline fusion_window& tls_fusion_window() {
-    struct registration {
-        fusion_window w;
-        registration() {
-            std::lock_guard<hpxlite::util::spinlock> lk(
-                g_fusion_windows_mtx);
-            fusion_windows().push_back(&w);
-        }
-        ~registration() {
-            // A loop still deferred at thread exit is flushed into the
-            // graph rather than dropped (best-effort: past the point
-            // of rethrowing to anyone).
-            try {
-                flush_window(w);
-            } catch (...) {
-            }
-            std::lock_guard<hpxlite::util::spinlock> lk(
-                g_fusion_windows_mtx);
-            std::erase(fusion_windows(), &w);
-        }
-    };
-    thread_local registration r;
-    return r.w;
-}
-
-/// Chain-fusion legality, provable from issue-time metadata plus
-/// already-cached plans:
-///  (1) same iteration set and identical execution shape (pool,
-///      partition count, block size, placement) — the fused pass runs
-///      one shape;
-///  (2) every dat through which the two loops are *ordered* (written
-///      by one, touched by the other) is accessed only directly
-///      (OP_ID) by both loops: within a fused (partition, colour)
-///      sub-node, A's blocks of the colour run before B's same blocks
-///      over the same element range, so B's direct accesses of A's
-///      direct writes land after A wrote them, element for element. An
-///      indirect access to a conflict dat could cross colour classes
-///      and observe pre-A values — not fusable;
-///  (3) per-partition colour compatibility with the union plan
-///      (plan_colors_equal, checked by the caller once the union plans
-///      resolve): each constituent must execute under exactly its solo
-///      colouring, or its indirect INC accumulation order — and hence
-///      its bitwise result — would change.
-/// This function checks (1) and (2).
-inline bool fusion_compatible(deferred_issue const& d,
-                              fused_member const& b, loop_options const& ob,
-                              hpxlite::threads::thread_pool& pool,
-                              std::size_t nparts) {
-    fused_member const& a = *d.loop;
-    loop_options const& oa = a.options();
-    if (!(a.iter_set() == b.iter_set()) || d.pool != &pool ||
-        d.nparts != nparts) {
-        return false;
-    }
-    if (oa.part_size != ob.part_size || oa.placement != ob.placement) {
-        return false;
-    }
-    auto ordered_indirect = [](std::span<op_arg const> xs,
-                               std::span<op_arg const> ys) {
-        for (op_arg const& x : xs) {
-            if (!x.dat.valid() || x.acc == op_access::OP_READ) {
-                continue;
-            }
-            for (op_arg const& y : ys) {
-                if (y.dat.valid() && y.dat == x.dat &&
-                    !(x.is_direct() && y.is_direct())) {
-                    return true;
-                }
-            }
-        }
-        return false;
-    };
-    return !ordered_indirect(a.args(), b.args()) &&
-           !ordered_indirect(b.args(), a.args());
-}
-
-/// Wire and issue one fused pass (legality already proven). The shape
-/// is issue_partitioned's — distinct-dat pins in canonical order, one
-/// sub-node per live (partition, colour) edging on exactly the dat
-/// partitions it reaches through the UNION plan's footprints, colour
-/// chaining per partition, one join — over the concatenated argument
-/// lists of both constituents. The deferred constituent's promise node
-/// is chained onto the fused join, so both loops' handles complete
-/// (and fail) together.
-inline loop_handle issue_fused(std::unique_ptr<fused_member> a,
-                               std::unique_ptr<fused_member> b,
-                               node_ref a_promise,
-                               std::vector<op_plan const*> uplans,
-                               hpxlite::threads::thread_pool& pool,
-                               std::size_t nparts) {
-    loop_options const oa = a->options();
-    loop_options const ob = b->options();
-    op_set const set = a->iter_set();
-    auto grp = std::make_shared<fused_loop>(std::move(a), std::move(b),
-                                            std::move(uplans), nparts);
-    for (std::size_t p = 0; p < nparts; ++p) {
-        op_plan const& plan = grp->plan(p);
-        std::size_t live = 0;
-        for (std::size_t c = 0; c < plan.ncolors; ++c) {
-            if (!plan.blocks_of_color(c).empty()) {
-                ++live;
-            }
-        }
-        grp->init_colors(p, live);
-    }
-
-    // Combined argument list; same distinct-dat / pin / epoch protocol
-    // as issue_partitioned, over both constituents at once (a dat both
-    // loops touch yields ONE pin and, per sub-node, one merged
-    // request — which is precisely how fusion removes redundant graph
-    // edges).
-    std::span<op_arg const> const aargs = grp->a_args();
-    std::span<op_arg const> const bargs = grp->b_args();
-    std::vector<op_arg const*> all;
-    all.reserve(aargs.size() + bargs.size());
-    for (op_arg const& x : aargs) {
-        all.push_back(&x);
-    }
-    for (op_arg const& x : bargs) {
-        all.push_back(&x);
-    }
-
-    struct dat_entry {
-        dep_state* state = nullptr;
-        bool write = false;
-        issue_pin pin;
-    };
-    std::vector<dat_entry> dats;
-    std::vector<std::size_t> arg_dat(all.size(),
-                                     static_cast<std::size_t>(-1));
-    for (op_arg const* x : all) {
-        if (!x->dat.valid()) {
-            continue;
-        }
-        dep_state& st = x->dat.internal().dep;
-        std::size_t i = 0;
-        while (i < dats.size() && dats[i].state != &st) {
-            ++i;
-        }
-        if (i == dats.size()) {
-            dats.emplace_back();
-            dats[i].state = &st;
-        }
-        dats[i].write = dats[i].write || x->acc != op_access::OP_READ;
-    }
-    std::sort(dats.begin(), dats.end(),
-              [](dat_entry const& x, dat_entry const& y) {
-                  return x.state < y.state;
-              });
-    for (auto& e : dats) {
-        e.pin = issue_pin(*e.state, nparts);
-        if (e.write) {
-            e.state->bump_epoch();
-        }
-    }
-    for (std::size_t j = 0; j < all.size(); ++j) {
-        if (!all[j]->dat.valid()) {
-            continue;
-        }
-        dep_state& st = all[j]->dat.internal().dep;
-        std::size_t i = 0;
-        while (dats[i].state != &st) {
-            ++i;
-        }
-        arg_dat[j] = i;
-    }
-
-    auto* join = new fused_join_node(grp);
-    node_ref jref(join, /*adopt=*/true);
-    join->bind_pool(pool);
-    join->set_site(grp->name(), dataflow_node::kJoin, 0);
-
-    std::exception_ptr qerr = check_quarantine(aargs, grp->a_name());
-    if (!qerr) {
-        qerr = check_quarantine(bargs, grp->b_name());
-    }
-    auto const iter_part = set.partition(nparts);
-    bool const affinity = oa.placement == placement_kind::affinity;
-    // The same-colour exemption stays sound for the union: the union
-    // plan's colouring proves non-conflict over BOTH loops' indirect
-    // args at once. Honour an opt-out from either constituent.
-    std::uint64_t const loop_tag =
-        oa.color_exemption && ob.color_exemption
-            ? g_exemption_loop_seq.fetch_add(1, std::memory_order_relaxed)
-            : 0;
-
-    static thread_local std::vector<dep_request> reqs;
-    for (std::size_t p = 0; p < nparts; ++p) {
-        op_plan const& plan = grp->plan(p);
-        for (std::size_t j = 0; j < all.size(); ++j) {
-            op_arg const& x = *all[j];
-            if (arg_dat[j] == static_cast<std::size_t>(-1) ||
-                x.acc == op_access::OP_READ) {
-                continue;
-            }
-            auto const* impl = &x.dat.internal();
-            if (x.is_direct()) {
-                grp->add_quarantine_target(
-                    p, {impl, iter_part->begin(p), iter_part->end(p)});
-            } else if (plan_footprint const* fp =
-                           plan.find_footprint(x.map.id(), x.idx)) {
-                auto const dp = x.dat.set().partition(nparts);
-                for (std::uint32_t q : fp->parts) {
-                    grp->add_quarantine_target(
-                        p, {impl, dp->begin(q), dp->end(q)});
-                }
-            } else {
-                grp->add_quarantine_target(p,
-                                           {impl, 0, x.dat.set().size()});
-            }
-        }
-
-        node_ref chain_prev;
-        for (std::size_t c = 0; c < plan.ncolors; ++c) {
-            if (plan.blocks_of_color(c).empty()) {
-                continue;
-            }
-            auto* sub =
-                new fused_part_node(grp, p, c, /*first=*/!chain_prev);
-            node_ref sref(sub, /*adopt=*/true);
-            sub->set_site(grp->name(), p, c);
-            if (qerr) {
-                sub->seed_error(qerr);
-            }
-            join->depend_on(*sub);
-            if (affinity) {
-                sub->set_worker_hint(p % pool.size());
-            }
-            if (chain_prev) {
-                sub->depend_on(*chain_prev);
-            }
-
-            reqs.clear();
-            auto add = [loop_tag, c](dep_record* rec, bool write) {
-                for (auto& r : reqs) {
-                    if (r.rec == rec) {
-                        r.write = r.write || write;
-                        return;
-                    }
-                }
-                reqs.push_back({rec, write, loop_tag,
-                                static_cast<std::uint32_t>(c)});
-            };
-            for (std::size_t j = 0; j < all.size(); ++j) {
-                op_arg const& x = *all[j];
-                std::size_t const i = arg_dat[j];
-                if (i == static_cast<std::size_t>(-1)) {
-                    continue;
-                }
-                bool const write = x.acc != op_access::OP_READ;
-                if (x.is_direct()) {
-                    add(&dats[i].pin.records()[p], write);
-                } else if (plan_footprint const* fp =
-                               plan.find_footprint(x.map.id(), x.idx)) {
-                    for (std::uint32_t q : fp->parts) {
-                        add(&dats[i].pin.records()[q], write);
-                    }
-                } else {
-                    for (std::size_t q = 0; q < nparts; ++q) {
-                        add(&dats[i].pin.records()[q], write);
-                    }
-                }
-            }
-            issue(*sub,
-                  std::span<dep_request const>{reqs.data(), reqs.size()},
-                  pool);
-            chain_prev = std::move(sref);
-        }
-    }
-    join->schedule();
-    // Resolve the deferred constituent's handle against the fused join.
-    a_promise->depend_on(*join);
-    a_promise->schedule();
-    return loop_handle(std::move(jref));
-}
-
-/// The opts.fuse issue path: fuse with the window's pending loop when
-/// legal, otherwise flush it solo (it issued first — program order)
-/// and park the new loop in the window.
-template <typename Kernel, std::size_t N>
-loop_handle fuse_or_defer(loop_options const& opts, char const* name,
-                          op_set set, std::array<op_arg, N> args,
-                          Kernel kernel, hpxlite::threads::thread_pool& pool,
-                          std::size_t nparts) {
-    auto member = std::make_unique<fused_member_impl<Kernel, N>>(
-        opts, name, std::move(set), std::move(args), std::move(kernel),
-        nparts);
-    member->validate();  // throws at the call site, like every backend
-
-    fusion_window& w = tls_fusion_window();
-    std::unique_ptr<deferred_issue> prev;
-    {
-        std::lock_guard<hpxlite::util::spinlock> lk(w.mtx);
-        prev = std::move(w.pending);
-    }
-    if (prev) {
-        g_fusion_deferred.fetch_sub(1, std::memory_order_release);
-        if (fusion_compatible(*prev, *member, opts, pool, nparts)) {
-            // Legality step (3): resolve union + solo plans (cached)
-            // and require colour compatibility on every partition.
-            op_set const& iset = member->iter_set();
-            auto const pa = prev->loop->args();
-            auto const pb = member->args();
-            std::vector<op_arg> uargs;
-            uargs.reserve(pa.size() + pb.size());
-            uargs.insert(uargs.end(), pa.begin(), pa.end());
-            uargs.insert(uargs.end(), pb.begin(), pb.end());
-            std::vector<op_plan const*> uplans(nparts);
-            bool colors_ok = true;
-            for (std::size_t p = 0; p < nparts && colors_ok; ++p) {
-                plan_desc const desc{opts.part_size, nparts, p};
-                op_plan const& up = plan_get(iset, uargs, desc);
-                colors_ok = plan_colors_equal(up, plan_get(iset, pa, desc)) &&
-                            plan_colors_equal(up, plan_get(iset, pb, desc));
-                uplans[p] = &up;
-            }
-            if (colors_ok) {
-                node_ref apromise = std::move(prev->promise);
-                return issue_fused(std::move(prev->loop), std::move(member),
-                                   std::move(apromise), std::move(uplans),
-                                   pool, nparts);
-            }
-        }
-        flush_solo(std::move(prev));
-    }
-
-    auto d = std::make_unique<deferred_issue>();
-    auto* pn = new promise_node();
-    node_ref pref(pn, /*adopt=*/true);
-    pn->bind_pool(pool);
-    pn->set_site(name, dataflow_node::kJoin, 0);
-    d->loop = std::move(member);
-    d->pool = &pool;
-    d->nparts = nparts;
-    d->promise = pref;
-    {
-        std::lock_guard<hpxlite::util::spinlock> lk(w.mtx);
-        w.pending = std::move(d);
-    }
-    g_fusion_deferred.fetch_add(1, std::memory_order_release);
-    g_fusion_flush_all.store(&flush_all_fusion_windows,
-                             std::memory_order_release);
-    return loop_handle(std::move(pref));
 }
 
 }  // namespace detail
@@ -1879,13 +1064,6 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
     constexpr std::size_t n = sizeof...(Args);
 
     current_context()->loops_issued.fetch_add(1, std::memory_order_relaxed);
-
-    // Program order: a loop parked in a fusion window must enter the
-    // graph before any later loop that will not itself join the window
-    // (the fusing hpx path below handles its own window instead).
-    if (opts.backend != backend_kind::hpx_dataflow || !opts.fuse) {
-        fusion_flush_point();
-    }
 
     switch (opts.backend) {
         case backend_kind::seq: {
@@ -1959,21 +1137,6 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
             }
             std::size_t const nparts =
                 eff.partitions != 0 ? eff.partitions : pool.size();
-            if (eff.fuse) {
-                // Fusion takes precedence over localities: a fused pass
-                // spans two loops' footprints, which the halo
-                // classifier does not model, so a fusing issue runs
-                // unsharded (loop_options::localities documents this).
-                // A fused pass spans two loops, so its wall span is
-                // unattributable to either site — the probe is dropped
-                // and the tuner's unmeasured candidates keep their
-                // psim prior.
-                return detail::fuse_or_defer<Kernel, n>(
-                    eff, name, std::move(set), std::move(argv),
-                    std::move(kernel), pool, nparts);
-            }
-            std::size_t const nloc =
-                comm::effective_localities(eff.localities, nparts);
             if (nparts <= 1) {
                 return detail::issue_whole_set<Kernel, n>(
                     eff, name, std::move(set), std::move(argv),
@@ -1981,7 +1144,7 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
             }
             return detail::issue_partitioned<Kernel, n>(
                 eff, name, std::move(set), std::move(argv),
-                std::move(kernel), pool, nparts, nloc, probe);
+                std::move(kernel), pool, nparts, probe);
         }
     }
     return {};

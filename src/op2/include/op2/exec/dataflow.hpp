@@ -262,15 +262,6 @@ public:
     [[nodiscard]] char const* site_job() const noexcept {
         return site_job_;
     }
-    /// Optional site *kind* tag ("halo-pack", "halo-exchange", ...):
-    /// comm sub-nodes stamp it so a watchdog stall dump names a stuck
-    /// halo wait instead of an anonymous node. Null (the default) marks
-    /// an ordinary compute/join node. Static-string convention, like
-    /// the loop name.
-    void set_site_kind(char const* kind) noexcept { site_kind_ = kind; }
-    [[nodiscard]] char const* site_kind() const noexcept {
-        return site_kind_;
-    }
     [[nodiscard]] std::uint32_t site_partition() const noexcept {
         return site_partition_;
     }
@@ -432,7 +423,6 @@ private:
     std::uint32_t hint_ = kNoHint;  // affinity worker, written at issue
     // Graph-site identity for watchdog dumps, written at issue.
     char const* site_loop_ = nullptr;
-    char const* site_kind_ = nullptr;  // non-null: comm sub-node kind
     char const* site_job_ = nullptr;   // non-null: service job's name
     std::uint32_t site_partition_ = 0;
     std::uint32_t site_color_ = 0;
@@ -971,97 +961,6 @@ inline void issue(dataflow_node& n, std::span<dep_request const> reqs,
         }
     }
     n.schedule();
-}
-
-// --- staging-chain registration (op2/comm halo chains) --------------------
-//
-// A halo chain is several nodes long (pack -> exchange -> unpack), but a
-// record must see the whole chain as ONE reader or writer: registering
-// the head and the tail in separate lock holds would let a concurrent
-// issuer's writer slip between them and race the in-flight transfer.
-// These helpers are issue()'s read/write branches generalised to a
-// (head, tail) pair, wired under a single lock hold per record. Both
-// nodes must have their pool bound (and any worker hint set) before the
-// first call — registration publishes them to fences — and the caller
-// schedules the chain only after every record is wired.
-
-/// Read-staging registration: `head` takes RAW edges on the record's
-/// current epoch (it snapshots the epoch's bytes), and `tail` is
-/// published as a reader of that epoch — a later writer WAR-edges on
-/// the tail, so the epoch's bytes stay frozen until the whole chain has
-/// landed. Same reader/writer hygiene as issue()'s read branch.
-inline void stage_read(dataflow_node& head, dataflow_node& tail,
-                       dep_record& r) {
-    std::lock_guard<hpxlite::util::spinlock> lk(r.mtx);
-    std::erase_if(r.readers, [](node_ref const& rd) {
-        return rd->done() && !rd->failed();
-    });
-    std::erase_if(r.writers, [](dep_writer const& w) {
-        return w.node->done() && !w.node->failed();
-    });
-    std::erase_if(r.prev, [](node_ref const& p) {
-        return p->done() && !p->failed();
-    });
-    for (auto const& w : r.writers) {
-        head.depend_on(*w.node);  // RAW
-    }
-    for (auto const& p : r.prev) {
-        head.depend_on(*p);  // open-burst displaced epoch
-    }
-    r.readers.emplace_back(&tail);
-}
-
-/// Write-staging (owner-combine) registration: `head` takes RAW edges
-/// on every current writer — for an open same-loop burst that is every
-/// INC sub-node, any colour, so all contributions have landed before
-/// the head snapshots them — and `tail` *closes* the epoch as its new
-/// sole writer (WAW + WAR), so later readers observe the combined epoch
-/// only: owner-compute semantics for OP_INC over halos.
-inline void stage_write(dataflow_node& head, dataflow_node& tail,
-                        dep_record& r) {
-    std::lock_guard<hpxlite::util::spinlock> lk(r.mtx);
-    for (auto const& w : r.writers) {
-        head.depend_on(*w.node);
-        tail.depend_on(*w.node);  // WAW
-    }
-    for (auto const& p : r.prev) {
-        head.depend_on(*p);
-        tail.depend_on(*p);
-    }
-    for (auto const& rd : r.readers) {
-        tail.depend_on(*rd);  // WAR
-    }
-    r.prev.clear();
-    r.readers.clear();
-    r.writers.clear();
-    r.writers.push_back({node_ref(&tail), 0});
-    r.burst_loop = 0;  // the combine closes any open burst
-    ++r.epoch;
-}
-
-namespace detail {
-
-/// Global gate for the backend's chain-fusion windows (backend.hpp):
-/// nonzero while any thread holds a deferred loop. The flush hook is a
-/// function pointer (registered on first defer) so this low-level
-/// header never depends on the fusion machinery above it.
-inline std::atomic<std::size_t> g_fusion_deferred{0};
-inline std::atomic<void (*)()> g_fusion_flush_all{nullptr};
-
-}  // namespace detail
-
-/// Force every thread's deferred (fusion-window) loop into the graph.
-/// Synchronisation points — fences, handle waits, checkpoint capture —
-/// call this before snapshotting records: a deferred loop is in no dat
-/// record yet, so it would otherwise be invisible to them. Costs one
-/// relaxed load when no window is armed.
-inline void fusion_flush_point() {
-    if (detail::g_fusion_deferred.load(std::memory_order_acquire) != 0) {
-        if (auto* flush =
-                detail::g_fusion_flush_all.load(std::memory_order_acquire)) {
-            flush();
-        }
-    }
 }
 
 }  // namespace op2::exec

@@ -14,12 +14,6 @@ namespace detail {
 /// construct-and-discard baseline, kept for differential testing and
 /// as the bench denominator). Read once, cached.
 [[nodiscard]] bool exec_pool_default() noexcept;
-
-/// Process default of loop_options::fuse: false unless OP2HPX_FUSE is
-/// set to 1/on/true/yes — how a CI leg runs the tier-1 suite with the
-/// fusion window forced on without touching every test. Read once,
-/// cached.
-[[nodiscard]] bool fuse_default() noexcept;
 }  // namespace detail
 
 /// Sentinel for loop_options::partitions: resolve the partition count
@@ -107,37 +101,6 @@ struct loop_options {
     /// bench_micro_op2 dispatch-overhead denominator). Default from
     /// detail::exec_pool_default() (OP2HPX_EXEC_POOL env).
     bool exec_pool = detail::exec_pool_default();
-
-    /// Chain fusion of the hpx_dataflow backend: hold an issued loop in
-    /// a per-thread fusion window; when the next issued loop shares its
-    /// iteration set and the two footprints/colourings are provably
-    /// compatible (see exec::detail::fusion_legal), run both kernels in
-    /// one staged pass per (partition, colour) sub-node — one gather,
-    /// two kernels, one scatter, half the graph nodes. Illegal or
-    /// non-adjacent pairs fall back to solo issue; the deferred loop's
-    /// handle resolves either way, and every synchronisation point
-    /// (handle wait/get, op_fence, op_fence_all, checkpoint capture)
-    /// flushes the window first. A fused failure poisons the written
-    /// spans of *both* constituent loops. Default off
-    /// (detail::fuse_default(), OP2HPX_FUSE env) until the differentials
-    /// pin a configuration.
-    bool fuse = detail::fuse_default();
-
-    /// Logical localities of the hpx_dataflow partitioned path
-    /// (op2/comm.hpp): the loop's partitions are grouped into this many
-    /// contiguous localities — processes-within-a-process — and every
-    /// indirect argument's halo regions are exchanged through
-    /// pack/exchange/unpack (and, for OP_INC, owner-side combine)
-    /// dataflow sub-nodes edging on the same per-partition dep records
-    /// as compute, so exchanges overlap interior compute. 0 means "the
-    /// process default" (OP2HPX_LOCALITIES env — how a CI leg runs the
-    /// whole tier-1 suite sharded — unset: 1); 1 is today's
-    /// shared-everything behaviour, the bitwise differential oracle.
-    /// Clamped to the partition count; the synchronous backends and the
-    /// whole-set shape ignore it; `fuse` takes precedence (a fused pass
-    /// spans two loops' footprints, which the halo classifier does not
-    /// model, so a fusing issue runs unsharded — see run_loop).
-    std::size_t localities = 0;
 
     /// Bounded retry budget for checkpoint-recovering drivers (the
     /// fault-tolerance layer): how many times an epoch that failed —

@@ -1,7 +1,7 @@
 #pragma once
 
-// Locality-aware memory layer for dat storage (and the halo and
-// checkpoint buffers built on the same allocation).
+// Locality-aware memory layer for dat storage (and the checkpoint
+// buffers built on the same allocation).
 //
 // The async OP2-on-HPX design wins by keeping each partition's working
 // set hot on one core: the dataflow backend pins partition p's sub-nodes
@@ -70,7 +70,7 @@ public:
         if (bytes != 0) {
             // Fault-injection point: an armed alloc=K plan makes the
             // K-th buffer allocation throw (dat declaration, checkpoint
-            // snapshots, halo channels). One relaxed load when off.
+            // snapshots). One relaxed load when off.
             fault::on_alloc(bytes);
             capacity_ = pad_to_line(bytes);
             data_ = static_cast<std::byte*>(

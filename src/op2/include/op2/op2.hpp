@@ -7,7 +7,6 @@
 
 #include <op2/access.hpp>
 #include <op2/arg.hpp>
-#include <op2/comm.hpp>
 #include <op2/context.hpp>
 #include <op2/dat.hpp>
 #include <op2/exec/backend.hpp>

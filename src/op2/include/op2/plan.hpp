@@ -148,20 +148,6 @@ struct op_plan {
     }
 };
 
-/// Fusion compatibility of two plans over the same element range: true
-/// when both partition the range into identical blocks AND assign every
-/// block the same colour id. The chain-fusion legality check
-/// (exec/backend.hpp) runs a loop pair through the *union* plan of
-/// their concatenated arguments; executing a loop under a different
-/// colouring than its solo plan would reorder its indirect INC
-/// accumulation (floating-point sums are order-sensitive), so fusion is
-/// only legal when this predicate holds for each constituent against
-/// the union — which makes "fused is bitwise-identical to unfused"
-/// provable from the already-cached per-partition plans. Block
-/// geometry is position-independent (same set, part_size, partition
-/// ⇒ same offsets), so in practice this compares the colour maps.
-[[nodiscard]] bool plan_colors_equal(op_plan const& a, op_plan const& b);
-
 /// Build (or fetch from the process-wide cache) the plan for executing
 /// `args` over `set` (or over one partition of it) under `desc`. Plans
 /// are cached by (set, every plan_desc field, indirect argument

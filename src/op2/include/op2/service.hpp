@@ -15,7 +15,7 @@
 // Lifecycle of a job:
 //   submitted -> waiting (policy queue) -> admitted (admission control)
 //   -> running (body on a pool worker, context installed) -> fenced
-//   (every dat the job declared drained, fusion window flushed)
+//   (every dat the job declared drained)
 //   -> completed | failed (body threw, or quarantine spans remain)
 //   -> plans purged (scheduler_options::purge_plans)
 //

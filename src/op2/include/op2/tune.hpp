@@ -27,9 +27,9 @@
 //    (machine_model::partition_prior_us — the first issue is the
 //    prior's argmin, never blind), after which every issue picks the
 //    argmin of the measured means; candidates that never reported (a
-//    fused issue, a failed loop) keep their prior. The choice is a pure
-//    function of the accumulated measurements, so same measurements =>
-//    same choice. Shape and pool size are part of the site key, so a
+//    failed loop) keep their prior. The choice is a pure function of
+//    the accumulated measurements, so same measurements => same
+//    choice. Shape and pool size are part of the site key, so a
 //    shape or pool change starts a fresh exploration rather than
 //    exploiting stale numbers.
 //

@@ -562,29 +562,6 @@ void plan_prewarm(op_set const& set, std::span<op_arg const> args,
     }
 }
 
-bool plan_colors_equal(op_plan const& a, op_plan const& b) {
-    if (a.nblocks != b.nblocks || a.offset != b.offset ||
-        a.nelems != b.nelems) {
-        return false;
-    }
-    // Invert blkmap into colour-per-block for each plan, then compare.
-    // Cheap (one pass over the blocks, which number set_size/part_size)
-    // and runs once per fusion attempt per partition — the plans
-    // themselves come from the cache.
-    std::vector<std::size_t> ca(a.nblocks), cb(b.nblocks);
-    for (std::size_t c = 0; c < a.ncolors; ++c) {
-        for (std::size_t blk : a.blocks_of_color(c)) {
-            ca[blk] = c;
-        }
-    }
-    for (std::size_t c = 0; c < b.ncolors; ++c) {
-        for (std::size_t blk : b.blocks_of_color(c)) {
-            cb[blk] = c;
-        }
-    }
-    return ca == cb;
-}
-
 void plan_cache_clear() {
     // Invalidate the per-worker pointer maps *before* freeing the plans
     // they point into; each thread flushes its map on its next lookup.

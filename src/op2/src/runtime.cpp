@@ -15,11 +15,6 @@ bool exec_pool_default() noexcept {
     return on;
 }
 
-bool fuse_default() noexcept {
-    static bool const on = hpxlite::util::env_flag("OP2HPX_FUSE", false);
-    return on;
-}
-
 }  // namespace detail
 
 config& global_config() {
@@ -57,14 +52,10 @@ void op_fence(op_dat const& d) {
     if (!d.valid()) {
         return;
     }
-    // A loop deferred in a fusion window is in no dat record yet; a
-    // fence must force it into the graph first or it would be missed.
-    exec::fusion_flush_point();
     fence_impl(const_cast<op_dat&>(d).internal());
 }
 
 void op_fence_all() {
-    exec::fusion_flush_point();
     for (auto const& di : detail::all_dats()) {
         fence_impl(*di);
     }

@@ -367,9 +367,6 @@ void scheduler::run_job(std::shared_ptr<detail::job_impl> const& j) {
         } catch (...) {
             err = std::current_exception();
         }
-        // A loop the program left parked in this worker's fusion window
-        // must enter the graph before the fence below can see it.
-        exec::fusion_flush_point();
     }
     fence_context(*j->ctx);
     if (!err &&

@@ -45,13 +45,7 @@ void dump_graph(std::ostream& os) {
             // multi-tenant process attributes itself.
             os << " [job " << n->site_job() << "]";
         }
-        if (n->site_kind() != nullptr) {
-            // Comm sub-node: its site is a (dat, loop) halo label plus
-            // the region's locality pair — a stuck halo wait names
-            // itself instead of masquerading as a compute partition.
-            os << " [" << n->site_kind() << "] localities L"
-               << n->site_partition() << "->L" << n->site_color();
-        } else if (n->site_partition() == dataflow_node::kJoin) {
+        if (n->site_partition() == dataflow_node::kJoin) {
             os << " join";
         } else {
             os << " partition " << n->site_partition() << " colour "

@@ -115,10 +115,7 @@ std::string generate_loop_wrapper_hpx(loop_info const& lp,
        << "    // Issued asynchronously: the returned handle becomes ready\n"
        << "    // when the loop has executed; dependencies on other loops\n"
        << "    // are tracked automatically through the dats' epoch records\n"
-       << "    // (dataflow, no global barrier). With opts.fuse the loop\n"
-       << "    // may first sit in the issuing thread's fusion window and\n"
-       << "    // run merged with an adjacent compatible loop; any handle\n"
-       << "    // wait, fence, or non-fusing issue flushes the window.\n"
+       << "    // (dataflow, no global barrier).\n"
        << "    return op2::op_par_loop_hpx(opts, \"" << lp.name
        << "\", set, " << lp.kernel;
     for (std::size_t i = 0; i < lp.args.size(); ++i) {
@@ -139,8 +136,7 @@ std::string generate_loop_wrapper_exec(loop_info const& lp,
        << args_struct_name(lp) << " args) {\n"
        << "    // Dispatches on opts.backend (seq / staged / hpx_dataflow):\n"
        << "    // synchronous backends return a ready handle, the dataflow\n"
-       << "    // backend issues the loop into the epoch graph (deferring\n"
-       << "    // it in a fusion window first when opts.fuse is set).\n"
+       << "    // backend issues the loop into the epoch graph.\n"
        << "    return op2::exec::run_loop(opts, \"" << lp.name << "\", set, "
        << lp.kernel;
     for (std::size_t i = 0; i < lp.args.size(); ++i) {

@@ -79,10 +79,6 @@ struct airfoil_tuned {
         o.part_size = 48;
         o.backend = exec::backend_kind::hpx_dataflow;
         o.partitions = partitions;
-        // Fused issues drop their probe (a two-loop span is
-        // unattributable); pin fusion off so every issue feeds the
-        // tuner even under an OP2HPX_FUSE=1 leg.
-        o.fuse = false;
 
         outcome out;
         std::vector<double> rms(static_cast<std::size_t>(iters), 0.0);
@@ -241,7 +237,6 @@ TEST_P(TuneDifferential, RandomIndirectDagTunedMatchesSeqBitwise) {
         o.part_size = 32;
         o.backend = be;
         o.partitions = partitions;
-        o.fuse = false;
 
         std::uniform_int_distribution<int> pick(0, kDats - 1);
         std::uniform_int_distribution<int> kind(0, 2);

@@ -279,11 +279,6 @@ TEST_P(DataflowDifferential, RandomLoopDagMatchesSeqAndEpochCount) {
         o.backend = be;
         o.partitions = partitions;
         o.placement = placement;
-        // This test asserts exact per-dat epoch counts, which are a
-        // property of the UNFUSED graph (a fused pair bumps a shared
-        // dat's epoch once, not twice) — pin fusion off so the
-        // assertion stays meaningful under OP2HPX_FUSE=1 runs.
-        o.fuse = false;
         for (int l = 0; l < kLoops; ++l) {
             int const r1 = pick(rng);
             int r2 = pick(rng);
@@ -356,5 +351,271 @@ TEST_P(DataflowDifferential, RandomLoopDagMatchesSeqAndEpochCount) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DataflowDifferential,
                          ::testing::Values(2u, 11u, 23u, 41u, 67u));
+
+/// OP_INC where every contribution lands in another partition (edge e
+/// targets cell (e + kN/2) mod kN, two partitions of 4 away), followed
+/// by a direct reader that folds the incremented dat into a gbl INC
+/// reduction: the reader must see every cross-partition contribution.
+class DataflowCrossPartitionInc : public DataflowDifferential {};
+
+TEST_P(DataflowCrossPartitionInc,
+       IncIntoOtherPartitionsThenReduceMatchesSeqBitwise) {
+    constexpr std::size_t kN = 60;
+    auto cells = op_decl_set(kN, "cells");
+    auto edges = op_decl_set(kN, "edges");
+    std::vector<int> tab(kN);
+    for (std::size_t e = 0; e < kN; ++e) {
+        tab[e] = static_cast<int>((e + kN / 2) % kN);
+    }
+    auto em = op_decl_map(edges, cells, 1, tab, "em_cross");
+    auto cd = op_decl_dat_zero<double>(cells, 1, "double", "cd");
+    auto ed = op_decl_dat_zero<double>(edges, 1, "double", "ed");
+    std::mt19937 rng(GetParam());
+    std::uniform_int_distribution<int> vd(1, 9);
+    std::vector<double> e_init(kN);
+    for (auto& v : e_init) {
+        v = static_cast<double>(vd(rng));
+    }
+
+    auto scatter = [](double const* ev, double* c) { *c += *ev; };
+    auto reduce = [](double const* c, double* s) { *s += *c; };
+
+    auto run = [&](exec::backend_kind be, std::vector<double>* out,
+                   double* sum) {
+        std::copy(e_init.begin(), e_init.end(), ed.view<double>().begin());
+        for (auto& x : cd.view<double>()) {
+            x = 1.0;
+        }
+        loop_options o;
+        o.backend = be;
+        o.partitions = 4;
+        o.part_size = 8;
+        *sum = 0.0;
+        (void)exec::run_loop(o, "cross_inc", edges, scatter,
+                             op_arg_dat(ed, -1, OP_ID, 1, "double", OP_READ),
+                             op_arg_dat(cd, 0, em, 1, "double", OP_INC));
+        auto h = exec::run_loop(o, "cross_sum", cells, reduce,
+                                op_arg_dat(cd, -1, OP_ID, 1, "double",
+                                           OP_READ),
+                                op_arg_gbl(sum, 1, "double", OP_INC));
+        h.get();
+        op_fence_all();
+        auto v = cd.view<double>();
+        out->assign(v.begin(), v.end());
+    };
+
+    std::vector<double> ref, got;
+    double ref_sum = 0.0;
+    double got_sum = 0.0;
+    run(exec::backend_kind::seq, &ref, &ref_sum);
+    run(exec::backend_kind::hpx_dataflow, &got, &got_sum);
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)),
+              0)
+        << "cross-partition INC diverged";
+    EXPECT_EQ(got_sum, ref_sum);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DataflowCrossPartitionInc,
+                         ::testing::Values(3u, 17u, 29u, 53u));
+
+/// More partitions than pool workers (6, 8 and 12 over 4 workers), so
+/// affinity placement wraps several partitions onto each worker: the
+/// airfoil-shaped chain must stay bitwise identical to the whole-set
+/// oracle.
+class DataflowWrappedPartitions : public DataflowDifferential {};
+
+TEST_P(DataflowWrappedPartitions, AirfoilShapedChainMatchesWholeSetOracle) {
+    airfoil_shaped prog(GetParam());
+    auto oracle = prog.run(exec::backend_kind::hpx_dataflow, 4, 1);
+    for (std::size_t parts : {6u, 8u, 12u}) {
+        auto got = prog.run(exec::backend_kind::hpx_dataflow, 4, parts);
+        ASSERT_EQ(got.q.size(), oracle.q.size());
+        EXPECT_EQ(std::memcmp(got.q.data(), oracle.q.data(),
+                              oracle.q.size() * sizeof(double)),
+                  0)
+            << "state q diverged at " << parts << " partitions";
+        EXPECT_EQ(std::memcmp(got.res.data(), oracle.res.data(),
+                              oracle.res.size() * sizeof(double)),
+                  0)
+            << "residual diverged at " << parts << " partitions";
+        EXPECT_EQ(got.rms, oracle.rms) << parts << " partitions";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DataflowWrappedPartitions,
+                         ::testing::Values(3u, 17u, 29u, 53u));
+
+/// Randomized DAGs mixing direct read-modify-writes with indirect
+/// gathers (OP_READ through the map, OP_INC back through it) and
+/// scatters fed by an indirect read: a dense interleaving of indirect
+/// readers and INC writers over the same dats at 5 partitions.
+class DataflowRandomIndirectDag : public DataflowDifferential {};
+
+TEST_P(DataflowRandomIndirectDag, GatherScatterDagMatchesSeqBitwise) {
+    constexpr std::size_t kCells = 192;
+    constexpr std::size_t kEdges = 480;
+    constexpr int kDats = 4;
+    constexpr int kLoops = 28;
+
+    auto run = [&](exec::backend_kind be, std::size_t partitions,
+                   std::vector<std::vector<double>>* snapshot) {
+        auto cells = op_decl_set(kCells, "cells");
+        auto edges = op_decl_set(kEdges, "edges");
+        std::mt19937 rng(GetParam() * 661u + 7u);
+        std::uniform_int_distribution<int> cd(0,
+                                              static_cast<int>(kCells) - 1);
+        std::vector<int> tab(2 * kEdges);
+        for (auto& v : tab) {
+            v = cd(rng);
+        }
+        auto em = op_decl_map(edges, cells, 2, tab, "em");
+
+        std::vector<op_dat> dats;
+        for (int k = 0; k < kDats; ++k) {
+            auto d = op_decl_dat_zero<double>(cells, 1, "double",
+                                              "c" + std::to_string(k));
+            auto v = d.view<double>();
+            for (std::size_t i = 0; i < kCells; ++i) {
+                v[i] = static_cast<double>((i + static_cast<std::size_t>(k)) %
+                                           5);
+            }
+            dats.push_back(d);
+        }
+
+        loop_options o;
+        o.part_size = 32;
+        o.backend = be;
+        o.partitions = partitions;
+
+        std::uniform_int_distribution<int> pick(0, kDats - 1);
+        std::uniform_int_distribution<int> kind(0, 2);
+        for (int l = 0; l < kLoops; ++l) {
+            int const r1 = pick(rng);
+            int r2 = pick(rng);
+            int w = pick(rng);
+            while (r2 == r1) r2 = (r2 + 1) % kDats;
+            while (w == r1 || w == r2) w = (w + 1) % kDats;
+            auto& dr1 = dats[static_cast<std::size_t>(r1)];
+            auto& dr2 = dats[static_cast<std::size_t>(r2)];
+            auto& dw = dats[static_cast<std::size_t>(w)];
+            switch (kind(rng)) {
+                case 0:  // direct read-modify-write on cells
+                    (void)exec::run_loop(
+                        o, "direct_mix", cells,
+                        [](double const* a, double const* b, double* t) {
+                            *t = std::fmod(*t + *a + 2.0 * *b, 1024.0);
+                        },
+                        op_arg_dat(dr1, -1, OP_ID, 1, "double", OP_READ),
+                        op_arg_dat(dr2, -1, OP_ID, 1, "double", OP_READ),
+                        op_arg_dat(dw, -1, OP_ID, 1, "double", OP_RW));
+                    break;
+                case 1:  // indirect gather on both slots, INC back
+                    (void)exec::run_loop(
+                        o, "gather_mix", edges,
+                        [](double const* a0, double const* a1, double* t0,
+                           double* t1) {
+                            *t0 += std::fmod(*a0 + 1.0, 32.0);
+                            *t1 += std::fmod(*a1 + 2.0, 32.0);
+                        },
+                        op_arg_dat(dr1, 0, em, 1, "double", OP_READ),
+                        op_arg_dat(dr1, 1, em, 1, "double", OP_READ),
+                        op_arg_dat(dw, 0, em, 1, "double", OP_INC),
+                        op_arg_dat(dw, 1, em, 1, "double", OP_INC));
+                    break;
+                default:  // indirect scatter fed by an indirect read
+                    (void)exec::run_loop(
+                        o, "scatter_mix", edges,
+                        [](double const* a, double* t) {
+                            *t += std::fmod(*a, 16.0) + 1.0;
+                        },
+                        op_arg_dat(dr2, 0, em, 1, "double", OP_READ),
+                        op_arg_dat(dw, 1, em, 1, "double", OP_INC));
+                    break;
+            }
+        }
+        if (be == exec::backend_kind::hpx_dataflow) {
+            op_fence_all();
+        }
+        snapshot->clear();
+        for (auto& d : dats) {
+            auto v = d.view<double>();
+            snapshot->emplace_back(v.begin(), v.end());
+        }
+    };
+
+    std::vector<std::vector<double>> ref, got;
+    run(exec::backend_kind::seq, 0, &ref);
+    run(exec::backend_kind::hpx_dataflow, 5, &got);
+    ASSERT_EQ(ref.size(), got.size());
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+        EXPECT_EQ(std::memcmp(got[k].data(), ref[k].data(),
+                              ref[k].size() * sizeof(double)),
+                  0)
+            << "dat " << k << " diverged under the randomized indirect DAG";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DataflowRandomIndirectDag,
+                         ::testing::Values(3u, 17u, 29u, 53u));
+
+class DataflowTinySet : public ::testing::Test {
+protected:
+    void SetUp() override { hpxlite::init(hpxlite::runtime_config{4}); }
+    void TearDown() override { hpxlite::finalize(); }
+};
+
+/// More partitions than elements: 8 partitions over 3 cells (and 5
+/// edges) at part_size 1, so most partitions are empty. The plans and
+/// the dep records must survive the degenerate bounds through a gather
+/// followed by an INC scatter.
+TEST_F(DataflowTinySet, MorePartitionsThanElementsMatchesSeqBitwise) {
+    auto cells = op_decl_set(3, "tiny_cells");
+    auto edges = op_decl_set(5, "tiny_edges");
+    std::vector<int> tab{0, 2, 1, 0, 2};
+    auto em = op_decl_map(edges, cells, 1, tab, "tiny_map");
+    auto cd = op_decl_dat_zero<double>(cells, 1, "double", "tiny_cd");
+    auto ed = op_decl_dat_zero<double>(edges, 1, "double", "tiny_ed");
+    auto gather = [](double const* c, double* r) { *r += *c + 1.0; };
+    auto scatter = [](double const* r, double* c) { *c += *r; };
+
+    auto run = [&](exec::backend_kind be) {
+        auto cv = cd.view<double>();
+        cv[0] = 5.0;
+        cv[1] = 7.0;
+        cv[2] = 9.0;
+        for (auto& x : ed.view<double>()) {
+            x = 0.0;
+        }
+        loop_options o;
+        o.backend = be;
+        o.partitions = 8;
+        o.part_size = 1;
+        (void)exec::run_loop(o, "tiny_gather", edges, gather,
+                             op_arg_dat(cd, 0, em, 1, "double", OP_READ),
+                             op_arg_dat(ed, -1, OP_ID, 1, "double", OP_RW));
+        auto h = exec::run_loop(o, "tiny_scatter", edges, scatter,
+                                op_arg_dat(ed, -1, OP_ID, 1, "double",
+                                           OP_READ),
+                                op_arg_dat(cd, 0, em, 1, "double", OP_INC));
+        h.get();
+        op_fence_all();
+        return std::array<std::vector<double>, 2>{
+            std::vector<double>(ed.view<double>().begin(),
+                                ed.view<double>().end()),
+            std::vector<double>(cd.view<double>().begin(),
+                                cd.view<double>().end())};
+    };
+
+    auto const ref = run(exec::backend_kind::seq);
+    auto const got = run(exec::backend_kind::hpx_dataflow);
+    EXPECT_EQ(std::memcmp(got[0].data(), ref[0].data(),
+                          ref[0].size() * sizeof(double)),
+              0)
+        << "edge dat diverged";
+    EXPECT_EQ(std::memcmp(got[1].data(), ref[1].data(),
+                          ref[1].size() * sizeof(double)),
+              0)
+        << "cell dat diverged";
+}
 
 }  // namespace

@@ -108,31 +108,31 @@ TEST_F(FaultRecoveryTest, CheckpointingWithoutFaultsChangesNothing) {
     expect_recovered_equal(plain, ckpted, 1e-12);
 }
 
-/// Chain fusion changes the execution shape (save_soln+adt_calc run as
-/// one fused pass per iteration) but not the values: with no faults a
-/// fused run must match the plain unfused run exactly.
-TEST_F(FaultRecoveryTest, FusedChainWithoutFaultsMatchesUnfused) {
-    auto const plain = airfoil::run(small_config(op2::backend::hpx));
-
-    auto cfg = small_config(op2::backend::hpx);
-    cfg.opts.fuse = true;
-    auto const fused = airfoil::run(cfg);
-
-    expect_recovered_equal(plain, fused, 1e-12);
-}
-
-/// Satellite interplay: checkpoint/rollback over a FUSED chain. The
-/// injected fault fires inside the merged save_soln+adt_calc sub-node,
-/// poisons both constituents' written dats, and the rollback must
-/// restore and re-run the segment to bitwise the same final field as
-/// an undisturbed *unfused* run — fused recovery and fusion itself are
-/// both exact, so their composition is too.
-TEST_F(FaultRecoveryTest, FusedChainRecoveryIsBitwiseExact) {
+/// A fault in a direct loop mid-chain (adt_calc, between save_soln and
+/// res_calc): the rollback must restore and re-run the segment to
+/// bitwise the final field of an undisturbed run.
+TEST_F(FaultRecoveryTest, DirectLoopRecoveryIsBitwiseExact) {
     auto const oracle = airfoil::run(small_config(op2::backend::hpx));
 
     op2::fault::arm("kernel=adt_calc@*.*#6");
     auto cfg = small_config(op2::backend::hpx);
-    cfg.opts.fuse = true;
+    cfg.checkpoint_every = 4;
+    cfg.opts.retries = 4;
+    auto const faulted = airfoil::run(cfg);
+    op2::fault::disarm();
+
+    EXPECT_GE(faulted.recoveries, 1);
+    expect_recovered_equal(oracle, faulted, 1e-12);
+}
+
+/// A fault in the loop that carries the rms reduction (update): the
+/// partials of the failed segment must be discarded with it, so the
+/// recovered rms history matches the undisturbed run.
+TEST_F(FaultRecoveryTest, ReductionLoopRecoveryIsBitwiseExact) {
+    auto const oracle = airfoil::run(small_config(op2::backend::hpx));
+
+    op2::fault::arm("kernel=update@*.*#6");
+    auto cfg = small_config(op2::backend::hpx);
     cfg.checkpoint_every = 4;
     cfg.opts.retries = 4;
     auto const faulted = airfoil::run(cfg);

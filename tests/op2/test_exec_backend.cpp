@@ -108,10 +108,6 @@ TEST_F(ExecBackendTest, EpochAdvancesPerWriterOnly) {
 
     loop_options o = opts_;
     o.backend = exec::backend_kind::hpx_dataflow;
-    // Epoch counts are asserted at issue time below, which requires
-    // every loop to actually issue (not sit deferred in a fusion
-    // window) — pin fusion off for OP2HPX_FUSE=1 runs.
-    o.fuse = false;
     for (int k = 0; k < 7; ++k) {
         (void)exec::run_loop(o, "w", cells, [](double* x) { *x += 1.0; },
                              op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
@@ -397,10 +393,6 @@ TEST_F(ExecBackendTest, AffinityPlacementPinsSubNodesToWorkers) {
     o.partitions = 4;
     o.part_size = 100;
     o.placement = placement_kind::affinity;
-    // The test spin-waits on this loop's sub-nodes while all workers
-    // are blocked; a fusion-window deferral would never reach a flush
-    // point — pin fusion off (worker pinning is an unfused property).
-    o.fuse = false;
     auto h = exec::run_loop(
         o, "pinned", cells,
         [&](double const* i, double* x) {

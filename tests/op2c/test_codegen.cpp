@@ -145,10 +145,6 @@ TEST(Codegen, GeneratedCodeMentionsBarrierSemantics) {
     auto hpx = generate_loop_wrapper_hpx(prog.loops[0]);
     EXPECT_TRUE(contains(omp, "barrier"));
     EXPECT_TRUE(contains(hpx, "asynchronously"));
-    // ... and the opts.fuse deferral contract, so generated callers
-    // know a handle may be pending until a flush point.
-    EXPECT_TRUE(contains(hpx, "fusion window"));
-    EXPECT_TRUE(contains(hpx, "flushes"));
 }
 
 }  // namespace

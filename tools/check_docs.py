@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate: keep ARCHITECTURE.md and the rest of the handbook honest.
 
-Two checks, run by the CI `docs` job (no dependencies beyond the
+Three checks, run by the CI `docs` job (no dependencies beyond the
 standard library):
 
 1. **Markdown links.** Every relative link in the repo's tracked *.md
@@ -20,6 +20,12 @@ standard library):
    it, or deleting one and leaving its row behind, fails this script,
    and therefore CI.
 
+3. **CI knob legs.** Every `OP2HPX_*` variable a workflow under
+   .github/workflows sets (`NAME: value` in an env block, or
+   `NAME=value`) must be referenced by a source file or a
+   CMakeLists.txt. A leg left behind for a deleted knob would otherwise
+   run the default configuration and pass silently.
+
 Exit status: 0 clean, 1 with findings (each printed on its own line).
 """
 
@@ -31,6 +37,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 ARCHITECTURE = REPO / "ARCHITECTURE.md"
+WORKFLOWS = REPO / ".github" / "workflows"
 LOOP_OPTIONS = REPO / "src" / "op2" / "include" / "op2" / "loop_options.hpp"
 
 # Build trees and VCS metadata hold no files of ours.
@@ -58,6 +65,7 @@ SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 ENV_RE = re.compile(r"\bOP2HPX_[A-Z_]+\b")
 FIELD_REF_RE = re.compile(r"\bloop_options::(\w+)")
+ENV_SET_RE = re.compile(r"\b(OP2HPX_[A-Z_]+)\s*[:=]")
 
 
 def check_links() -> list[str]:
@@ -155,8 +163,20 @@ def check_knob_table() -> list[str]:
     return problems
 
 
+def check_ci_env() -> list[str]:
+    known_vars = env_vars_in_sources() | env_vars_in_cmake()
+    problems = []
+    for wf in sorted(WORKFLOWS.glob("*.yml")):
+        text = wf.read_text(encoding="utf-8")
+        for var in sorted(set(ENV_SET_RE.findall(text)) - known_vars):
+            problems.append(
+                f"{wf.relative_to(REPO)}: sets `{var}`, which no source "
+                "file or CMakeLists.txt references (stale CI leg?)")
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_knob_table()
+    problems = check_links() + check_knob_table() + check_ci_env()
     for p in problems:
         print(p)
     if problems:
