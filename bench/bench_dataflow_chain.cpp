@@ -1,33 +1,23 @@
-// Dependency-tracking overhead of the dataflow engine: the epoch-based
-// intrusive graph (op2/exec/dataflow.hpp) vs PR 1's future-chain
-// machinery (one shared future chained per dat per loop, when_all +
-// continuation shared-states per issue), on a dependent RW loop chain —
-// the shape of airfoil's time-march. Both variants execute the *same*
-// staged executor over the *same* cached plan; only the dependency layer
-// differs, so the ratio isolates exactly what this PR replaced.
+// Dependency-layer benchmarks of the dataflow engine on a dependent
+// loop chain — the shape of airfoil's time-march.
 //
-// Plus the partition sweep: the same dependent chain issued at
-// partition granularity (one sub-node per (partition, colour)). At
-// whole-set granularity loop i+1 waits for all of loop i; at partition
-// granularity its sub-node for partition p waits only for loop i's
-// partition p, so the partitions pipeline independently through the
-// chain — dependent loops overlap.
+// The partition sweep: a dependent direct RW chain issued at 1, 2 and 4
+// partitions (one sub-node per (partition, colour)). At 1 partition loop
+// i+1 waits for all of loop i; at P partitions its sub-node for
+// partition p waits only for loop i's partition p, so the partitions
+// pipeline independently through the chain — dependent loops overlap.
 //
-// Plus the placement and same-colour-exemption sections: the partition
-// sweep chain re-run with sub-node placement unpinned (placement = any)
-// to isolate what worker affinity buys, and a dependent *indirect* INC
-// chain over a ring map whose partitions straddle the partition
-// boundary — the shape whose same-colour sub-nodes used to serialise
-// through conservative WAW record edges — run with the exemption on and
-// off.
+// Plus the placement, tuning and straddle sections: the partition sweep
+// chain re-run with sub-node placement unpinned (placement = any) to
+// isolate what worker affinity buys, the same chain under the online
+// tuner, and a dependent *indirect* INC chain over a ring map whose
+// partitions straddle the partition boundary — the shape whose
+// same-colour sub-nodes overlap through the same-colour exemption.
 //
 // Emits into BENCH_op2.json (schema op2hpx-bench-v1):
-//   dataflow_chain_epoch              ns per loop, epoch-based engine
-//   dataflow_chain_future_baseline    ns per loop, PR 1 future chains
-//   dataflow_chain_speedup            x, epoch vs future-chain
 //   dataflow_chain_part<P>            ns per loop, dependent chain at P
 //                                     partitions (P = 1, 2, 4)
-//   dataflow_chain_partition_speedup  x, partitioned (P=4) vs whole-set
+//   dataflow_chain_partition_speedup  x, 4 partitions vs 1
 //   dataflow_chain_part4_anyplace     ns per loop, P=4 with placement=any
 //   affinity_placement_speedup        x, affinity vs any placement (P=4)
 //   dataflow_chain_default            ns per loop, untuned default
@@ -36,26 +26,21 @@
 //                                     (exploration retired in warmup; the
 //                                     label names the chosen config)
 //   partition_autotune_speedup        x, tuned vs untuned default
-//   dataflow_chain_straddle_exempt    ns per loop, indirect INC chain,
-//                                     same-colour exemption on
-//   dataflow_chain_straddle_serial    ns per loop, exemption off
-//   same_color_exemption_speedup      x, exemption on vs off
+//   dataflow_chain_straddle_exempt    ns per loop, indirect INC straddle
+//                                     chain at 4 partitions
 //
 // Worker counts in row labels are derived from the live pool size, so
-// rows recorded on multi-core CI runners are self-describing.
+// rows recorded on multi-core CI runners are self-describing. Exits 1
+// when a chain's final values show a lost or duplicated loop.
 //
 // `--quick` shrinks warmup/measured repetitions for the CI smoke run.
 
-#include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include <hpxlite/hpxlite.hpp>
-#include <hpxlite/lcos/when_all.hpp>
 #include <op2/op2.hpp>
 
 #include "bench_json.hpp"
@@ -64,16 +49,7 @@ using namespace op2;
 
 namespace {
 
-// Small loops: the chain's cost is dominated by issue + dependency
-// resolution + completion hand-off, which is precisely the machinery the
-// epoch engine replaced. (With big loop bodies both variants converge on
-// kernel time and the comparison measures nothing.)
-constexpr std::size_t kElems = 256;
-constexpr int kChainLen = 16;  // dependent loops per chain (>= 8)
-int g_chains = 400;            // repetitions measured (--quick: 40)
-int g_warmup = 50;             // (--quick: 5)
-
-// Partition sweep: a bigger mesh so the loop body amortises the extra
+// Partition sweep: a big mesh so the loop body amortises the
 // sub-node/join machinery and the sweep measures overlap, not node
 // overhead.
 constexpr std::size_t kSweepElems = 262144;
@@ -85,79 +61,6 @@ int g_sweep_chains = 30;  // (--quick: 5)
 // keeps the section's runtime comparable.
 constexpr std::size_t kStraddleElems = 131072;
 
-/// PR 1's dependency layer, verbatim in miniature: a per-dat record of
-/// shared futures, when_all over the collected dependencies, and a
-/// continuation that runs the staged executor. Kept here as the
-/// benchmark baseline after the engine moved to epoch records.
-namespace future_chain {
-
-struct dep_rec {
-    hpxlite::util::spinlock mtx;
-    hpxlite::shared_future<void> last_write;
-    std::vector<hpxlite::shared_future<void>> readers;
-};
-
-template <typename Kernel, typename... Args>
-hpxlite::shared_future<void> par_loop(loop_options const& opts,
-                                      char const* name, op_set set,
-                                      dep_rec& rec, bool write, Kernel kernel,
-                                      Args... args) {
-    constexpr std::size_t n = sizeof...(Args);
-    auto ex = std::make_shared<op2::detail::loop_executor<Kernel, n>>(
-        std::move(set), std::array<op_arg, n>{std::move(args)...},
-        std::move(kernel), opts);
-    ex->validate(name);
-    op_plan const& plan = plan_get(ex->set(), ex->args(), opts.part_size);
-
-    std::vector<hpxlite::shared_future<void>> deps;
-    {
-        std::lock_guard<hpxlite::util::spinlock> lk(rec.mtx);
-        if (write) {
-            if (rec.last_write.valid()) {
-                deps.push_back(rec.last_write);  // WAW
-            }
-            for (auto const& r : rec.readers) {
-                deps.push_back(r);  // WAR
-            }
-        } else if (rec.last_write.valid()) {
-            deps.push_back(rec.last_write);  // RAW
-        }
-    }
-
-    auto policy = hpxlite::execution::par.with(opts.chunk);
-    auto body =
-        hpxlite::when_all(std::move(deps))
-            .then([ex, policy, plan_ptr = &plan](
-                      hpxlite::future<
-                          std::vector<hpxlite::shared_future<void>>>&& ready) {
-                for (auto& dep : ready.get()) {
-                    dep.get();
-                }
-                ex->execute(*plan_ptr,
-                            [&](std::span<std::size_t const> blocks) {
-                                hpxlite::parallel::for_loop(
-                                    policy, std::size_t{0}, blocks.size(),
-                                    [&](std::size_t k) {
-                                        ex->run_block(*plan_ptr, blocks[k]);
-                                    });
-                            });
-            });
-
-    hpxlite::shared_future<void> done = body.share();
-    {
-        std::lock_guard<hpxlite::util::spinlock> lk(rec.mtx);
-        if (write) {
-            rec.last_write = done;
-            rec.readers.clear();
-        } else {
-            rec.readers.push_back(done);
-        }
-    }
-    return done;
-}
-
-}  // namespace future_chain
-
 double ns_per_loop(double total_s, int chains, int chain_len) {
     return total_s * 1e9 / (static_cast<double>(chains) * chain_len);
 }
@@ -167,92 +70,24 @@ double ns_per_loop(double total_s, int chains, int chain_len) {
 int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
-            g_chains = 40;
-            g_warmup = 5;
             g_sweep_chains = 5;
         }
     }
-    hpxlite::init();
-
-    auto cells = op_decl_set(kElems, "chain_cells");
-    auto d = op_decl_dat_zero<double>(cells, 1, "double", "chain_d");
-    loop_options opts;
-    opts.part_size = 256;
-    auto kern = [](double* x) { *x += 1.0; };
-    auto arg = [&] {
-        return op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW);
-    };
-
-    // --- epoch-based engine -------------------------------------------
-    // Whole-set granularity (one node per loop), comparable with the
-    // future-chain baseline below and with the PR 2 trajectory rows.
-    loop_options hpx_opts = opts;
-    hpx_opts.backend = exec::backend_kind::hpx_dataflow;
-    hpx_opts.partitions = 1;
-    auto run_epoch_chain = [&] {
-        exec::loop_handle last;
-        for (int l = 0; l < kChainLen; ++l) {
-            last = exec::run_loop(hpx_opts, "chain", cells, kern, arg());
-        }
-        last.wait();
-    };
-    for (int w = 0; w < g_warmup; ++w) {
-        run_epoch_chain();
-    }
-    hpxlite::util::stopwatch sw;
-    for (int c = 0; c < g_chains; ++c) {
-        run_epoch_chain();
-    }
-    double const epoch_s = sw.elapsed_s();
-
-    // --- PR 1 future-chain baseline -----------------------------------
-    future_chain::dep_rec rec;
-    auto run_future_chain = [&] {
-        hpxlite::shared_future<void> last;
-        for (int l = 0; l < kChainLen; ++l) {
-            last = future_chain::par_loop(opts, "chain", cells, rec,
-                                          /*write=*/true, kern, arg());
-        }
-        last.wait();
-    };
-    for (int w = 0; w < g_warmup; ++w) {
-        run_future_chain();
-    }
-    sw.reset();
-    for (int c = 0; c < g_chains; ++c) {
-        run_future_chain();
-    }
-    double const future_s = sw.elapsed_s();
-
-    // Sanity: every loop of both phases ran: warmup + measured, twice.
-    double const expect =
-        2.0 * static_cast<double>(g_warmup + g_chains) * kChainLen;
-    double const got = d.view<double>()[0];
-    if (got != expect) {
-        std::fprintf(stderr, "FAIL: chain executed %.0f loops, expected %.0f\n",
-                     got, expect);
-        return 1;
-    }
-
-    double const epoch_ns = ns_per_loop(epoch_s, g_chains, kChainLen);
-    double const future_ns = ns_per_loop(future_s, g_chains, kChainLen);
-    std::printf("dependent chain (%d loops x %d chains, %zu elems):\n",
-                kChainLen, g_chains, kElems);
-    std::printf("  epoch engine    : %9.1f ns/loop\n", epoch_ns);
-    std::printf("  future baseline : %9.1f ns/loop\n", future_ns);
-    std::printf("  speedup         : %9.2fx\n", future_ns / epoch_ns);
-
-    // --- partition sweep ----------------------------------------------
-    // The same dependent RW chain on a bigger mesh, issued at 1 / 2 / 4
-    // partitions on a multi-worker pool. Direct args give each sub-node
-    // a single-partition footprint, so at P > 1 the chain becomes P
-    // independent pipelines: partition p of loop i+1 starts as soon as
-    // partition p of loop i is done, while whole-set granularity holds
-    // loop i+1 until all of loop i finished.
-    hpxlite::finalize();
     hpxlite::init(hpxlite::runtime_config{4});
     std::size_t const nworkers = hpxlite::get_num_worker_threads();
     std::string const workers_label = std::to_string(nworkers) + " workers";
+    loop_options opts;
+    opts.part_size = 256;
+    auto kern = [](double* x) { *x += 1.0; };
+    hpxlite::util::stopwatch sw;
+
+    // --- partition sweep ----------------------------------------------
+    // A dependent RW chain on a big mesh, issued at 1 / 2 / 4
+    // partitions on a multi-worker pool. Direct args give each sub-node
+    // a single-partition footprint, so at P > 1 the chain becomes P
+    // independent pipelines: partition p of loop i+1 starts as soon as
+    // partition p of loop i is done, while one partition holds loop i+1
+    // until all of loop i finished.
     auto sweep_cells = op_decl_set(kSweepElems, "sweep_cells");
     auto sweep_d =
         op_decl_dat_zero<double>(sweep_cells, 1, "double", "sweep_d");
@@ -266,21 +101,23 @@ int main(int argc, char** argv) {
         kSweepChainLen, g_sweep_chains, kSweepElems, nworkers);
     double part1_ns = 0.0;
     double part4_ns = 0.0;
+    int sweep_loops = 0;
+    auto run_sweep_chain = [&](loop_options const& po) {
+        exec::loop_handle last;
+        for (int l = 0; l < kSweepChainLen; ++l) {
+            last = exec::run_loop(po, "sweep_chain", sweep_cells, kern,
+                                  sweep_arg());
+        }
+        last.wait();
+        sweep_loops += kSweepChainLen;
+    };
     auto time_sweep_chain = [&](loop_options const& po) {
-        auto run_chain = [&] {
-            exec::loop_handle last;
-            for (int l = 0; l < kSweepChainLen; ++l) {
-                last = exec::run_loop(po, "sweep_chain", sweep_cells, kern,
-                                      sweep_arg());
-            }
-            last.wait();
-        };
         for (int w = 0; w < 3; ++w) {
-            run_chain();
+            run_sweep_chain(po);
         }
         sw.reset();
         for (int c = 0; c < g_sweep_chains; ++c) {
-            run_chain();
+            run_sweep_chain(po);
         }
         return ns_per_loop(sw.elapsed_s(), g_sweep_chains, kSweepChainLen);
     };
@@ -300,7 +137,7 @@ int main(int argc, char** argv) {
                 "dependent RW chain, " + std::to_string(parts) +
                     " partitions, " + workers_label);
     }
-    std::printf("  partition spdup : %9.2fx (4 partitions vs whole-set)\n",
+    std::printf("  partition spdup : %9.2fx (4 partitions vs 1)\n",
                 part1_ns / part4_ns);
 
     // --- placement: affinity vs any -----------------------------------
@@ -345,12 +182,7 @@ int main(int argc, char** argv) {
         // Extra warmup chains so the whole ladder retires before timing:
         // 7 candidates at 4 workers vs 3 x 8 = 24 warmup issues.
         for (int w = 0; w < 3; ++w) {
-            exec::loop_handle last;
-            for (int l = 0; l < kSweepChainLen; ++l) {
-                last = exec::run_loop(po, "sweep_chain", sweep_cells, kern,
-                                      sweep_arg());
-            }
-            last.wait();
+            run_sweep_chain(po);
         }
         auto_ns = time_sweep_chain(po);
         auto const st =
@@ -362,14 +194,22 @@ int main(int argc, char** argv) {
         std::printf("  autotune spdup  : %9.2fx (tuned vs default)\n",
                     default_ns / auto_ns);
     }
+    // Sanity: every sweep loop adds 1 to every element.
+    op_fence_all();
+    if (sweep_d.view<double>()[0] != static_cast<double>(sweep_loops)) {
+        std::fprintf(stderr, "FAIL: sweep chain executed %.0f loops, "
+                             "expected %d\n",
+                     sweep_d.view<double>()[0], sweep_loops);
+        return 1;
+    }
 
     // --- same-colour exemption: boundary-straddling INC chain ---------
     // A dependent indirect chain: every loop INCs a cells dat through a
     // ring map (edge i -> cells i, i+1 mod n), so consecutive loops
     // conflict on every record (the chain), and within one loop every
-    // partition's footprint straddles into its neighbour. Without the
-    // exemption those same-colour sub-nodes serialise through
-    // conservative WAW record edges; with it they overlap.
+    // partition's footprint straddles into its neighbour. The
+    // same-colour exemption lets those sub-nodes overlap instead of
+    // serialising through conservative WAW record edges.
     auto str_cells = op_decl_set(kStraddleElems, "straddle_cells");
     auto str_edges = op_decl_set(kStraddleElems, "straddle_edges");
     std::vector<int> str_tab(2 * kStraddleElems);
@@ -385,11 +225,11 @@ int main(int argc, char** argv) {
         *b += 1.0;
     };
     int straddle_loops = 0;
-    auto time_straddle_chain = [&](bool exempt) {
+    double straddle_ns = 0.0;
+    {
         loop_options po = opts;
         po.backend = exec::backend_kind::hpx_dataflow;
         po.partitions = 4;
-        po.color_exemption = exempt;
         auto run_chain = [&] {
             exec::loop_handle last;
             for (int l = 0; l < kSweepChainLen; ++l) {
@@ -408,10 +248,9 @@ int main(int argc, char** argv) {
         for (int c = 0; c < g_sweep_chains; ++c) {
             run_chain();
         }
-        return ns_per_loop(sw.elapsed_s(), g_sweep_chains, kSweepChainLen);
-    };
-    double const serial_ns = time_straddle_chain(false);
-    double const exempt_ns = time_straddle_chain(true);
+        straddle_ns =
+            ns_per_loop(sw.elapsed_s(), g_sweep_chains, kSweepChainLen);
+    }
     op_fence_all();
     // Sanity: every cell has two in-edges, each straddle loop adds 2.
     double const str_expect = 2.0 * straddle_loops;
@@ -425,18 +264,10 @@ int main(int argc, char** argv) {
     std::printf("straddle INC chain (%d loops x %d chains, %zu edges, %zu "
                 "workers):\n",
                 kSweepChainLen, g_sweep_chains, kStraddleElems, nworkers);
-    std::printf("  exemption off   : %9.1f ns/loop\n", serial_ns);
-    std::printf("  exemption on    : %9.1f ns/loop\n", exempt_ns);
-    std::printf("  exemption spdup : %9.2fx\n", serial_ns / exempt_ns);
+    std::printf("  partitions=4    : %9.1f ns/loop\n", straddle_ns);
 
-    log.add("dataflow_chain_epoch", epoch_ns, "ns/iter",
-            "16-loop RW chain, epoch engine");
-    log.add("dataflow_chain_future_baseline", future_ns, "ns/iter",
-            "16-loop RW chain, PR1 future chains");
-    log.add("dataflow_chain_speedup", future_ns / epoch_ns, "x",
-            "epoch_vs_future_chain");
     log.add("dataflow_chain_partition_speedup", part1_ns / part4_ns, "x",
-            "partitioned_4_vs_whole_set");
+            "partitioned_4_vs_1");
     log.add("dataflow_chain_part4_anyplace", anyplace_ns, "ns/iter",
             "dependent RW chain, 4 partitions, placement=any, " +
                 workers_label);
@@ -451,12 +282,8 @@ int main(int argc, char** argv) {
     log.add("partition_autotune_speedup", default_ns / auto_ns, "x",
             "autotuned_vs_default_pool_partitions, chose " + auto_label +
                 ", " + workers_label);
-    log.add("dataflow_chain_straddle_exempt", exempt_ns, "ns/iter",
-            "indirect INC straddle chain, exemption on, " + workers_label);
-    log.add("dataflow_chain_straddle_serial", serial_ns, "ns/iter",
-            "indirect INC straddle chain, exemption off, " + workers_label);
-    log.add("same_color_exemption_speedup", serial_ns / exempt_ns, "x",
-            "same_colour_exemption_on_vs_off, " + workers_label);
+    log.add("dataflow_chain_straddle_exempt", straddle_ns, "ns/iter",
+            "indirect INC straddle chain, 4 partitions, " + workers_label);
     log.write();
 
     hpxlite::finalize();

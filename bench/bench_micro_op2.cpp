@@ -8,7 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
 #include <map>
 #include <string>
 
@@ -174,11 +173,11 @@ BENCHMARK(bm_airfoil_step)->Arg(0)->Arg(1)->Arg(2);
 /// Per-issue cost of a tiny loop, the row that prices the runtime's
 /// fixed overhead per op_par_loop:
 ///   Arg(0): fork-join dispatch (the seed's row),
-///   Arg(1): hpx_dataflow issue, a fresh executor group per loop,
-///   Arg(2): hpx_dataflow issue through the cross-issue executor pool.
-/// The Arg(1)/Arg(2) ratio is recorded as exec_pool_speedup. The hpx
-/// variants issue a 16-loop dependent chain per iteration and wait once,
-/// so steady-state issue cost dominates over wake-up latency.
+///   Arg(2): hpx_dataflow issue (executor groups recycled through the
+///           cross-issue pool; the argument keeps its row name).
+/// The hpx variant issues a 16-loop dependent chain per iteration and
+/// waits once, so steady-state issue cost dominates over wake-up
+/// latency.
 void bm_loop_dispatch_overhead(benchmark::State& state) {
     hpxlite::init();
     auto set = op2::op_decl_set(64, "tiny");
@@ -198,7 +197,6 @@ void bm_loop_dispatch_overhead(benchmark::State& state) {
     constexpr int kChain = 16;
     opts.backend = op2::exec::backend_kind::hpx_dataflow;
     opts.partitions = 2;
-    opts.exec_pool = state.range(0) == 2;
     for (auto _ : state) {
         op2::exec::loop_handle last;
         for (int l = 0; l < kChain; ++l) {
@@ -209,9 +207,9 @@ void bm_loop_dispatch_overhead(benchmark::State& state) {
         last.get();
     }
     state.SetItemsProcessed(state.iterations() * 64 * kChain);
-    state.SetLabel(opts.exec_pool ? "hpx+pool" : "hpx");
+    state.SetLabel("hpx");
 }
-BENCHMARK(bm_loop_dispatch_overhead)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(bm_loop_dispatch_overhead)->Arg(0)->Arg(2);
 
 /// Console reporter that additionally collects every run so main() can
 /// derive speedups and write the trajectory file.
@@ -245,21 +243,6 @@ int main(int argc, char** argv) {
     benchutil::bench_log log("bench_micro_op2");
     for (auto const& [name, ns] : collector.real_ns()) {
         log.add(name, ns, "ns/iter");
-    }
-
-    // Issue cost of a pooled executor group vs a fresh one per loop.
-    std::printf("\n-- executor pool --\n");
-    {
-        auto const& m = collector.real_ns();
-        auto fresh = m.find("bm_loop_dispatch_overhead/1");
-        auto pooled = m.find("bm_loop_dispatch_overhead/2");
-        if (fresh != m.end() && pooled != m.end() && pooled->second > 0.0) {
-            double const ratio = fresh->second / pooled->second;
-            log.add("exec_pool_speedup", ratio, "x", "pooled_vs_fresh_issue");
-            std::printf("%-28s %.2fx  (fresh %.0f ns -> pooled %.0f ns)\n",
-                        "exec_pool_speedup", ratio, fresh->second,
-                        pooled->second);
-        }
     }
 
     log.write();

@@ -9,7 +9,6 @@
 // Usage: airfoil_app [seq|fork_join|hpx] [nx ny] [niter]
 //                    [--mesh-file PATH] [--checkpoint-every N]
 //                    [--retries K] [--fault PLAN] [--watchdog-ms T]
-//                    [--no-exec-pool]
 //
 //   --mesh-file PATH       load a new_grid.dat mesh instead of
 //                          generating one (errors name file, section
@@ -20,8 +19,6 @@
 //                          e.g. "kernel=res_calc@1.0")
 //   --watchdog-ms T        report a graph dump after T ms without
 //                          progress
-//   --no-exec-pool         disable cross-issue executor pooling (also
-//                          OP2HPX_EXEC_POOL=0)
 
 #include <algorithm>
 #include <cstdio>
@@ -60,8 +57,6 @@ void help(char const* argv0, std::FILE* out) {
         "                         e.g. \"kernel=res_calc@1.0\")\n"
         "  --watchdog-ms T        dump the epoch graph after T ms without\n"
         "                         progress\n"
-        "  --no-exec-pool         fresh executors per issue (also\n"
-        "                         OP2HPX_EXEC_POOL=0)\n"
         "  --service N            service mode: run N independent\n"
         "                         airfoil jobs concurrently through\n"
         "                         op2::service (see docs/service.md)\n"
@@ -119,8 +114,6 @@ int main(int argc, char** argv) {
             fault_plan = v;
         } else if (char const* v = flag_value("--watchdog-ms")) {
             watchdog_ms = std::atol(v);
-        } else if (std::strcmp(argv[i], "--no-exec-pool") == 0) {
-            cfg.opts.exec_pool = false;  // fresh executors per issue
         } else if (char const* v = flag_value("--service")) {
             service_jobs = std::atoi(v);
         } else if (char const* v = flag_value("--policy")) {

@@ -16,12 +16,6 @@ struct app_config {
     op2::loop_options opts;
     /// Record sqrt(rms/ncell) every `rms_stride` iterations (>=1).
     int rms_stride = 1;
-    /// Allocate the problem's dats with partition-affine first touch
-    /// (op2/memory.hpp): each set partition's pages are initialised on
-    /// the worker its loops will be pinned to. Only honoured by the
-    /// run(app_config) overload, which declares the dats itself; follows
-    /// the process-wide memory::first_touch_enabled() default.
-    bool first_touch = op2::memory::first_touch_enabled();
     /// Fault-tolerant execution: checkpoint the state dats (q, qold,
     /// adt, res) every N iterations and, when an iteration segment
     /// fails (an injected fault, a throwing kernel, a quarantined

@@ -187,13 +187,7 @@ app_result run(problem& p, app_config const& cfg) {
 
 app_result run(app_config const& cfg) {
     mesh m = make_mesh(cfg.mesh);
-    problem p = [&] {
-        // Declare the dats under the configured first-touch policy; the
-        // scope guard restores the process-wide setting even when a dat
-        // declaration throws (other problems may coexist).
-        op2::memory::first_touch_scope scope(cfg.first_touch);
-        return make_problem(m);
-    }();
+    problem p = make_problem(m);
     return run(p, cfg);
 }
 

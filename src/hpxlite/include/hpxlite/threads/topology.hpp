@@ -3,22 +3,15 @@
 // CPU/NUMA topology probe. One read-only snapshot per process, taken
 // on first use:
 //
-//  * with libnuma available at configure time (OP2HPX_WITH_NUMA, the
-//    HPXLITE_HAS_LIBNUMA compile definition) the node map comes from
-//    numa_node_of_cpu and page placement (bind_range_to_node) goes
-//    through numa_tonode_memory/mbind;
-//  * without it, the node map is parsed from
-//    /sys/devices/system/node/node*/cpulist (Linux, no library
-//    needed) and page placement is a no-op — first-touch still places
-//    pages correctly because the touching worker is core-bound;
-//  * anywhere else (or when both probes fail) the topology degrades to
+//  * on Linux the node map is parsed from
+//    /sys/devices/system/node/node*/cpulist (no library needed);
+//  * anywhere else (or when that probe fails) the topology degrades to
 //    a single node with an identity core order, which reproduces the
 //    pre-topology `i % hardware_concurrency` binding exactly.
 //
-// Consumers: thread_pool::bind_worker picks worker i's core node-major
+// Consumer: thread_pool::bind_worker picks worker i's core node-major
 // (fill one node's cores before spilling to the next, so a partition's
-// owner and its neighbours share a memory controller), and the op2
-// memory layer re-exports the snapshot as op2::memory::topology().
+// owner and its neighbours share a memory controller).
 
 #include <cstddef>
 #include <vector>
@@ -45,11 +38,5 @@ struct topology_info {
 /// The process's topology snapshot (probed once, immutable, safe to
 /// read concurrently).
 [[nodiscard]] topology_info const& topology();
-
-/// Best-effort page placement: ask the OS to put [p, p + len) on
-/// `node`. True only when libnuma was linked and the call succeeded;
-/// false is not an error — callers rely on core-bound first touch as
-/// the portable placement mechanism and treat this as an accelerator.
-bool bind_range_to_node(void* p, std::size_t len, int node) noexcept;
 
 }  // namespace hpxlite::threads

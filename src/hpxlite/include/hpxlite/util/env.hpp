@@ -1,8 +1,8 @@
 #pragma once
 
 // One env-flag parser for every boolean knob (OP2HPX_BIND_WORKERS,
-// OP2HPX_FIRST_TOUCH, OP2HPX_EXEC_POOL, ...): the accepted spellings must
-// not drift between knobs, and a fix must reach all of them.
+// OP2HPX_AUTOTUNE): the accepted spellings must not drift between
+// knobs, and a fix must reach all of them.
 
 #include <cstdlib>
 #include <cstring>

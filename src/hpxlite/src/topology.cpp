@@ -7,10 +7,6 @@
 #include <string>
 #include <thread>
 
-#if defined(HPXLITE_HAS_LIBNUMA)
-#include <numa.h>
-#endif
-
 namespace hpxlite::threads {
 
 namespace {
@@ -80,30 +76,10 @@ bool probe_sysfs(std::vector<int>& core_node) {
     return any;
 }
 
-#if defined(HPXLITE_HAS_LIBNUMA)
-bool probe_libnuma(std::vector<int>& core_node) {
-    if (numa_available() < 0) {
-        return false;
-    }
-    for (std::size_t c = 0; c < core_node.size(); ++c) {
-        int const node = numa_node_of_cpu(static_cast<int>(c));
-        core_node[c] = node < 0 ? 0 : node;
-    }
-    return true;
-}
-#endif
-
 topology_info probe() {
     topology_info t;
     t.core_node.assign(probed_cpus(), 0);
-    bool probed = false;
-#if defined(HPXLITE_HAS_LIBNUMA)
-    probed = probe_libnuma(t.core_node);
-#endif
-    if (!probed) {
-        probed = probe_sysfs(t.core_node);
-    }
-    if (!probed) {
+    if (!probe_sysfs(t.core_node)) {
         // Single-node identity: node-major order == 0..N-1, which makes
         // every consumer behave exactly like the pre-topology code.
         std::fill(t.core_node.begin(), t.core_node.end(), 0);
@@ -130,22 +106,6 @@ topology_info probe() {
 topology_info const& topology() {
     static topology_info const t = probe();
     return t;
-}
-
-bool bind_range_to_node(void* p, std::size_t len, int node) noexcept {
-#if defined(HPXLITE_HAS_LIBNUMA)
-    if (p == nullptr || len == 0 || numa_available() < 0 ||
-        node > numa_max_node()) {
-        return false;
-    }
-    numa_tonode_memory(p, len, node);
-    return true;
-#else
-    (void)p;
-    (void)len;
-    (void)node;
-    return false;
-#endif
 }
 
 }  // namespace hpxlite::threads

@@ -17,8 +17,6 @@
 //    the healthy issue path one relaxed load. Per-context, a fault in
 //    one job never makes another job's issue path scan (or fail):
 //    per-job fault isolation;
-//  * the memory config override — first-touch placement for the dats a
-//    job declares, independent of the process default;
 //  * issue metrics — loops issued under the context, read by the
 //    service layer's per-job metrics.
 //
@@ -77,13 +75,6 @@ public:
     /// Loops issued under this context (any backend), counted at
     /// run_loop dispatch. The service layer's per-job metric.
     std::atomic<std::uint64_t> loops_issued{0};
-
-    /// Memory-config override: partition-affine first-touch placement
-    /// for dats declared under this context. -1 inherits the process
-    /// default (memory::first_touch_enabled / OP2HPX_FIRST_TOUCH);
-    /// 0/1 force it off/on for this context's dats only. Set before
-    /// the context runs anything (plain int, read at op_decl_dat).
-    int first_touch = -1;
 
     /// The process-wide default context (id 0). Never destroyed, like
     /// the inline globals it replaces, so dats finalised during static

@@ -32,10 +32,8 @@ struct dat_impl {
     // all_dats() at fence/teardown.
     std::shared_ptr<runtime_context> ctx;
     // set.size() * dim * elem_bytes logical bytes, allocated through the
-    // locality-aware layer: 64-byte-aligned base, capacity padded to
-    // whole cache lines, and — when memory::first_touch_enabled() —
-    // pages first-touched partition-affinely on their owning workers
-    // (see op2/memory.hpp).
+    // memory layer: 64-byte-aligned base, capacity padded to whole cache
+    // lines (see op2/memory.hpp).
     memory::aligned_buffer data;
 
     // --- dataflow dependency tracking (hpx_dataflow backend) --------

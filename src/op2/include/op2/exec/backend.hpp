@@ -180,13 +180,12 @@ void poison_sync_failure(Args const& args, char const* name) noexcept {
     }
 }
 
-/// The plan-driven sweep every parallel backend shares: per colour, a
-/// fork-join for_loop over the colour's blocks through the staged
-/// executor, timed under the backend's name. The staged backend runs it
-/// inline; the dataflow backend runs it from its graph node.
+/// The staged backend's plan-driven sweep: per colour, a fork-join
+/// for_loop over the colour's blocks through the staged executor, timed
+/// under the backend's name.
 template <typename Kernel, std::size_t N>
 void staged_sweep(op2::detail::loop_executor<Kernel, N>& ex,
-                  op_plan const& plan, backend_kind kind, char const* name) {
+                  op_plan const& plan, char const* name) {
     loop_options const& opts = ex.options();
     auto policy = hpxlite::execution::par.with(opts.chunk);
     if (opts.pool != nullptr) {
@@ -198,76 +197,8 @@ void staged_sweep(op2::detail::loop_executor<Kernel, N>& ex,
             policy, std::size_t{0}, blocks.size(),
             [&](std::size_t k) { ex.run_block(plan, blocks[k]); });
     });
-    op_timing_record(name, to_string(kind), sw.elapsed_s());
+    op_timing_record(name, to_string(backend_kind::staged), sw.elapsed_s());
 }
-
-/// Graph node of one dataflow-issued loop at whole-set granularity
-/// (loop_options::partitions == 1 — the differential oracle): embeds
-/// the typed staged executor, so issuing a loop is exactly one
-/// allocation (this node) — no futures, no when_all vectors, no
-/// continuation shared states.
-template <typename Kernel, std::size_t N>
-class loop_node final : public dataflow_node {
-public:
-    loop_node(op_set set, std::array<op_arg, N> args, Kernel kernel,
-              loop_options const& opts, char const* name)
-      : ex_(std::move(set), std::move(args), std::move(kernel), opts),
-        name_(name) {}
-
-    [[nodiscard]] op2::detail::loop_executor<Kernel, N>& executor() {
-        return ex_;
-    }
-
-    void bind_plan(op_plan const& p) noexcept { plan_ = &p; }
-
-    /// Attach the tuner's measurement token (issue time). The default
-    /// token is inactive, so untuned loops skip the report.
-    void set_probe(tune::probe p) noexcept { probe_ = p; }
-
-    /// Register a written dat span to quarantine should this node fail
-    /// (issue time, before the node can run).
-    void add_quarantine_target(quarantine_target t) {
-        qtargets_.push_back(t);
-    }
-
-private:
-    void run_body() override {
-        // Deterministic injection point: an armed kernel=NAME@0.0 site
-        // throws here, as if the loop's kernel had failed.
-        fault::on_kernel(name_, 0, 0);
-        hpxlite::util::stopwatch sw;
-        staged_sweep(ex_, *plan_, backend_kind::hpx_dataflow, name_);
-        // Whole-set granularity has no join to merge sub-node spans;
-        // the sweep time *is* the loop's wall span.
-        tune::report(probe_, sw.elapsed_s());
-    }
-
-    void on_complete() noexcept override {
-        if (error()) {
-            // Whatever this loop was going to write is now stale or
-            // half-written: quarantine it (best-effort — an allocation
-            // failure here leaves plain error propagation, the
-            // pre-quarantine behaviour).
-            try {
-                for (auto const& t : qtargets_) {
-                    auto info = std::make_shared<poison_info>();
-                    info->loop = name_;
-                    info->dat = t.dat->name;
-                    info->origin = error();
-                    t.dat->dep.add_poison(t.lo, t.hi, std::move(info));
-                }
-            } catch (...) {
-            }
-        }
-        ex_.release_handles();
-    }
-
-    op2::detail::loop_executor<Kernel, N> ex_;
-    op_plan const* plan_ = nullptr;
-    char const* name_;
-    tune::probe probe_{};
-    std::vector<quarantine_target> qtargets_;
-};
 
 template <typename Kernel, std::size_t N>
 class partitioned_loop;
@@ -285,17 +216,16 @@ void pool_put(partitioned_loop<Kernel, N>* g) noexcept;
 /// shared_ptr control-block allocation per issue) and drop their
 /// references in on_complete(), which is what breaks the dat -> record
 /// -> node -> group -> dat cycle once the loop has run. The last drop
-/// parks the group in the per-instantiation cross-issue pool
-/// (loop_options::exec_pool), so a steady-state chain re-issues a loop
-/// without reconstructing its executors or reallocating their reduction
-/// scratch.
+/// parks the group in the per-instantiation cross-issue pool, so a
+/// steady-state chain re-issues a loop without reconstructing its
+/// executors or reallocating their reduction scratch.
 template <typename Kernel, std::size_t N>
 class partitioned_loop {
 public:
     partitioned_loop(op_set const& set, std::array<op_arg, N> const& args,
                      Kernel const& kernel, loop_options const& opts,
                      char const* name, std::size_t nparts)
-      : ctx_(current_context()), name_(name), pooled_(opts.exec_pool) {
+      : ctx_(current_context()), name_(name) {
         execs_.reserve(nparts);
         plans_.reserve(nparts);
         for (std::size_t p = 0; p < nparts; ++p) {
@@ -321,7 +251,6 @@ public:
         // kept alive for the nodes' lifetime).
         ctx_ = current_context();
         name_ = name;
-        pooled_ = opts.exec_pool;
         probe_ = {};
         start_ns_.store(-1, std::memory_order_relaxed);
         plans_.clear();
@@ -356,11 +285,7 @@ public:
     }
     void release() noexcept {
         if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            if (pooled_) {
-                pool_put(this);
-            } else {
-                delete this;
-            }
+            pool_put(this);
         }
     }
 
@@ -385,8 +310,7 @@ public:
     /// First sub-node to run stamps the loop's execution start; the
     /// join reads the span. This keeps the hpx_dataflow timing row a
     /// *wall* time (first block to last combine), comparable with the
-    /// seq/staged rows and with the whole-set node's sweep time — not a
-    /// sum of concurrent sub-node CPU times.
+    /// seq/staged rows — not a sum of concurrent sub-node CPU times.
     void mark_start() noexcept {
         std::int64_t expected = -1;
         (void)start_ns_.compare_exchange_strong(expected, now_ns(),
@@ -488,7 +412,6 @@ private:
     char const* name_;
     std::atomic<std::size_t> refs_{0};
     partitioned_loop* pool_next_ = nullptr;  // free-list link while parked
-    bool pooled_;
 };
 
 /// Cross-issue pool of retired partitioned-loop groups, one pool per
@@ -667,7 +590,9 @@ private:
 
 /// The loop's completion node: depends on every sub-node and is what
 /// the returned loop_handle waits on; it also owns the timing record
-/// and the final release of the group's dat handles.
+/// and the final release of the group's dat handles. It runs inline on
+/// the thread that finishes the last sub-node (set_run_inline), so the
+/// recorded span ends there and the group is released at once.
 template <typename Kernel, std::size_t N>
 class join_node final : public dataflow_node {
 public:
@@ -694,93 +619,13 @@ private:
     group_ref<Kernel, N> grp_;
 };
 
-/// Whole-set issue (partitions == 1): one node per loop, one dep_request
-/// per distinct dat — the PR 2 shape, kept verbatim as the differential
-/// oracle for partition-granular execution.
-template <typename Kernel, std::size_t N>
-loop_handle issue_whole_set(loop_options const& opts, char const* name,
-                            op_set set, std::array<op_arg, N> args,
-                            Kernel kernel,
-                            hpxlite::threads::thread_pool& pool,
-                            tune::probe probe = {}) {
-    auto* node = new loop_node<Kernel, N>(std::move(set), std::move(args),
-                                          std::move(kernel), opts, name);
-    node_ref ref(node, /*adopt=*/true);
-    auto& ex = node->executor();
-    ex.validate(name);  // throws before publication; ref cleans up
-    node->set_site(name, 0, 0);
-    node->set_probe(probe);
-    node->bind_plan(plan_get(ex.set(), ex.args(), plan_desc{opts.part_size}));
-
-    // Quarantine: register the spans a failure would taint (whole dat —
-    // a whole-set node has no partition attribution), and fail fast if
-    // the loop consumes a poisoned dat. The failure is *seeded* into
-    // the node, not thrown: the loop still enters the graph born-failed
-    // and reports at handle.get(), the same point as every other
-    // asynchronous failure.
-    for (op_arg const& a : ex.args()) {
-        if (a.dat.valid() && a.acc != op_access::OP_READ) {
-            node->add_quarantine_target(
-                {&a.dat.internal(), 0, a.dat.set().size()});
-        }
-    }
-    if (std::exception_ptr qerr = check_quarantine(ex.args(), name)) {
-        node->seed_error(std::move(qerr));
-    }
-
-    // One dep_request per distinct dat; write dominates, so a loop
-    // touching a dat through several args never self-edges. Pins are
-    // taken in canonical (address) order — concurrent issuers at mixed
-    // granularities then never hold-and-wait on each other's pins — and
-    // stay held until the wiring below completes.
-    struct dat_ref {
-        dep_state* state = nullptr;
-        bool write = false;
-    };
-    std::array<dat_ref, N == 0 ? 1 : N> ents;
-    std::array<issue_pin, N == 0 ? 1 : N> pins;
-    std::array<dep_request, N == 0 ? 1 : N> reqs;
-    std::size_t nreq = 0;
-    for (op_arg const& a : ex.args()) {
-        if (!a.dat.valid()) {
-            continue;
-        }
-        dep_state& st = a.dat.internal().dep;
-        bool const write = a.acc != op_access::OP_READ;
-        bool merged = false;
-        for (std::size_t i = 0; i < nreq; ++i) {
-            if (ents[i].state == &st) {
-                ents[i].write = ents[i].write || write;
-                merged = true;
-                break;
-            }
-        }
-        if (!merged) {
-            ents[nreq++] = {&st, write};
-        }
-    }
-    std::sort(ents.begin(), ents.begin() + static_cast<std::ptrdiff_t>(nreq),
-              [](dat_ref const& x, dat_ref const& y) {
-                  return x.state < y.state;
-              });
-    for (std::size_t i = 0; i < nreq; ++i) {
-        pins[i] = issue_pin(*ents[i].state, 1);
-        reqs[i] = {&pins[i].records()[0], ents[i].write};
-        if (ents[i].write) {
-            ents[i].state->bump_epoch();
-        }
-    }
-    issue(*node, std::span<dep_request const>{reqs.data(), nreq}, pool);
-    return loop_handle(std::move(ref));
-}
-
-/// Monotone id handed to each partitioned-loop issue: the dependency
-/// layer uses it to recognise sub-nodes of one loop (the same-colour
+/// Monotone nonzero id handed to each loop issue: the dependency layer
+/// uses it to recognise sub-nodes of one loop (the same-colour
 /// non-conflict exemption applies only within a loop). Shared across
 /// every kernel instantiation, so ids never repeat between loops.
-inline std::atomic<std::uint64_t> g_exemption_loop_seq{1};
+inline std::atomic<std::uint64_t> g_loop_tag_seq{1};
 
-/// Partition-granular issue: the loop becomes one sub-node per
+/// The dataflow issue path: the loop becomes one sub-node per
 /// (partition, colour) plus a join node. Each sub-node edges on exactly
 /// the dat partitions it can reach — the iteration partition itself for
 /// direct args, the plan's map-derived footprint for indirect ones — so
@@ -790,15 +635,17 @@ inline std::atomic<std::uint64_t> g_exemption_loop_seq{1};
 /// least one dat-partition record (a conflict is a shared target
 /// element, and the element's partition record orders its writers by
 /// issue order), so program order is preserved wherever it matters.
+/// nparts = 1 is the same shape with one partition: its live colours
+/// run one sub-node at a time, then the join.
 ///
 /// Two per-loop refinements ride on that structure:
 ///  * placement (opts.placement == affinity): partition p's sub-nodes
 ///    carry the worker hint p % pool_size, so a partition's working set
 ///    keeps landing on the same worker across the loops of a chain;
-///  * the same-colour non-conflict exemption (opts.color_exemption):
-///    partition plans are coloured globally, so same-coloured sub-nodes
-///    of THIS loop provably never mutate the same target element and
-///    skip the conservative WAW record edges between each other —
+///  * the same-colour non-conflict exemption: partition plans are
+///    coloured globally, so same-coloured sub-nodes of THIS loop
+///    provably never mutate the same target element and skip the
+///    conservative WAW record edges between each other —
 ///    boundary-straddling INC partitions of a single loop overlap. A
 ///    partition's own sub-nodes are still chained in colour order
 ///    (deterministic scratch prepare, single-threaded per-partition
@@ -814,8 +661,7 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
     // construction and zero scratch reallocation (the reduction
     // buffers retained in the recycled executors are re-seeded per run,
     // never trusted).
-    partitioned_loop<Kernel, N>* graw =
-        opts.exec_pool ? group_pool<Kernel, N>::take() : nullptr;
+    partitioned_loop<Kernel, N>* graw = group_pool<Kernel, N>::take();
     if (graw != nullptr) {
         graw->reset(set, args, kernel, opts, name, nparts);
     } else {
@@ -915,6 +761,7 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
     auto* join = new join_node<Kernel, N>(grp);
     node_ref jref(join, /*adopt=*/true);
     join->bind_pool(pool);
+    join->set_run_inline();
     join->set_site(name, dataflow_node::kJoin, 0);
 
     // Quarantine gate: a loop consuming a poisoned dat is issued
@@ -929,9 +776,7 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
 
     bool const affinity = opts.placement == placement_kind::affinity;
     std::uint64_t const loop_tag =
-        opts.color_exemption
-            ? g_exemption_loop_seq.fetch_add(1, std::memory_order_relaxed)
-            : 0;
+        g_loop_tag_seq.fetch_add(1, std::memory_order_relaxed);
 
     // Reused across issues (and across the (partition, colour) loop
     // below): request counts are small and issue() consumes the span
@@ -1026,7 +871,7 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
                         add(&dats[i].pin.records()[q], write);
                     }
                 } else {
-                    // No footprint (should not happen): conservatively
+                    // No footprint (one-partition plans carry none):
                     // edge on every partition of the dat.
                     for (std::size_t q = 0; q < nparts; ++q) {
                         add(&dats[i].pin.records()[q], write);
@@ -1055,9 +900,10 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
 ///    sub-ranges of the set, one sub-node per (partition, colour), one
 ///    per pool worker by default) and runs as its per-partition
 ///    dependencies resolve; independent partitions of dependent loops
-///    overlap, and there is no global barrier. partitions = 1 keeps the
-///    whole-set single-node shape. Reduction results (op_arg_gbl) are
-///    valid only once the returned handle is ready.
+///    overlap, and there is no global barrier. partitions = 1 is one
+///    partition: its colours run one sub-node at a time. Reduction
+///    results (op_arg_gbl) are valid only once the returned handle is
+///    ready.
 template <typename Kernel, typename... Args>
 loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
                      Kernel kernel, Args... args) {
@@ -1101,7 +947,7 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
                 plan_get(ex.set(), ex.args(), plan_desc{opts.part_size});
             try {
                 fault::on_kernel(name, 0, 0);
-                detail::staged_sweep(ex, plan, backend_kind::staged, name);
+                detail::staged_sweep(ex, plan, name);
             } catch (...) {
                 detail::poison_sync_failure(ex.args(), name);
                 throw;
@@ -1115,11 +961,10 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
             std::array<op_arg, n> argv{std::move(args)...};
             // Tuner consult: an explicit op2::auto_tune opts this loop
             // in; OP2HPX_AUTOTUNE re-routes every *defaulted* loop
-            // (explicit partition counts stay pinned — they are the
-            // differential oracles). The resolved count and placement
-            // flow through the unchanged issue paths below, so a tuned
-            // issue is bit-for-bit an ordinary issue of that
-            // configuration plus one measurement token.
+            // (explicit partition counts stay pinned). The resolved
+            // count and placement flow through the unchanged issue path
+            // below, so a tuned issue is bit-for-bit an ordinary issue
+            // of that configuration plus one measurement token.
             loop_options eff = opts;
             tune::probe probe{};
             if (opts.partitions == auto_tune ||
@@ -1137,11 +982,6 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
             }
             std::size_t const nparts =
                 eff.partitions != 0 ? eff.partitions : pool.size();
-            if (nparts <= 1) {
-                return detail::issue_whole_set<Kernel, n>(
-                    eff, name, std::move(set), std::move(argv),
-                    std::move(kernel), pool, probe);
-            }
             return detail::issue_partitioned<Kernel, n>(
                 eff, name, std::move(set), std::move(argv),
                 std::move(kernel), pool, nparts, probe);

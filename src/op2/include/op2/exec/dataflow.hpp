@@ -13,10 +13,10 @@
 //  * every dat carries one dep_record — a monotonically increasing
 //    last-writer epoch plus the reader set of that epoch — instead of a
 //    vector of shared futures;
-//  * every issued loop is one refcounted dataflow_node (which embeds
-//    the typed staged executor, see backend.hpp) and doubles as the
-//    pool's intrusive task_node, so wiring a loop into the graph and
-//    scheduling it allocates nothing beyond the node itself;
+//  * every issued loop is a set of refcounted dataflow_nodes — one per
+//    (partition, colour) plus a join, see backend.hpp — and each node
+//    doubles as the pool's intrusive task_node, so wiring a loop into
+//    the graph and scheduling it allocates nothing beyond the nodes;
 //  * readers of the same epoch run concurrently (they only edge on the
 //    epoch's writer); a writer batch-waits on the previous epoch —
 //    writer + reader count — through a single atomic pending counter,
@@ -33,7 +33,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -274,6 +273,14 @@ public:
         return hint_;
     }
 
+    /// Snapshot of the nodes still waiting on this one. A loop's join
+    /// node sits in no dat record, so graph dumps reach it only through
+    /// its sub-nodes' edges.
+    void successors(std::vector<node_ref>& out) {
+        std::lock_guard<hpxlite::util::spinlock> lk(succ_mtx_);
+        out.assign(succs_.begin(), succs_.end());
+    }
+
     // -- issue-side protocol (used by issue(), below) -----------------
 
     /// Add the edge pred -> this unless pred already completed (in which
@@ -311,6 +318,15 @@ public:
     void set_worker_hint(std::size_t worker) noexcept {
         hint_ = static_cast<std::uint32_t>(worker);
     }
+
+    /// Run the node on the thread that readies it instead of queueing
+    /// it. For O(1) bodies only (a loop's join): a queued join sits
+    /// under the successors its last sub-node readied, and a worker
+    /// that keeps popping its newest task reaches it only once the
+    /// chain ahead stalls — on a one-worker pool that is the next
+    /// fence, with every finished loop's group still held. Must be set
+    /// before schedule(), like the hint.
+    void set_run_inline() noexcept { run_inline_ = true; }
 
     /// Drop the issue guard: the node becomes runnable as soon as its
     /// last predecessor finishes (or immediately, if none are pending).
@@ -352,7 +368,9 @@ private:
         if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             add_ref();  // the queue's reference, dropped by pool_action
             auto* n = static_cast<hpxlite::threads::task_node*>(this);
-            if (hint_ != kNoHint) {
+            if (run_inline_) {
+                pool_action(n, true);
+            } else if (hint_ != kNoHint) {
                 pool_->submit_to(hint_, n);
             } else {
                 pool_->submit(n);
@@ -421,6 +439,7 @@ private:
     std::atomic<std::uint32_t> refs_{1};
     std::atomic<std::uint32_t> pending_{1};  // +1 issue guard
     std::uint32_t hint_ = kNoHint;  // affinity worker, written at issue
+    bool run_inline_ = false;       // written at issue, before schedule()
     // Graph-site identity for watchdog dumps, written at issue.
     char const* site_loop_ = nullptr;
     char const* site_job_ = nullptr;   // non-null: service job's name
@@ -466,9 +485,9 @@ struct dep_writer {
 /// concurrently.
 ///
 /// `writers` is plural because of the loop-local same-colour
-/// non-conflict exemption: the sub-nodes of ONE partitioned loop write a
-/// record as an open "burst" (`burst_loop` holds the loop's id while it
-/// lasts). Partition plans are coloured globally, so two same-coloured
+/// non-conflict exemption: the sub-nodes of ONE loop write a record as
+/// an open "burst" (`burst_loop` holds the loop's id while it lasts).
+/// Partition plans are coloured globally, so two same-coloured
 /// sub-nodes of one loop provably never mutate the same target element;
 /// a burst member therefore skips the WAW edge to same-colour members
 /// already in `writers` — that is what lets boundary-straddling INC
@@ -605,12 +624,6 @@ struct dep_state {
     std::size_t count = 0;        // partition granularity of `recs`
     std::size_t inflight = 0;     // loops pinned mid-issue on `recs`
     std::shared_ptr<dep_record[]> recs;
-    /// Locality hook invoked (outside the state lock, with the new
-    /// granularity) after a *re*-partition — a granularity change, not
-    /// the initial table — so the memory layer can re-warm the dat's
-    /// partitions on their owning workers (see memory::warm_partitions).
-    /// Set once at dat creation, before any concurrent issue.
-    std::function<void(std::size_t)> repartition_hook;
 
     /// Pin the record table at granularity `p` for the duration of one
     /// loop's issue (re-partitioning first if needed). The returned
@@ -622,13 +635,12 @@ struct dep_state {
             std::vector<node_ref> pending;
             std::vector<node_ref> failed;
             {
-                std::unique_lock<hpxlite::util::spinlock> lk(mtx);
+                std::lock_guard<hpxlite::util::spinlock> lk(mtx);
                 if (count == p && recs) {
                     ++inflight;
                     return recs;
                 }
                 if (inflight == 0) {
-                    bool const repartition = count != 0;
                     for (std::size_t i = 0; i < count; ++i) {
                         dep_record& r = recs[i];
                         std::lock_guard<hpxlite::util::spinlock> rlk(r.mtx);
@@ -686,12 +698,7 @@ struct dep_state {
                         recs = std::move(next);
                         count = p;
                         ++inflight;
-                        auto pinned = recs;
-                        if (repartition && repartition_hook) {
-                            lk.unlock();  // hook submits pool tasks
-                            repartition_hook(p);
-                        }
-                        return pinned;
+                        return recs;
                     }
                 }
             }
@@ -861,9 +868,9 @@ private:
 /// One (record, access) pair of a loop being issued. The backend merges
 /// duplicate dats before issuing (write dominates), so each record
 /// appears at most once per sub-node. `loop`/`color` carry the
-/// same-colour exemption tag: nonzero `loop` marks a sub-node of a
-/// partitioned loop issued with the exemption enabled, and `color` its
-/// globally-consistent plan colour.
+/// same-colour exemption tag: `loop` is the issuing loop's nonzero id
+/// (one per issue) and `color` the sub-node's globally-consistent plan
+/// colour.
 struct dep_request {
     dep_record* rec = nullptr;
     bool write = false;
@@ -885,7 +892,7 @@ inline void issue(dataflow_node& n, std::span<dep_request const> reqs,
         dep_record& r = *rq.rec;
         std::lock_guard<hpxlite::util::spinlock> lk(r.mtx);
         if (rq.write) {
-            if (rq.loop != 0 && r.burst_loop == rq.loop) {
+            if (r.burst_loop == rq.loop) {
                 // Same-loop burst member: inherit the displaced epoch's
                 // WAW/WAR edges, order after readers that slipped in
                 // mid-burst (a concurrent issuer), and after
@@ -911,19 +918,16 @@ inline void issue(dataflow_node& n, std::span<dep_request const> reqs,
                 for (auto const& rd : r.readers) {
                     n.depend_on(*rd);  // WAR
                 }
+                // Opening a burst: keep the displaced epoch (its writers
+                // AND readers) alive, so later members inherit the same
+                // WAW/WAR edges and errors this opener just took.
                 r.prev.clear();
-                if (rq.loop != 0) {
-                    // Opening a burst: keep the displaced epoch (its
-                    // writers AND readers) alive, so later members
-                    // inherit the same WAW/WAR edges and errors this
-                    // opener just took.
-                    r.prev.reserve(r.writers.size() + r.readers.size());
-                    for (auto& w : r.writers) {
-                        r.prev.push_back(std::move(w.node));
-                    }
-                    for (auto& rd : r.readers) {
-                        r.prev.push_back(std::move(rd));
-                    }
+                r.prev.reserve(r.writers.size() + r.readers.size());
+                for (auto& w : r.writers) {
+                    r.prev.push_back(std::move(w.node));
+                }
+                for (auto& rd : r.readers) {
+                    r.prev.push_back(std::move(rd));
                 }
                 r.readers.clear();
                 r.writers.clear();
@@ -945,8 +949,8 @@ inline void issue(dataflow_node& n, std::span<dep_request const> reqs,
             std::erase_if(r.readers, [](node_ref const& rd) {
                 return rd->done() && !rd->failed();
             });
-            // Same hygiene for the write side: a dat written once by an
-            // exempt loop and then only read would pin the burst's
+            // Same hygiene for the write side: a dat written once by a
+            // loop and then only read would pin the burst's
             // writers and the displaced epoch (`prev`) for the rest of
             // the program. Completed healthy entries create no edges
             // anyway (depend_on is a no-op on done predecessors);

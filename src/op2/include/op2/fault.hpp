@@ -29,7 +29,11 @@
 //    seed=N                 RNG seed for jitter (default 1)
 //    kernel=NAME@P.C[#K]    throw in loop NAME, partition P, colour C
 //                           (P and/or C may be '*'), on the K-th
-//                           matching hit (default 1); fires once
+//                           matching hit (default 1); fires once. A
+//                           hit is one kernel sweep: one per loop on
+//                           the synchronous backends, one per live
+//                           colour of each partition on the dataflow
+//                           backend (one-partition loops included)
 //    alloc=K                K-th aligned_buffer allocation throws
 //    delay=K:US             K-th pool task sleeps US microseconds first
 //    drop=K                 K-th pool task is discarded, never run
@@ -87,8 +91,10 @@ void disarm() noexcept;
 [[nodiscard]] std::string active_plan();
 
 /// Exec-layer hook: called right before a (sub-)node runs its kernel
-/// sweep. `partition`/`color` are 0 for the synchronous and whole-set
-/// backends. Throws injected_fault when an armed kernel site matches.
+/// sweep. `partition`/`color` are 0 for the synchronous backends; a
+/// dataflow sub-node reports its own (partition, colour), also when the
+/// loop has one partition. Throws injected_fault when an armed kernel
+/// site matches.
 inline void on_kernel(char const* loop, std::size_t partition,
                       std::size_t color) {
     if (armed()) {

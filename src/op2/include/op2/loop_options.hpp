@@ -8,14 +8,6 @@
 
 namespace op2 {
 
-namespace detail {
-/// Process default of loop_options::exec_pool: true unless
-/// OP2HPX_EXEC_POOL is set to 0/off/false/no (the per-issue
-/// construct-and-discard baseline, kept for differential testing and
-/// as the bench denominator). Read once, cached.
-[[nodiscard]] bool exec_pool_default() noexcept;
-}  // namespace detail
-
 /// Sentinel for loop_options::partitions: resolve the partition count
 /// *and* placement through the online tuner (op2/tune.hpp) — explore
 /// the candidate ladder once per (loop site, shape), then exploit the
@@ -65,42 +57,19 @@ struct loop_options {
 
     /// Execution-granularity of the hpx_dataflow backend: the iteration
     /// set is split into this many contiguous partitions and the loop is
-    /// issued as one graph sub-node per (partition, colour), so
-    /// independent partitions of *dependent* loops overlap in the epoch
-    /// graph. 0 means "one per pool worker". 1 pins whole-set
-    /// granularity (one node per loop — the PR 2 shape, kept as the
-    /// differential oracle). Plans are built and cached per partition.
-    /// op2::auto_tune delegates the count (and placement) to the online
-    /// tuner. The seq and staged backends ignore this field: they are
-    /// synchronous, so there is no graph to scope.
+    /// issued as one graph sub-node per (partition, colour) plus a join,
+    /// so independent partitions of *dependent* loops overlap in the
+    /// epoch graph. 0 means "one per pool worker"; 1 is one partition,
+    /// whose colours run one sub-node at a time. Plans are built and
+    /// cached per partition. op2::auto_tune delegates the count (and
+    /// placement) to the online tuner. The seq and staged backends
+    /// ignore this field: they are synchronous, so there is no graph to
+    /// scope.
     std::size_t partitions = 0;
 
     /// Sub-node placement policy of the hpx_dataflow backend (ignored by
-    /// the synchronous backends and at whole-set granularity, where
-    /// there is one node and nothing to pin).
+    /// the synchronous backends).
     placement_kind placement = placement_kind::affinity;
-
-    /// Loop-local same-colour non-conflict exemption of the hpx_dataflow
-    /// backend: partition plans are coloured *globally* (one
-    /// deterministic sweep over every partition's blocks), so two
-    /// same-coloured sub-nodes of one loop provably never mutate the
-    /// same target element — the dependency layer skips the conservative
-    /// WAW edge between them and boundary-straddling INC partitions of a
-    /// single loop run concurrently. Off reinstates the conservative
-    /// per-record edges (differential oracle / bench baseline).
-    bool color_exemption = true;
-
-    /// Cross-issue executor/scratch pooling of the hpx_dataflow
-    /// partitioned path: retired loop groups (executors, plan bindings,
-    /// grow-only reduction scratch, quarantine target vectors) park in a
-    /// sharded, thread-local-first free pool keyed per issue site and
-    /// are rebound on the next issue instead of constructed from
-    /// scratch — the steady state of a time-marching chain allocates
-    /// nothing per loop. Off restores the per-issue
-    /// construct-and-discard lifecycle (differential oracle and the
-    /// bench_micro_op2 dispatch-overhead denominator). Default from
-    /// detail::exec_pool_default() (OP2HPX_EXEC_POOL env).
-    bool exec_pool = detail::exec_pool_default();
 
     /// Bounded retry budget for checkpoint-recovering drivers (the
     /// fault-tolerance layer): how many times an epoch that failed —

@@ -1,57 +1,29 @@
 #pragma once
 
-// Locality-aware memory layer for dat storage (and the checkpoint
-// buffers built on the same allocation).
-//
-// The async OP2-on-HPX design wins by keeping each partition's working
-// set hot on one core: the dataflow backend pins partition p's sub-nodes
-// to worker p % pool_size (loop_options::placement). Before this layer,
-// the *data* undercut the hint — every dat was a bare std::vector whose
-// pages were first-touched wholesale by the mesh-loading thread, with no
-// alignment guarantee. This layer closes the gap:
+// Memory layer for dat storage (and the checkpoint buffers built on the
+// same allocation):
 //
 //  * aligned_buffer — the storage every dat allocates through: the base
 //    is 64-byte (cache-line) aligned and the capacity is padded to a
 //    whole number of cache lines, so two dats never share a line.
-//  * partition-affine first touch — on request (OP2HPX_FIRST_TOUCH / ​
-//    set_first_touch), a dat's pages are initialised by one task per set
-//    partition, fanned through the pool's affinity inboxes
-//    (thread_pool::submit_to), so partition p's pages are written first
-//    by worker p % pool_size — the worker the placement hint keeps
-//    sending partition p's loops to. Touch ranges are padded to cache
-//    lines with a boundary-straddling line owned by the lower partition,
-//    so no line is written by two touch tasks. Off (the default) keeps
-//    the old loader-thread initialisation as the oracle.
+//  * partition touch ranges and copy_partitions — checkpoint snapshots
+//    and rollback restores copy a dat one set partition at a time on
+//    worker p % pool_size, the worker the dataflow placement hint
+//    (loop_options::placement) keeps sending partition p's loops to.
+//    Touch ranges are padded to cache lines with a boundary-straddling
+//    line owned by the lower partition, so no line is written by two
+//    copy tasks.
 
-#include <atomic>
 #include <cstddef>
-#include <functional>
-#include <memory>
+#include <new>
 #include <utility>
-#include <vector>
 
 #include <hpxlite/config.hpp>
 #include <hpxlite/threads/thread_pool.hpp>
-#include <hpxlite/threads/topology.hpp>
 #include <op2/fault.hpp>
 #include <op2/set.hpp>
 
 namespace op2::memory {
-
-// --- machine topology ----------------------------------------------------
-
-/// The probed NUMA topology (re-exported from hpxlite so op2 users and
-/// the tuner's placement ladder see the same map the worker binding
-/// uses). Single-node machines get the identity map; see
-/// hpxlite/threads/topology.hpp for probe order and fallbacks.
-using hpxlite::threads::topology;
-using hpxlite::threads::topology_info;
-
-/// The NUMA node of the core that pool worker `worker` binds to under
-/// node-major binding (pool_options::bind_workers). This is the node a
-/// partition owned by `worker` should place its pages on. Always 0 on
-/// single-node machines, so callers can use it unconditionally.
-[[nodiscard]] int worker_node(std::size_t worker) noexcept;
 
 inline constexpr std::size_t cache_line = hpxlite::cache_line_size;
 
@@ -112,10 +84,10 @@ private:
     std::size_t capacity_ = 0;
 };
 
-// --- partition-affine first touch ---------------------------------------
+// --- partition touch ranges ------------------------------------------
 
 /// The byte range of a dat (element stride `stride`) that partition `p`
-/// of `part` owns for touching purposes: its element range scaled to
+/// of `part` owns for copying purposes: its element range scaled to
 /// bytes, then padded to cache lines. A line straddling the partition
 /// boundary belongs to the *lower* partition (lo rounds up, hi rounds
 /// up), so across p the ranges are disjoint, line-granular away from the
@@ -133,64 +105,6 @@ struct touch_range {
                                                 std::size_t stride,
                                                 std::size_t total);
 
-/// Whether dats initialise their pages partition-affinely. Default comes
-/// from the OP2HPX_FIRST_TOUCH environment variable (off unless set to
-/// 1/on/true/yes); set_first_touch overrides it for the process. Off is
-/// the seed behaviour (loader thread writes everything) and the oracle
-/// the differential suites compare against.
-[[nodiscard]] bool first_touch_enabled() noexcept;
-void set_first_touch(bool on) noexcept;
-/// Drop any set_first_touch override and follow the environment again
-/// (tests and scoped toggles must not pin the process-wide policy).
-void reset_first_touch() noexcept;
-
-/// Scoped first-touch override: applies `on` for the guard's lifetime,
-/// then restores the previous *effective* setting — exception-safe, so
-/// a throwing dat declaration cannot leak the override.
-class first_touch_scope {
-public:
-    explicit first_touch_scope(bool on) noexcept
-      : prev_(first_touch_enabled()) {
-        set_first_touch(on);
-    }
-    first_touch_scope(first_touch_scope const&) = delete;
-    first_touch_scope& operator=(first_touch_scope const&) = delete;
-    ~first_touch_scope() { set_first_touch(prev_); }
-
-private:
-    bool prev_;
-};
-
-/// Test hook: when set, first_touch_init records which pool worker
-/// touched each partition (worker[p], -1 = never ran / ran inline) and
-/// counts enqueued touch tasks, so a trace test can assert the pages
-/// were written by their owners. `on_touch`, when set, is invoked by
-/// each touch task (with its partition id) before it writes — the trace
-/// test's rendezvous point, same blocker protocol as the placement
-/// trace test in test_exec_backend.cpp.
-struct first_touch_trace {
-    std::atomic<std::size_t> enqueued{0};
-    std::vector<long> worker;  // sized by first_touch_init
-    std::function<void(std::size_t)> on_touch;
-};
-void set_first_touch_trace(first_touch_trace* t) noexcept;
-
-/// Initialise `dst[0, total)` from `init` (or zeros when null) with one
-/// task per partition of `part`, submitted through the pool's affinity
-/// inbox of worker p % pool.size() — the same mapping the dataflow
-/// placement hint uses — and wait for all of them. Pages are therefore
-/// *written first* by the worker that will keep executing the
-/// partition's loops. On multi-node machines each touch task
-/// additionally advises the kernel (bind_range_to_node) to place the
-/// partition's pages on the owning worker's node *before* writing, so
-/// placement holds even when the touching thread migrated or binding is
-/// off. Falls back to inline initialisation when called from a pool
-/// worker (waiting for own-inbox tasks there would deadlock) or when
-/// the set is empty.
-void first_touch_init(std::byte* dst, void const* init, std::size_t total,
-                      set_partition const& part, std::size_t stride,
-                      hpxlite::threads::thread_pool& pool);
-
 /// Copy `total` bytes from `src` to `dst` with one task per partition
 /// of `part`, fanned through the pool's affinity inbox of worker
 /// p % pool.size() — the mapping the dataflow placement hint uses — and
@@ -202,15 +116,5 @@ void first_touch_init(std::byte* dst, void const* init, std::size_t total,
 void copy_partitions(std::byte* dst, std::byte const* src, std::size_t total,
                      set_partition const& part, std::size_t stride,
                      hpxlite::threads::thread_pool& pool);
-
-/// Fire-and-forget cache re-warm after a dependency-table re-partition:
-/// for each partition of the *new* granularity, submit a prefetch sweep
-/// over its touch range to its owning worker. Prefetch-only (no C++
-/// level loads), so it cannot race the loops about to run on the data.
-/// `keepalive` pins the storage for the duration of the sweep.
-void warm_partitions(std::byte const* base, std::size_t total,
-                     set_partition const& part, std::size_t stride,
-                     hpxlite::threads::thread_pool& pool,
-                     std::shared_ptr<void> keepalive);
 
 }  // namespace op2::memory

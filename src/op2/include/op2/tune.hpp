@@ -18,9 +18,10 @@
 //
 //  * Candidate ladder — deterministic, derived from the pool size:
 //    {1, pool/2, pool, 2*pool} partitions (deduped, ascending) crossed
-//    with {affinity, any} placement (whole-set granularity has nothing
-//    to place, so partitions == 1 appears once). Identical pools give
-//    identical ladders, which is what makes exploration replayable.
+//    with {affinity, any} placement (one partition runs its sub-nodes
+//    one at a time, so partitions == 1 appears once, with affinity).
+//    Identical pools give identical ladders, which is what makes
+//    exploration replayable.
 //
 //  * Policy — bounded exploration, then exploitation. Each candidate is
 //    issued exactly once, in ascending order of its psim prior
@@ -61,8 +62,9 @@ struct config {
 
 /// The deterministic candidate ladder for a pool of `pool_size`
 /// workers: {1, pool/2, pool, 2*pool} partitions (deduped, ascending)
-/// x {affinity, any}, with the whole-set entry (partitions == 1)
-/// appearing once — placement is meaningless for a single node.
+/// x {affinity, any}, with the one-partition entry (partitions == 1)
+/// appearing once — its sub-nodes run one at a time, so there is
+/// nothing to spread over workers.
 [[nodiscard]] std::vector<config> ladder(std::size_t pool_size);
 
 /// Process default of the tuner: OP2HPX_AUTOTUNE=1/on/true/yes routes

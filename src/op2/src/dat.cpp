@@ -1,12 +1,10 @@
 #include <op2/dat.hpp>
 
-#include <atomic>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <vector>
 
-#include <hpxlite/runtime.hpp>
 #include <op2/context.hpp>
 #include <op2/memory.hpp>
 #include <op2/set.hpp>
@@ -36,52 +34,8 @@ op_dat make_dat(op_set s, int dim, std::size_t elem_bytes,
     std::size_t const stride = static_cast<std::size_t>(dim) * elem_bytes;
     std::size_t const bytes = impl->set.size() * stride;
     impl->data = memory::aligned_buffer(bytes);
-    // Context override first (service jobs pick their own placement),
-    // process default (OP2HPX_FIRST_TOUCH) otherwise.
-    bool const first_touch = impl->ctx->first_touch >= 0
-                                 ? impl->ctx->first_touch != 0
-                                 : memory::first_touch_enabled();
     if (bytes > 0) {
-        if (first_touch) {
-            // Partition-affine first touch: one init task per partition
-            // (at pool granularity, matching the dataflow placement
-            // mapping p % pool_size), fanned through the affinity
-            // inboxes so partition p's pages are written first by the
-            // worker its loops will be pinned to.
-            auto& pool = hpxlite::get_pool();
-            memory::first_touch_init(impl->data.data(), init, bytes,
-                                     *impl->set.partition(pool.size()),
-                                     stride, pool);
-            // Keep the partition-affinity warm across dependency-table
-            // granularity changes: when a loop re-partitions this dat's
-            // records, sweep prefetches over the new partitions on
-            // their owners (prefetch-only: cannot race the loops).
-            // Damped two ways so an oscillating program (whole-set and
-            // partitioned loops alternating on one dat) does not pay a
-            // full-dat prefetch fan-out per issue: only the pool-size
-            // granularity is warmed (the only one the placement hint
-            // p % pool_size targets), and only when it differs from the
-            // last granularity warmed.
-            std::weak_ptr<dat_impl> wp = impl;
-            auto last_warmed = std::make_shared<std::atomic<std::size_t>>(0);
-            impl->dep.repartition_hook = [wp, stride,
-                                          last_warmed](std::size_t parts) {
-                auto p = wp.lock();
-                if (!p || p->data.empty()) {
-                    return;
-                }
-                auto& wpool = hpxlite::get_pool();
-                if (parts != wpool.size() ||
-                    last_warmed->exchange(parts,
-                                          std::memory_order_relaxed) ==
-                        parts) {
-                    return;
-                }
-                memory::warm_partitions(p->data.data(), p->data.size(),
-                                        *p->set.partition(parts), stride,
-                                        wpool, p);
-            };
-        } else if (init != nullptr) {
+        if (init != nullptr) {
             std::memcpy(impl->data.data(), init, bytes);
         } else {
             std::memset(impl->data.data(), 0, bytes);

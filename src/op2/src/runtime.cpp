@@ -2,20 +2,9 @@
 
 #include <mutex>
 
-#include <hpxlite/util/env.hpp>
 #include <op2/exec/dataflow.hpp>
 
 namespace op2 {
-
-namespace detail {
-
-bool exec_pool_default() noexcept {
-    static bool const on =
-        hpxlite::util::env_flag("OP2HPX_EXEC_POOL", true);
-    return on;
-}
-
-}  // namespace detail
 
 config& global_config() {
     static config cfg;

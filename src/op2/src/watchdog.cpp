@@ -17,21 +17,28 @@ void dump_graph(std::ostream& os) {
     // one record per dat partition it touches).
     std::vector<node_ref> pending;
     std::vector<node_ref> scratch;
+    auto add_pending = [&](node_ref const& n) {
+        if (!n->done() &&
+            std::find_if(pending.begin(), pending.end(),
+                         [&](node_ref const& q) { return &*q == &*n; }) ==
+                pending.end()) {
+            pending.push_back(n);
+        }
+    };
     for (auto const& di : dats) {
         auto const [recs, count] = di->dep.table();
         for (std::size_t p = 0; p < count; ++p) {
             recs[p].snapshot(scratch);
             for (auto& n : scratch) {
-                if (n->done()) {
-                    continue;
-                }
-                if (std::find_if(pending.begin(), pending.end(),
-                                 [&](node_ref const& q) {
-                                     return &*q == &*n;
-                                 }) == pending.end()) {
-                    pending.push_back(n);
-                }
+                add_pending(n);
             }
+        }
+    }
+    // Join nodes wait on edges, not on records: follow the successors.
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+        pending[i]->successors(scratch);
+        for (auto& n : scratch) {
+            add_pending(n);
         }
     }
 

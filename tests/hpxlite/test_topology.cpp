@@ -1,6 +1,6 @@
 // Tests of the CPU/NUMA topology probe (hpxlite/threads/topology.hpp).
 // The probe must produce a usable map on every machine it runs on —
-// libnuma, sysfs fallback, or the single-node identity — so these are
+// the sysfs node map or the single-node identity — so these are
 // invariant checks, not golden values: a laptop, a NUMA server and a
 // restricted container must all pass.
 
@@ -11,7 +11,6 @@
 
 #include <hpxlite/threads/topology.hpp>
 
-using hpxlite::threads::bind_range_to_node;
 using hpxlite::threads::topology;
 using hpxlite::threads::topology_info;
 
@@ -56,21 +55,6 @@ TEST(Topology, SnapshotIsStable) {
     // One immutable snapshot per process: repeat calls return the same
     // object (consumers cache references to it).
     EXPECT_EQ(&topology(), &topology());
-}
-
-TEST(Topology, BindRangeToNodeIsSafeWithoutLibnuma) {
-    // Best-effort contract: never crashes, returns false on degenerate
-    // input and on builds/machines without libnuma. When it returns
-    // true the pages were placed, but that is not asserted here — CI
-    // containers routinely lack the privilege.
-    EXPECT_FALSE(bind_range_to_node(nullptr, 4096, 0));
-    std::vector<char> page(1 << 16);
-    EXPECT_FALSE(bind_range_to_node(page.data(), 0, 0));
-    (void)bind_range_to_node(page.data(), page.size(), 0);
-    (void)bind_range_to_node(page.data(), page.size(),
-                             static_cast<int>(topology().nodes));
-    page.assign(page.size(), 1);  // memory must still be usable
-    EXPECT_EQ(page[0], 1);
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // the tuner only picks among schedules the differential suites already
 // prove equivalent, so a divergence is a tuner bug (a probe mutating
 // state, a mid-exploration config leaking across loops), not rounding.
-// Exercised on the airfoil-shaped chain against the whole-set and
-// pool-partition oracles, and on randomized indirect DAGs against the
-// sequential reference while the tuner is still exploring. The
+// Exercised on the airfoil-shaped chain against seq and the
+// pool-partition run, and on randomized indirect DAGs against seq
+// while the tuner is still exploring. The
 // randomized DAG doubles as the TSan workout: many concurrent issues
 // consult choose() and report() on live sites.
 //
@@ -29,8 +29,8 @@ using namespace op2;
 namespace {
 
 /// The five-loop airfoil-shaped time-march of the dataflow
-/// differential, parameterised on the partition policy (a fixed count,
-/// or op2::auto_tune).
+/// differential, parameterised on the backend and the partition policy
+/// (a fixed count, or op2::auto_tune).
 struct airfoil_tuned {
     static constexpr std::size_t kCells = 480;
     static constexpr std::size_t kEdges = 1400;
@@ -68,7 +68,8 @@ struct airfoil_tuned {
         double rms = 0.0;
     };
 
-    outcome run(int iters, std::size_t partitions) {
+    outcome run(int iters, std::size_t partitions,
+                exec::backend_kind be = exec::backend_kind::hpx_dataflow) {
         auto qv = q.view<double>();
         std::copy(q_init.begin(), q_init.end(), qv.begin());
         for (auto& x : qold.view<double>()) x = 0.0;
@@ -77,7 +78,7 @@ struct airfoil_tuned {
 
         loop_options o;
         o.part_size = 48;
-        o.backend = exec::backend_kind::hpx_dataflow;
+        o.backend = be;
         o.partitions = partitions;
 
         outcome out;
@@ -151,30 +152,30 @@ protected:
 };
 
 /// The tuned airfoil chain — exploration, then exploitation — against
-/// both fixed oracles: partitions = 1 (whole-set) and partitions =
-/// pool size (the untuned default). 10 iterations x 4 sites drive each
-/// site through its full 7-entry ladder (pool = 4) into exploitation.
+/// seq and against partitions = pool size (the untuned default). 10
+/// iterations x 4 sites drive each site through its full 7-entry
+/// ladder (pool = 4) into exploitation.
 TEST_P(TuneDifferential, AirfoilChainTunedMatchesFixedOracles) {
     airfoil_tuned prog(GetParam());
     constexpr int kIters = 10;
 
-    auto whole = prog.run(kIters, 1);
+    auto ref = prog.run(kIters, 0, exec::backend_kind::seq);
     auto pooled = prog.run(kIters, 4);
-    ASSERT_EQ(std::memcmp(whole.q.data(), pooled.q.data(),
-                          whole.q.size() * sizeof(double)),
+    ASSERT_EQ(std::memcmp(ref.q.data(), pooled.q.data(),
+                          ref.q.size() * sizeof(double)),
               0)
         << "fixed oracles disagree: partitioning itself is broken";
 
     auto tuned = prog.run(kIters, op2::auto_tune);
-    EXPECT_EQ(std::memcmp(tuned.q.data(), whole.q.data(),
-                          whole.q.size() * sizeof(double)),
+    EXPECT_EQ(std::memcmp(tuned.q.data(), ref.q.data(),
+                          ref.q.size() * sizeof(double)),
               0)
         << "tuned state q diverged from the oracles";
-    EXPECT_EQ(std::memcmp(tuned.res.data(), whole.res.data(),
-                          whole.res.size() * sizeof(double)),
+    EXPECT_EQ(std::memcmp(tuned.res.data(), ref.res.data(),
+                          ref.res.size() * sizeof(double)),
               0)
         << "tuned residual diverged from the oracles";
-    EXPECT_EQ(tuned.rms, whole.rms);
+    EXPECT_EQ(tuned.rms, ref.rms);
 
     // Trace: every site finished its ladder (each config issued at
     // least once — the exactly-once exploration discipline is pinned
@@ -198,7 +199,7 @@ TEST_P(TuneDifferential, AirfoilChainTunedMatchesFixedOracles) {
 
 /// Randomized indirect DAGs replayed bitwise against seq while the
 /// tuner explores: distinct loop names per slot give the tuner many
-/// concurrent sites, so issues mid-ladder (including whole-set and
+/// concurrent sites, so issues mid-ladder (including one-partition and
 /// 2x-oversubscribed configs, any placement) interleave in one epoch
 /// stream. This is the suite the TSan job leans on for the tuner's
 /// lock-free report path.

@@ -14,10 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <hpxlite/runtime.hpp>
@@ -69,8 +73,7 @@ struct airfoil_shaped {
     };
 
     outcome run(exec::backend_kind be, int iters, std::size_t partitions = 0,
-                placement_kind placement = placement_kind::affinity,
-                bool color_exemption = true) {
+                placement_kind placement = placement_kind::affinity) {
         auto qv = q.view<double>();
         std::copy(q_init.begin(), q_init.end(), qv.begin());
         for (auto& x : qold.view<double>()) x = 0.0;
@@ -82,7 +85,6 @@ struct airfoil_shaped {
         o.backend = be;
         o.partitions = partitions;
         o.placement = placement;
-        o.color_exemption = color_exemption;
 
         outcome out;
         // Stable storage for the per-iteration reductions, like the real
@@ -169,14 +171,15 @@ TEST_P(DataflowDifferential, AirfoilShapedChainMatchesSeqBitwise) {
     EXPECT_EQ(got.rms, ref.rms);
 }
 
-/// Partition-granular execution against the whole-set oracle
-/// (partitions = 1, the PR 2 one-node-per-loop shape): same chain, same
-/// seeds, bitwise-identical state. Odd partition counts exercise uneven
-/// partition bounds and boundary-straddling map footprints.
-TEST_P(DataflowDifferential, PartitionedChainMatchesWholeSetOracleBitwise) {
+/// Explicit partition counts against seq: same chain, same seeds,
+/// bitwise-identical state. One partition runs each loop's colours one
+/// sub-node at a time; odd counts exercise uneven partition bounds and
+/// boundary-straddling map footprints, and the same-colour exemption
+/// on res_calc's straddling INC partitions.
+TEST_P(DataflowDifferential, PartitionedChainMatchesSeqBitwise) {
     airfoil_shaped prog(GetParam());
-    auto oracle = prog.run(exec::backend_kind::hpx_dataflow, 4, 1);
-    for (std::size_t parts : {2u, 3u, 5u}) {
+    auto oracle = prog.run(exec::backend_kind::seq, 4);
+    for (std::size_t parts : {1u, 2u, 3u, 5u}) {
         auto got = prog.run(exec::backend_kind::hpx_dataflow, 4, parts);
         ASSERT_EQ(got.q.size(), oracle.q.size());
         EXPECT_EQ(std::memcmp(got.q.data(), oracle.q.data(),
@@ -214,33 +217,6 @@ TEST_P(DataflowDifferential, AffinityVsAnyPlacementBitwiseIdentical) {
             << "residual diverged between placements at " << parts
             << " partitions";
         EXPECT_EQ(aff.rms, any.rms) << parts << " partitions";
-    }
-}
-
-/// The same-colour exemption drops only provably conflict-free WAW
-/// edges, so switching it off (the conservative pre-exemption graph)
-/// must reproduce the exact same state — res_calc's INC partitions
-/// straddle partition boundaries through the random edges->cells map,
-/// which is precisely the shape the exemption overlaps.
-TEST_P(DataflowDifferential, ExemptionOnVsOffBitwiseIdentical) {
-    airfoil_shaped prog(GetParam());
-    for (std::size_t parts : {2u, 3u, 5u}) {
-        auto off = prog.run(exec::backend_kind::hpx_dataflow, 4, parts,
-                            placement_kind::affinity, false);
-        auto on = prog.run(exec::backend_kind::hpx_dataflow, 4, parts,
-                           placement_kind::affinity, true);
-        ASSERT_EQ(on.q.size(), off.q.size());
-        EXPECT_EQ(std::memcmp(on.q.data(), off.q.data(),
-                              off.q.size() * sizeof(double)),
-                  0)
-            << "state q diverged under the exemption at " << parts
-            << " partitions";
-        EXPECT_EQ(std::memcmp(on.res.data(), off.res.data(),
-                              off.res.size() * sizeof(double)),
-                  0)
-            << "residual diverged under the exemption at " << parts
-            << " partitions";
-        EXPECT_EQ(on.rms, off.rms) << parts << " partitions";
     }
 }
 
@@ -325,10 +301,10 @@ TEST_P(DataflowDifferential, RandomLoopDagMatchesSeqAndEpochCount) {
     std::vector<std::vector<double>> ref, got;
     std::vector<std::uint64_t> epochs;
     run(exec::backend_kind::seq, &ref, nullptr);
-    // Default granularity (one partition per pool worker), the
-    // whole-set oracle, and an uneven explicit count: all must replay
-    // the issue order's semantics bitwise, and all must count writer
-    // loops identically in the dat-level epochs.
+    // Default granularity (one partition per pool worker), one
+    // partition, and an uneven explicit count: all must replay the
+    // issue order's semantics bitwise, and all must count writer loops
+    // identically in the dat-level epochs.
     for (std::size_t parts : {0u, 1u, 5u}) {
         for (auto placement :
              {placement_kind::affinity, placement_kind::any}) {
@@ -419,15 +395,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DataflowCrossPartitionInc,
                          ::testing::Values(3u, 17u, 29u, 53u));
 
 /// More partitions than pool workers (6, 8 and 12 over 4 workers), so
-/// affinity placement wraps several partitions onto each worker: the
-/// airfoil-shaped chain must stay bitwise identical to the whole-set
-/// oracle.
+/// affinity placement wraps several partitions onto each worker, plus
+/// one partition, whose sub-nodes all carry worker 0's hint: the
+/// airfoil-shaped chain must stay bitwise identical to seq.
 class DataflowWrappedPartitions : public DataflowDifferential {};
 
-TEST_P(DataflowWrappedPartitions, AirfoilShapedChainMatchesWholeSetOracle) {
+TEST_P(DataflowWrappedPartitions, AirfoilShapedChainMatchesSeqBitwise) {
     airfoil_shaped prog(GetParam());
-    auto oracle = prog.run(exec::backend_kind::hpx_dataflow, 4, 1);
-    for (std::size_t parts : {6u, 8u, 12u}) {
+    auto oracle = prog.run(exec::backend_kind::seq, 4);
+    for (std::size_t parts : {1u, 6u, 8u, 12u}) {
         auto got = prog.run(exec::backend_kind::hpx_dataflow, 4, parts);
         ASSERT_EQ(got.q.size(), oracle.q.size());
         EXPECT_EQ(std::memcmp(got.q.data(), oracle.q.data(),
@@ -617,5 +593,289 @@ TEST_F(DataflowTinySet, MorePartitionsThanElementsMatchesSeqBitwise) {
               0)
         << "cell dat diverged";
 }
+
+/// One partition through the partitioned issue path: a loop of colours
+/// chained one sub-node at a time, plus a join. Each case picks its own
+/// pool size, so the fixture only tears down.
+class DataflowOnePartition : public ::testing::TestWithParam<unsigned> {
+protected:
+    void TearDown() override {
+        fault::disarm();
+        hpxlite::finalize();
+    }
+};
+
+/// A one-worker pool with default partitions issues every loop as one
+/// partition: the airfoil-shaped chain must match seq bitwise, with
+/// every dat's dependency table at granularity 1.
+TEST_P(DataflowOnePartition, DefaultOnOneWorkerMatchesSeqBitwise) {
+    hpxlite::init(hpxlite::runtime_config{1});
+    airfoil_shaped prog(GetParam());
+    auto const ref = prog.run(exec::backend_kind::seq, 4);
+    auto const got = prog.run(exec::backend_kind::hpx_dataflow, 4);
+    ASSERT_EQ(got.q.size(), ref.q.size());
+    EXPECT_EQ(std::memcmp(got.q.data(), ref.q.data(),
+                          ref.q.size() * sizeof(double)),
+              0)
+        << "state q diverged on one worker";
+    EXPECT_EQ(std::memcmp(got.res.data(), ref.res.data(),
+                          ref.res.size() * sizeof(double)),
+              0)
+        << "residual diverged on one worker";
+    EXPECT_EQ(got.rms, ref.rms);
+    if (!tune::autotune_default()) {
+        // OP2HPX_AUTOTUNE=1 routes defaulted loops through the tuner's
+        // ladder instead, which includes two partitions.
+        for (op_dat d : {prog.q, prog.qold, prog.adt, prog.res}) {
+            EXPECT_EQ(d.internal().dep.count, 1u) << d.name();
+        }
+    }
+}
+
+/// A kernel fault at a seeded live colour C >= 1 of a one-partition
+/// indirect INC loop fails the loop's handle and quarantines the INC
+/// target under the failing sub-node's site: partition 0, colour C.
+TEST_P(DataflowOnePartition, ColourFaultQuarantinesPartitionZero) {
+    hpxlite::init(hpxlite::runtime_config{4});
+    constexpr std::size_t kCells = 200;
+    constexpr std::size_t kEdges = 600;
+    auto cells = op_decl_set(kCells, "op_cells");
+    auto edges = op_decl_set(kEdges, "op_edges");
+    std::mt19937 rng(GetParam());
+    std::uniform_int_distribution<int> cd(0, kCells - 1);
+    std::vector<int> tab(2 * kEdges);
+    for (auto& v : tab) {
+        v = cd(rng);
+    }
+    auto em = op_decl_map(edges, cells, 2, tab, "op_em");
+    auto acc = op_decl_dat_zero<double>(cells, 1, "double", "op_acc");
+    std::array<op_arg, 2> const args{
+        op_arg_dat(acc, 0, em, 1, "double", OP_INC),
+        op_arg_dat(acc, 1, em, 1, "double", OP_INC)};
+
+    loop_options o;
+    o.backend = exec::backend_kind::hpx_dataflow;
+    o.partitions = 1;
+    o.part_size = 16;
+    // The live colours of the plan the loop runs (partition 0 of 1).
+    op_plan const& plan =
+        plan_get(edges, args, plan_desc{o.part_size, 1, 0});
+    std::vector<std::size_t> live;
+    for (std::size_t c = 0; c < plan.ncolors; ++c) {
+        if (!plan.blocks_of_color(c).empty()) {
+            live.push_back(c);
+        }
+    }
+    ASSERT_GE(live.size(), 2u);
+    std::size_t const color = live[1 + GetParam() % (live.size() - 1)];
+
+    fault::arm("kernel=scatter@0." + std::to_string(color));
+    auto h = exec::run_loop(o, "scatter", edges,
+                            [](double* a, double* b) {
+                                *a += 1.0;
+                                *b += 1.0;
+                            },
+                            args[0], args[1]);
+    EXPECT_THROW(h.get(), fault::injected_fault);
+    op_fence(acc);
+    ASSERT_TRUE(acc.quarantined());
+
+    loop_options seq;
+    seq.backend = exec::backend_kind::seq;
+    double sum = 0.0;
+    try {
+        exec::run_loop(seq, "reader", cells,
+                       [](double const* x, double* s) { *s += *x; },
+                       op_arg_dat(acc, -1, OP_ID, 1, "double", OP_READ),
+                       op_arg_gbl(&sum, 1, "double", OP_INC));
+        FAIL() << "read of the failed loop's target must not run";
+    } catch (exec::quarantine_error const& e) {
+        EXPECT_EQ(e.info().loop, "scatter");
+        EXPECT_EQ(e.info().partition, 0u);
+        EXPECT_EQ(e.info().color, color);
+    }
+    acc.clear_quarantine();
+}
+
+/// An explicit partitions = 1 on a four-worker pool runs the loop's live
+/// colours one sub-node at a time, in ascending colour order: every
+/// element of an indirect INC loop runs exactly once, no two kernel
+/// calls overlap, the colour of the elements in visit order never
+/// decreases, and the INC target holds the map-derived totals exactly.
+TEST_P(DataflowOnePartition, ColoursRunInOrderOneAtATime) {
+    hpxlite::init(hpxlite::runtime_config{4});
+    constexpr std::size_t kCells = 200;
+    constexpr std::size_t kEdges = 600;
+    auto cells = op_decl_set(kCells, "oo_cells");
+    auto edges = op_decl_set(kEdges, "oo_edges");
+    std::mt19937 rng(GetParam());
+    std::uniform_int_distribution<int> cd(0, kCells - 1);
+    std::vector<int> tab(2 * kEdges);
+    for (auto& v : tab) {
+        v = cd(rng);
+    }
+    auto em = op_decl_map(edges, cells, 2, tab, "oo_em");
+    std::vector<double> ids(kEdges);
+    std::iota(ids.begin(), ids.end(), 0.0);
+    auto eid = op_decl_dat<double>(edges, 1, "double", ids, "oo_eid");
+    auto acc = op_decl_dat_zero<double>(cells, 1, "double", "oo_acc");
+    std::array<op_arg, 3> const args{
+        op_arg_dat(eid, -1, OP_ID, 1, "double", OP_READ),
+        op_arg_dat(acc, 0, em, 1, "double", OP_INC),
+        op_arg_dat(acc, 1, em, 1, "double", OP_INC)};
+
+    loop_options o;
+    o.backend = exec::backend_kind::hpx_dataflow;
+    o.partitions = 1;
+    o.part_size = 16;
+    op_plan const& plan =
+        plan_get(edges, args, plan_desc{o.part_size, 1, 0});
+    std::vector<std::size_t> color_of(kEdges, plan.ncolors);
+    std::size_t live = 0;
+    for (std::size_t c = 0; c < plan.ncolors; ++c) {
+        auto const blocks = plan.blocks_of_color(c);
+        live += blocks.empty() ? 0 : 1;
+        for (std::size_t b : blocks) {
+            for (std::size_t i = 0; i < plan.nelems[b]; ++i) {
+                color_of[plan.elem_base + plan.offset[b] + i] = c;
+            }
+        }
+    }
+    ASSERT_GE(live, 2u);
+
+    std::vector<std::size_t> order(kEdges, kEdges);
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    auto h = exec::run_loop(
+        o, "ordered", edges,
+        [&](double const* e, double* a, double* b) {
+            int const now = running.fetch_add(1) + 1;
+            int seen = peak.load();
+            while (seen < now && !peak.compare_exchange_weak(seen, now)) {
+            }
+            std::size_t const k = cursor.fetch_add(1);
+            if (k < order.size()) {
+                order[k] = static_cast<std::size_t>(*e);
+            }
+            *a += *e;
+            *b += 1.0;
+            running.fetch_sub(1);
+        },
+        args[0], args[1], args[2]);
+    h.get();
+    op_fence(acc);
+
+    EXPECT_EQ(peak.load(), 1) << "two colour sub-nodes of one partition "
+                                 "ran at the same time";
+    ASSERT_EQ(cursor.load(), kEdges);
+    std::vector<std::size_t> seen(order);
+    std::sort(seen.begin(), seen.end());
+    for (std::size_t e = 0; e < kEdges; ++e) {
+        ASSERT_EQ(seen[e], e) << "an edge ran twice or never";
+    }
+    for (std::size_t k = 1; k < kEdges; ++k) {
+        ASSERT_LE(color_of[order[k - 1]], color_of[order[k]])
+            << "edge " << order[k] << " (colour " << color_of[order[k]]
+            << ") ran after edge " << order[k - 1] << " (colour "
+            << color_of[order[k - 1]] << ")";
+    }
+    std::vector<double> want(kCells, 0.0);
+    for (std::size_t e = 0; e < kEdges; ++e) {
+        want[static_cast<std::size_t>(tab[2 * e])] += static_cast<double>(e);
+        want[static_cast<std::size_t>(tab[2 * e + 1])] += 1.0;
+    }
+    auto const got = acc.view<double>();
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), kCells * sizeof(double)),
+              0);
+}
+
+/// A one-partition loop folds its reduction partials into the user's
+/// globals once, after its last live colour. Three rounds of an indirect
+/// INC loop with gbl INC, MIN and MAX, each shifted by 16 per round so a
+/// partial left over from an earlier round shows, are issued back to back
+/// without a fence: every round's reductions and the final INC target
+/// must match seq bitwise.
+TEST_P(DataflowOnePartition, ReductionsCombineAfterTheLastColour) {
+    hpxlite::init(hpxlite::runtime_config{4});
+    constexpr std::size_t kCells = 200;
+    constexpr std::size_t kEdges = 600;
+    constexpr int kRounds = 3;
+    auto cells = op_decl_set(kCells, "or_cells");
+    auto edges = op_decl_set(kEdges, "or_edges");
+    std::mt19937 rng(GetParam());
+    std::uniform_int_distribution<int> cd(0, kCells - 1);
+    std::vector<int> tab(2 * kEdges);
+    for (auto& v : tab) {
+        v = cd(rng);
+    }
+    auto em = op_decl_map(edges, cells, 2, tab, "or_em");
+    std::uniform_int_distribution<int> vd(1, 9);
+    std::vector<double> w_init(kEdges);
+    for (auto& v : w_init) {
+        v = static_cast<double>(vd(rng));
+    }
+    auto w = op_decl_dat<double>(edges, 1, "double", w_init, "or_w");
+    auto acc = op_decl_dat_zero<double>(cells, 1, "double", "or_acc");
+
+    struct reduced {
+        double sum = 0.0;
+        double mn = 1e9;
+        double mx = -1e9;
+    };
+    auto run = [&](exec::backend_kind be,
+                   std::array<reduced, kRounds>* out) {
+        for (auto& x : acc.view<double>()) {
+            x = 0.0;
+        }
+        loop_options o;
+        o.backend = be;
+        o.partitions = 1;
+        o.part_size = 16;
+        for (int r = 0; r < kRounds; ++r) {
+            auto& red = (*out)[static_cast<std::size_t>(r)];
+            red = reduced{};
+            double const shift = 16.0 * r;
+            (void)exec::run_loop(
+                o, "reduce_inc", edges,
+                [shift](double const* wv, double* a, double* b, double* s,
+                        double* mn, double* mx) {
+                    double const v = *wv + shift;
+                    *a += v;
+                    *b += 1.0;
+                    *s += v;
+                    *mn = std::min(*mn, v);
+                    *mx = std::max(*mx, v);
+                },
+                op_arg_dat(w, -1, OP_ID, 1, "double", OP_READ),
+                op_arg_dat(acc, 0, em, 1, "double", OP_INC),
+                op_arg_dat(acc, 1, em, 1, "double", OP_INC),
+                op_arg_gbl(&red.sum, 1, "double", OP_INC),
+                op_arg_gbl(&red.mn, 1, "double", OP_MIN),
+                op_arg_gbl(&red.mx, 1, "double", OP_MAX));
+        }
+        op_fence_all();
+        auto const v = acc.view<double>();
+        return std::vector<double>(v.begin(), v.end());
+    };
+
+    std::array<reduced, kRounds> ref{};
+    std::array<reduced, kRounds> got{};
+    auto const ref_acc = run(exec::backend_kind::seq, &ref);
+    auto const got_acc = run(exec::backend_kind::hpx_dataflow, &got);
+    for (int r = 0; r < kRounds; ++r) {
+        auto const i = static_cast<std::size_t>(r);
+        EXPECT_EQ(got[i].sum, ref[i].sum) << "round " << r;
+        EXPECT_EQ(got[i].mn, ref[i].mn) << "round " << r;
+        EXPECT_EQ(got[i].mx, ref[i].mx) << "round " << r;
+    }
+    EXPECT_EQ(std::memcmp(got_acc.data(), ref_acc.data(),
+                          kCells * sizeof(double)),
+              0)
+        << "INC target diverged from seq";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DataflowOnePartition,
+                         ::testing::Values(2u, 11u, 23u, 41u, 67u));
 
 }  // namespace

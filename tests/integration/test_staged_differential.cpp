@@ -281,30 +281,6 @@ TEST_P(StagedDifferential, ReadAndIncOfOneDatMatchesSequentialBitwise) {
     expect_staged_matches_sequential(GetParam(), kReadAndInc);
 }
 
-/// Same program, with the dats allocated under partition-affine first
-/// touch: the initialisation path (per-partition tasks on the owning
-/// workers) must be invisible to every backend's results.
-TEST_P(StagedDifferential, FirstTouchAllocationIsBitwiseInvisible) {
-    program ref_prog(GetParam());
-    loop_options opts;
-    opts.part_size = 48;
-    auto ref = ref_prog.run(backend::seq, opts);
-
-    auto ft_prog = [&] {
-        // Scoped: restores the prior effective setting, so the
-        // env-driven first-touch CI leg (OP2HPX_FIRST_TOUCH=1) keeps
-        // first-touching every dat the *other* tests declare.
-        op2::memory::first_touch_scope scope(true);
-        return program(GetParam());
-    }();
-
-    for (auto be : {backend::seq, backend::fork_join, backend::hpx}) {
-        expect_bitwise_equal(ft_prog.run(be, opts), ref,
-                             std::string(to_string(be)) +
-                                 ": first-touch allocation");
-    }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, StagedDifferential,
                          ::testing::Values(3u, 7u, 19u, 31u, 57u, 91u));
 

@@ -242,10 +242,12 @@ TEST_F(ExecBackendTest, IndependentLoopsInterleaveWithoutGlobalBarrier) {
 
         loop_options o = opts_;
         o.backend = exec::backend_kind::hpx_dataflow;
-        // Whole-set granularity: this scenario probes the original
-        // one-node-per-loop shape (loop A's colour sweep fans out chunk
-        // tasks that loop B's node slots between). Partition-granular
-        // overlap has its own deterministic trace test below
+        // One partition per loop: each loop is one sub-node (both are
+        // direct, so one colour) plus its join. Both sub-nodes carry
+        // worker 0's hint; an idle worker steals loop B's while loop
+        // A's is still sweeping.
+        // Partition-granular overlap of *dependent* loops has its own
+        // deterministic trace test below
         // (DependentLoopsOverlapOnDisjointPartitions).
         o.partitions = 1;
         auto ha = exec::run_loop(
@@ -473,7 +475,6 @@ TEST_F(ExecBackendTest, SameColorExemptionOverlapsStraddlingIncPartitions) {
     o.backend = exec::backend_kind::hpx_dataflow;
     o.partitions = 2;
     o.part_size = 500;  // one block per partition
-    o.color_exemption = true;
     auto h = exec::run_loop(
         o, "straddle", edges,
         [&](double const* i, double* x) {
@@ -691,6 +692,60 @@ TEST_F(ExecBackendTest, GranularityChangeRepartitionsAndCarriesErrors) {
     for (double x : d.view<double>()) {
         ASSERT_DOUBLE_EQ(x, 0.0);  // the failed graph never ran the writer
     }
+}
+
+/// A loop's join runs on the thread that finishes the loop's last
+/// sub-node, before the dependents that sub-node readies. Were it
+/// queued, a one-worker pool would pop the newer dependent first (the
+/// owner takes its newest task) and reach the join only once the chain
+/// ahead stalled: the dependent's kernel would see the finished loop's
+/// handle still pending, and the loop's group would stay held.
+TEST(ExecBackendOneWorker, FinishedLoopIsReadyBeforeItsDependentRuns) {
+    hpxlite::init(hpxlite::runtime_config{1});
+    {
+        auto cells = op_decl_set(64, "cells");
+        auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
+        loop_options o;
+        o.backend = exec::backend_kind::hpx_dataflow;
+        o.partitions = 1;
+        o.part_size = 16;
+
+        // The first loop holds the worker until the second is wired
+        // behind it, so its last sub-node readies both its join and the
+        // second loop's sub-node.
+        std::atomic<bool> second_issued{false};
+        std::atomic<int> first_ready_seen{-1};
+        auto const first = exec::run_loop(
+            o, "first", cells,
+            [&](double* x) {
+                while (!second_issued.load()) {
+                    std::this_thread::yield();
+                }
+                *x += 1.0;
+            },
+            op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
+        auto second = exec::run_loop(
+            o, "second", cells,
+            [&](double* x) {
+                int unseen = -1;
+                (void)first_ready_seen.compare_exchange_strong(
+                    unseen, first.is_ready() ? 1 : 0);
+                *x += 1.0;
+            },
+            op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
+        second_issued.store(true);
+        // Wait without helping the pool, so only the worker runs tasks.
+        while (first_ready_seen.load() < 0) {
+            std::this_thread::yield();
+        }
+        second.get();
+        EXPECT_EQ(first_ready_seen.load(), 1)
+            << "the first loop's join had not run when its dependent did";
+        for (double x : d.view<double>()) {
+            ASSERT_DOUBLE_EQ(x, 2.0);
+        }
+    }
+    hpxlite::finalize();
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// Cross-issue executor/scratch pooling (loop_options::exec_pool): the
-// dataflow backend recycles a loop's whole partitioned group — typed
-// executors, staging scratch, reduction scratch, quarantine vectors —
-// across issues of the same call site. Pooling must be semantically
-// invisible: identical results with it on or off, and in particular no
-// reduction partial may ever leak from one issue into the next (the
-// grow-only scratch keeps its *capacity*, never its contents).
+// Cross-issue executor/scratch pooling: the dataflow backend recycles a
+// loop's whole partitioned group — typed executors, staging scratch,
+// reduction scratch, quarantine vectors — across issues of the same
+// call site. Pooling must be semantically invisible: results identical
+// to seq, and in particular no reduction partial may ever leak from one
+// issue into the next (the grow-only scratch keeps its *capacity*,
+// never its contents).
 
 #include <gtest/gtest.h>
 
@@ -27,13 +27,17 @@ protected:
     void TearDown() override { hpxlite::finalize(); }
 };
 
-/// A short chain (indirect INC + direct fold) re-issued many times from
-/// one call site — the exact shape the pool accelerates. Pooled and
-/// unpooled runs must agree bitwise.
-TEST_F(ExecPoolTest, PooledChainIsBitwiseIdenticalToUnpooled) {
+/// A short chain (direct reset + indirect INC + direct fold) re-issued
+/// ten times from each call site — the exact shape the pool
+/// accelerates. The pooled dataflow run must match seq bitwise. Values
+/// are small dyadics (k/8), the INC adds plain values and the fold
+/// halves, so over ten rounds every value and partial sum stays within
+/// 44 significant bits: every sum is exact, and seq's element order and
+/// the colour order give the same bits.
+TEST_F(ExecPoolTest, PooledChainMatchesSeqBitwise) {
     constexpr std::size_t kCells = 500;
     constexpr std::size_t kEdges = 1400;
-    auto run = [&](bool pooled) {
+    auto run = [&](exec::backend_kind be) {
         auto cells = op_decl_set(kCells, "cells");
         auto edges = op_decl_set(kEdges, "edges");
         std::mt19937 rng(11);
@@ -43,27 +47,33 @@ TEST_F(ExecPoolTest, PooledChainIsBitwiseIdenticalToUnpooled) {
             v = cd(rng);
         }
         auto em = op_decl_map(edges, cells, 2, tab, "em");
-        std::uniform_real_distribution<double> vd(0.1, 1.0);
+        std::uniform_int_distribution<int> vd(1, 8);
         std::vector<double> init(2 * kCells);
         for (auto& v : init) {
-            v = vd(rng);
+            v = static_cast<double>(vd(rng)) * 0.125;
         }
         auto src = op_decl_dat<double>(cells, 2, "double", init, "src");
         auto acc = op_decl_dat_zero<double>(cells, 2, "double", "acc");
 
         loop_options o;
-        o.backend = exec::backend_kind::hpx_dataflow;
+        o.backend = be;
         o.partitions = 4;
         o.part_size = 64;
-        o.exec_pool = pooled;
         for (int round = 0; round < 10; ++round) {
+            (void)exec::run_loop(
+                o, "reset", cells,
+                [](double* a) {
+                    a[0] = 0.0;
+                    a[1] = 0.0;
+                },
+                op_arg_dat(acc, -1, OP_ID, 2, "double", OP_WRITE));
             (void)exec::run_loop(
                 o, "inc", edges,
                 [](double const* s0, double const* s1, double* a0,
                    double* a1) {
                     a0[0] += s0[0];
-                    a0[1] += 0.5 * s1[1];
-                    a1[0] += s1[0] * 0.25;
+                    a0[1] += s1[1];
+                    a1[0] += s1[0];
                     a1[1] += s0[1];
                 },
                 op_arg_dat(src, 0, em, 2, "double", OP_READ),
@@ -73,8 +83,8 @@ TEST_F(ExecPoolTest, PooledChainIsBitwiseIdenticalToUnpooled) {
             (void)exec::run_loop(
                 o, "fold", cells,
                 [](double const* a, double* s) {
-                    s[0] += 0.125 * a[0];
-                    s[1] += 0.125 * a[1];
+                    s[0] += 0.5 * a[0];
+                    s[1] += 0.5 * a[1];
                 },
                 op_arg_dat(acc, -1, OP_ID, 2, "double", OP_READ),
                 op_arg_dat(src, -1, OP_ID, 2, "double", OP_RW));
@@ -86,11 +96,11 @@ TEST_F(ExecPoolTest, PooledChainIsBitwiseIdenticalToUnpooled) {
         out.insert(out.end(), av.begin(), av.end());
         return out;
     };
-    auto const unpooled = run(false);
-    auto const pooled = run(true);
-    ASSERT_EQ(unpooled.size(), pooled.size());
-    EXPECT_EQ(0, std::memcmp(unpooled.data(), pooled.data(),
-                             unpooled.size() * sizeof(double)));
+    auto const ref = run(exec::backend_kind::seq);
+    auto const pooled = run(exec::backend_kind::hpx_dataflow);
+    ASSERT_EQ(ref.size(), pooled.size());
+    EXPECT_EQ(0, std::memcmp(ref.data(), pooled.data(),
+                             ref.size() * sizeof(double)));
 }
 
 /// The satellite guarantee: a recycled executor's reduction scratch is
@@ -108,7 +118,6 @@ TEST_F(ExecPoolTest, PooledReuseNeverLeaksReductionPartials) {
     o.backend = exec::backend_kind::hpx_dataflow;
     o.partitions = 4;
     o.part_size = 64;
-    o.exec_pool = true;
 
     // Exactly-representable integer bases, alternating up and down so a
     // stale partial from the previous round is always detectable: a
@@ -162,7 +171,6 @@ TEST_F(ExecPoolTest, PartitionCountChangesRebuildRecycledGroups) {
     loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
     o.part_size = 32;
-    o.exec_pool = true;
 
     double total = 0.0;
     std::size_t const counts[] = {2, 4, 3, 1, 4, 2};
@@ -188,16 +196,16 @@ TEST_F(ExecPoolTest, PartitionCountChangesRebuildRecycledGroups) {
     }
 }
 
-/// Pooled vs unpooled reduction streams must agree bit for bit.
-/// Partition partials fold into the gbl scalar in partition-completion
-/// order, which scheduling may reorder between the two runs — so the
-/// values are exactly-representable dyadics (integer inits,
-/// x*0.5+0.125 over ten rounds stays well inside 53 mantissa bits) and
-/// the sums are order-independent: any divergence is a recycled group
-/// leaking or dropping a partial, not reassociation noise.
-TEST_F(ExecPoolTest, PooledReductionStreamMatchesUnpooledBitwise) {
+/// The pooled reduction stream must match seq bit for bit. Partition
+/// partials fold into the gbl scalar in partition-completion order,
+/// which scheduling may reorder — so the values are
+/// exactly-representable dyadics (integer inits, x*0.5+0.125 over ten
+/// rounds stays well inside 53 mantissa bits) and the sums are
+/// order-independent: any divergence is a recycled group leaking or
+/// dropping a partial, not reassociation noise.
+TEST_F(ExecPoolTest, PooledReductionStreamMatchesSeqBitwise) {
     constexpr std::size_t kN = 513;
-    auto run = [&](bool pooled) {
+    auto run = [&](exec::backend_kind be) {
         auto cells = op_decl_set(kN, "cells");
         std::mt19937 rng(77);
         std::uniform_int_distribution<int> vd(1, 1024);
@@ -207,10 +215,9 @@ TEST_F(ExecPoolTest, PooledReductionStreamMatchesUnpooledBitwise) {
         }
         auto d = op_decl_dat<double>(cells, 1, "double", vals, "d");
         loop_options o;
-        o.backend = exec::backend_kind::hpx_dataflow;
+        o.backend = be;
         o.partitions = 2;
         o.part_size = 64;
-        o.exec_pool = pooled;
         std::vector<double> sums;
         for (int round = 0; round < 10; ++round) {
             double sum = 0.0;
@@ -227,11 +234,11 @@ TEST_F(ExecPoolTest, PooledReductionStreamMatchesUnpooledBitwise) {
         }
         return sums;
     };
-    auto const unpooled = run(false);
-    auto const pooled = run(true);
-    ASSERT_EQ(unpooled.size(), pooled.size());
-    EXPECT_EQ(0, std::memcmp(unpooled.data(), pooled.data(),
-                             unpooled.size() * sizeof(double)));
+    auto const ref = run(exec::backend_kind::seq);
+    auto const pooled = run(exec::backend_kind::hpx_dataflow);
+    ASSERT_EQ(ref.size(), pooled.size());
+    EXPECT_EQ(0, std::memcmp(ref.data(), pooled.data(),
+                             ref.size() * sizeof(double)));
 }
 
 }  // namespace

@@ -1,19 +1,13 @@
-// Tests for the locality-aware memory layer (op2/memory.hpp): the
-// cache-line-aligned buffer every dat allocates through, the
-// partition-affine touch-range geometry, and — trace-based, with the
-// blocker protocol of the PR 4 placement test — that partition-affine
-// first touch really writes each partition's pages on its owning worker.
+// Tests for the memory layer (op2/memory.hpp): the cache-line-aligned
+// buffer every dat allocates through and the partition touch-range
+// geometry checkpoint copies use.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <thread>
 #include <vector>
 
-#include <hpxlite/runtime.hpp>
 #include <op2/memory.hpp>
 #include <op2/op2.hpp>
 
@@ -137,146 +131,6 @@ TEST(DatAlignment, EveryDatBaseIsCacheLineAligned) {
     auto v = d5.view<double>();
     for (std::size_t i = 0; i < vals.size(); ++i) {
         ASSERT_EQ(v[i], vals[i]);
-    }
-}
-
-// --- first touch ----------------------------------------------------------
-
-class FirstTouch : public ::testing::Test {
-protected:
-    void SetUp() override { hpxlite::init(hpxlite::runtime_config{4}); }
-    void TearDown() override {
-        mem::set_first_touch_trace(nullptr);
-        // Back to following the environment — pinning an off-override
-        // here would defeat the OP2HPX_FIRST_TOUCH=1 CI leg for every
-        // test that runs after this suite in the same binary.
-        mem::reset_first_touch();
-        hpxlite::finalize();
-    }
-};
-
-TEST_F(FirstTouch, InitialisesContentsExactly) {
-    mem::set_first_touch(true);
-    auto s = op_decl_set(4096, "cells");
-    std::vector<double> vals(4096 * 2);
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-        vals[i] = static_cast<double>(i) + 0.25;
-    }
-    auto d = op_decl_dat<double>(s, 2, "double", vals, "ft_d");
-    auto z = op_decl_dat_zero<double>(s, 1, "double", "ft_z");
-    auto v = d.view<double>();
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-        ASSERT_EQ(v[i], vals[i]);
-    }
-    for (double x : z.view<double>()) {
-        ASSERT_EQ(x, 0.0);
-    }
-    EXPECT_TRUE(aligned64(d.raw()));
-}
-
-/// The first-touch smoke test, as a deterministic scheduler trace (the
-/// placement-test blocker protocol): all four workers are held by
-/// spinning blockers while the dat is declared, so the four touch tasks
-/// sit untouchable in their target inboxes; a helper thread releases the
-/// blockers once all four are enqueued, and each touch task then spins
-/// (via the trace's on_touch rendezvous) until all four are claimed — a
-/// worker's first post-blocker pop is its own inbox, so the recorded
-/// workers are exactly the partition owners p % pool_size.
-TEST_F(FirstTouch, TouchTasksRunOnTheirOwningWorkers) {
-    auto& pool = hpxlite::get_pool();
-    ASSERT_EQ(pool.size(), 4u);
-
-    mem::first_touch_trace trace;
-    std::atomic<std::size_t> claimed{0};
-    std::atomic<bool> gave_up{false};
-    trace.on_touch = [&](std::size_t) {
-        claimed.fetch_add(1);
-        auto const deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(10);
-        while (claimed.load(std::memory_order_acquire) < 4 &&
-               !gave_up.load(std::memory_order_relaxed)) {
-            if (std::chrono::steady_clock::now() > deadline) {
-                gave_up.store(true, std::memory_order_relaxed);
-                break;
-            }
-            std::this_thread::yield();
-        }
-    };
-    mem::set_first_touch_trace(&trace);
-
-    std::atomic<std::size_t> blockers_running{0};
-    std::atomic<bool> release{false};
-    for (std::size_t i = 0; i < 4; ++i) {
-        pool.submit([&] {
-            blockers_running.fetch_add(1);
-            while (!release.load(std::memory_order_acquire)) {
-                std::this_thread::yield();
-            }
-        });
-    }
-    while (blockers_running.load() < 4) {
-        std::this_thread::yield();
-    }
-    // op_decl_dat blocks this thread inside first_touch_init, so the
-    // blockers are released from a helper once all touches are enqueued.
-    std::thread releaser([&] {
-        while (trace.enqueued.load(std::memory_order_acquire) < 4) {
-            std::this_thread::yield();
-        }
-        release.store(true, std::memory_order_release);
-    });
-
-    mem::set_first_touch(true);
-    auto s = op_decl_set(4096, "cells");
-    auto d = op_decl_dat_zero<double>(s, 1, "double", "traced");
-    releaser.join();
-
-    ASSERT_FALSE(gave_up.load())
-        << "the four touch tasks never ran concurrently";
-    ASSERT_EQ(trace.worker.size(), 4u);
-    for (std::size_t p = 0; p < 4; ++p) {
-        EXPECT_EQ(trace.worker[p], static_cast<long>(p))
-            << "partition " << p << " was touched off its owner";
-    }
-    for (double x : d.view<double>()) {
-        ASSERT_EQ(x, 0.0);
-    }
-}
-
-TEST_F(FirstTouch, WarmPartitionsIsHarmless) {
-    auto s = op_decl_set(1024, "cells");
-    auto d = op_decl_dat_zero<double>(s, 2, "double", "warm_d");
-    auto keep = std::make_shared<int>(0);
-    mem::warm_partitions(d.raw(), d.internal().data.size(),
-                         *s.partition(4), 16, hpxlite::get_pool(), keep);
-    hpxlite::get_pool().wait_idle();
-    for (double x : d.view<double>()) {
-        ASSERT_EQ(x, 0.0);
-    }
-}
-
-/// Re-partition hook end to end: declaring a dat with first touch on
-/// installs the warm hook; a granularity excursion (pool-size -> 2 ->
-/// pool-size) re-partitions the dependency table twice, and the return
-/// to pool granularity fires the (prefetch-only, damped) warm sweep —
-/// all without disturbing results.
-TEST_F(FirstTouch, RepartitionWarmsWithoutChangingResults) {
-    mem::set_first_touch(true);
-    auto s = op_decl_set(2048, "cells");
-    auto d = op_decl_dat_zero<double>(s, 1, "double", "rp_d");
-    loop_options o;
-    o.backend = exec::backend_kind::hpx_dataflow;
-    auto kern = [](double* x) { *x += 1.0; };
-    for (std::size_t parts : {4u, 2u, 4u}) {
-        o.partitions = parts;
-        exec::run_loop(o, "rp", s, kern,
-                       op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW))
-            .get();
-    }
-    op_fence_all();
-    hpxlite::get_pool().wait_idle();  // drain the fire-and-forget warms
-    for (double x : d.view<double>()) {
-        ASSERT_EQ(x, 3.0);
     }
 }
 

@@ -213,7 +213,8 @@ TEST_F(QuarantineTest, DroppedTaskSurfacesDiscardAndQuarantines) {
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
 
     fault::arm("drop=1");
-    loop_options o = hpx_opts(1);  // whole-set: exactly one graph task
+    loop_options o = hpx_opts(1);  // one partition: the first task is
+                                   // the loop's only sub-node
     auto h = exec::run_loop(o, "dropped_loop", cells,
                             [](double* x) { *x += 1.0; },
                             op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));

@@ -34,19 +34,20 @@ protected:
 TEST(TuneLadder, ShapeFollowsPoolSize) {
     auto const l4 = tune::ladder(4);
     // Partition counts {1, 2, 4, 8}; every multi-partition count carries
-    // both placements, the whole-set entry only affinity: 1 + 3*2 = 7.
+    // both placements, the one-partition entry only affinity: 1 + 3*2 = 7.
     ASSERT_EQ(l4.size(), 7u);
-    std::size_t whole_set = 0;
+    std::size_t one_part = 0;
     std::size_t prev = 0;
     for (auto const& c : l4) {
         EXPECT_GE(c.partitions, prev) << "ladder must be ascending";
         prev = c.partitions;
         if (c.partitions == 1) {
-            ++whole_set;
+            ++one_part;
             EXPECT_EQ(c.placement, placement_kind::affinity);
         }
     }
-    EXPECT_EQ(whole_set, 1u) << "partitions == 1 has nothing to place";
+    EXPECT_EQ(one_part, 1u)
+        << "partitions == 1 runs one sub-node at a time: nothing to place";
     for (std::size_t parts : {std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
         for (auto pl : {placement_kind::affinity, placement_kind::any}) {

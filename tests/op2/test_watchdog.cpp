@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <hpxlite/runtime.hpp>
 #include <op2/op2.hpp>
@@ -40,14 +43,14 @@ TEST_F(WatchdogTest, WaitForTimesOutAndWatchdogDumpsPendingSubNodes) {
     std::atomic<bool> entered{false};
     std::atomic<bool> release{false};
 
-    // Both loops at whole-set granularity: the reader's node waits on
-    // the writer's through the epoch graph. (A granularity *change*
-    // would instead quiesce in-flight work at issue — dep_state::pin
-    // drains the table before re-partitioning — which would deadlock
-    // against the deliberately-blocked kernel.)
+    // Both loops at one partition: the reader's sub-node waits on the
+    // writer's through the epoch graph. (A granularity *change* would
+    // instead quiesce in-flight work at issue — dep_state::pin drains
+    // the table before re-partitioning — which would deadlock against
+    // the deliberately-blocked kernel.)
     loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 1;  // whole-set: one node holds the worker
+    o.partitions = 1;  // one direct partition: one sub-node holds the worker
     auto hA = exec::run_loop(o, "blocker", cells,
                              [&](double* x) {
                                  entered.store(true);
@@ -100,6 +103,76 @@ TEST_F(WatchdogTest, WaitForTimesOutAndWatchdogDumpsPendingSubNodes) {
     for (double x : d.view<double>()) {
         ASSERT_DOUBLE_EQ(x, 2.0);
     }
+}
+
+/// A stalled one-partition indirect loop: the dump names each of its
+/// live colour sub-nodes and its join, which waits on them through
+/// graph edges rather than dat records.
+TEST_F(WatchdogTest, OnePartitionDumpNamesColourSubNodesAndJoin) {
+    constexpr std::size_t kCells = 120;
+    constexpr std::size_t kEdges = 360;
+    auto cells = op_decl_set(kCells, "cells");
+    auto edges = op_decl_set(kEdges, "edges");
+    std::mt19937 rng(5);
+    std::uniform_int_distribution<int> cd(0, kCells - 1);
+    std::vector<int> tab(2 * kEdges);
+    for (auto& v : tab) {
+        v = cd(rng);
+    }
+    auto em = op_decl_map(edges, cells, 2, tab, "em");
+    auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
+
+    loop_options o;
+    o.backend = exec::backend_kind::hpx_dataflow;
+    o.partitions = 1;
+    o.part_size = 16;
+    std::array<op_arg, 2> const args{
+        op_arg_dat(d, 0, em, 1, "double", OP_INC),
+        op_arg_dat(d, 1, em, 1, "double", OP_INC)};
+    op_plan const& plan = plan_get(edges, args, plan_desc{o.part_size, 1, 0});
+    std::vector<std::size_t> live;
+    for (std::size_t c = 0; c < plan.ncolors; ++c) {
+        if (!plan.blocks_of_color(c).empty()) {
+            live.push_back(c);
+        }
+    }
+    ASSERT_GE(live.size(), 2u);
+
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+    auto hA = exec::run_loop(o, "blocker", cells,
+                             [&](double* x) {
+                                 entered.store(true);
+                                 while (!release.load()) {
+                                     std::this_thread::yield();
+                                 }
+                                 *x += 1.0;
+                             },
+                             op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
+    auto hB = exec::run_loop(o, "starved", edges,
+                             [](double* a, double* b) {
+                                 *a += 1.0;
+                                 *b += 1.0;
+                             },
+                             args[0], args[1]);
+    while (!entered.load()) {
+        std::this_thread::yield();
+    }
+    std::ostringstream dump;
+    exec::dump_graph(dump);
+    release.store(true);
+    hA.get();
+    hB.get();
+
+    std::string const out = dump.str();
+    for (std::size_t c : live) {
+        std::string const site = "loop 'starved' partition 0 colour " +
+                                 std::to_string(c) + " (worker hint 0)";
+        EXPECT_NE(out.find(site), std::string::npos) << site << "\n" << out;
+    }
+    EXPECT_NE(out.find("loop 'starved' join\n"), std::string::npos) << out;
+    EXPECT_NE(out.find("loop 'blocker' join\n"), std::string::npos) << out;
+    op_fence(d);
 }
 
 TEST_F(WatchdogTest, HealthyRunNeverTrips) {
