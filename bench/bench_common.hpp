@@ -16,7 +16,7 @@ inline void print_title(char const* id, char const* what) {
     std::printf("%s — %s\n", id, what);
     std::printf("Modeled testbed: 2x Xeon E5-2630 (16 cores, HT on), Airfoil\n");
     std::printf("~720K nodes / 1.5M edges; this host runs a discrete-event\n");
-    std::printf("model of that machine (see DESIGN.md, psim/).\n");
+    std::printf("model of that machine (see ARCHITECTURE.md, psim/).\n");
     std::printf("==============================================================\n");
 }
 

@@ -7,25 +7,14 @@
 // partition p waits only for loop i's partition p, so the partitions
 // pipeline independently through the chain — dependent loops overlap.
 //
-// Plus the placement, tuning and straddle sections: the partition sweep
-// chain re-run with sub-node placement unpinned (placement = any) to
-// isolate what worker affinity buys, the same chain under the online
-// tuner, and a dependent *indirect* INC chain over a ring map whose
-// partitions straddle the partition boundary — the shape whose
-// same-colour sub-nodes overlap through the same-colour exemption.
+// Plus the straddle section: a dependent *indirect* INC chain over a
+// ring map whose partitions straddle the partition boundary — the shape
+// whose same-colour sub-nodes overlap through the same-colour exemption.
 //
 // Emits into BENCH_op2.json (schema op2hpx-bench-v1):
 //   dataflow_chain_part<P>            ns per loop, dependent chain at P
 //                                     partitions (P = 1, 2, 4)
 //   dataflow_chain_partition_speedup  x, 4 partitions vs 1
-//   dataflow_chain_part4_anyplace     ns per loop, P=4 with placement=any
-//   affinity_placement_speedup        x, affinity vs any placement (P=4)
-//   dataflow_chain_default            ns per loop, untuned default
-//                                     (partitions = pool size, affinity)
-//   dataflow_chain_auto               ns per loop, partitions=auto_tune
-//                                     (exploration retired in warmup; the
-//                                     label names the chosen config)
-//   partition_autotune_speedup        x, tuned vs untuned default
 //   dataflow_chain_straddle_exempt    ns per loop, indirect INC straddle
 //                                     chain at 4 partitions
 //
@@ -140,60 +129,6 @@ int main(int argc, char** argv) {
     std::printf("  partition spdup : %9.2fx (4 partitions vs 1)\n",
                 part1_ns / part4_ns);
 
-    // --- placement: affinity vs any -----------------------------------
-    // The P=4 sweep above ran with the default affinity placement
-    // (partition p pinned to worker p). Re-run it with placement=any —
-    // sub-nodes drift to whoever steals first — to isolate what keeping
-    // a partition's working set on one core buys across the chain.
-    double anyplace_ns = 0.0;
-    {
-        loop_options po = opts;
-        po.backend = exec::backend_kind::hpx_dataflow;
-        po.partitions = 4;
-        po.placement = placement_kind::any;
-        anyplace_ns = time_sweep_chain(po);
-        std::printf("  placement=any   : %9.1f ns/loop\n", anyplace_ns);
-        std::printf("  affinity spdup  : %9.2fx (pinned vs any, P=4)\n",
-                    anyplace_ns / part4_ns);
-    }
-
-    // --- online auto-tuning: measured config vs the static default ----
-    // The same sweep chain with partitions = op2::auto_tune: the tuner
-    // explores its ladder ({1, 2, 4, 8} partitions x placement here)
-    // during warmup — every candidate is issued once, measured through
-    // the loop's own join-node timing tap — then exploits the measured
-    // argmin for the timed chains. Compared against a fresh run of the
-    // untuned default (partitions = 0 -> pool size, affinity), timed
-    // the same way at the same moment. The tuner can at worst settle on
-    // the default config itself, so the ratio is a regression gate on
-    // the tuner's decision quality, not a guaranteed win.
-    double default_ns = 0.0;
-    double auto_ns = 0.0;
-    std::string auto_label = "untuned";
-    {
-        loop_options po = opts;
-        po.backend = exec::backend_kind::hpx_dataflow;
-        po.partitions = 0;  // the untuned default: pool-size partitions
-        default_ns = time_sweep_chain(po);
-        std::printf("  default (P=%zu)  : %9.1f ns/loop\n", nworkers,
-                    default_ns);
-
-        po.partitions = op2::auto_tune;
-        // Extra warmup chains so the whole ladder retires before timing:
-        // 7 candidates at 4 workers vs 3 x 8 = 24 warmup issues.
-        for (int w = 0; w < 3; ++w) {
-            run_sweep_chain(po);
-        }
-        auto_ns = time_sweep_chain(po);
-        auto const st =
-            tune::stats("sweep_chain", kSweepElems, nworkers);
-        auto_label = tune::describe(st.configs[st.chosen]);
-        std::printf("  autotuned       : %9.1f ns/loop (chose %s%s)\n",
-                    auto_ns, auto_label.c_str(),
-                    st.exploring ? ", still exploring" : "");
-        std::printf("  autotune spdup  : %9.2fx (tuned vs default)\n",
-                    default_ns / auto_ns);
-    }
     // Sanity: every sweep loop adds 1 to every element.
     op_fence_all();
     if (sweep_d.view<double>()[0] != static_cast<double>(sweep_loops)) {
@@ -268,20 +203,6 @@ int main(int argc, char** argv) {
 
     log.add("dataflow_chain_partition_speedup", part1_ns / part4_ns, "x",
             "partitioned_4_vs_1");
-    log.add("dataflow_chain_part4_anyplace", anyplace_ns, "ns/iter",
-            "dependent RW chain, 4 partitions, placement=any, " +
-                workers_label);
-    log.add("affinity_placement_speedup", anyplace_ns / part4_ns, "x",
-            "affinity_vs_any_placement, 4 partitions, " + workers_label);
-    log.add("dataflow_chain_default", default_ns, "ns/iter",
-            "dependent RW chain, default pool-size partitions, " +
-                workers_label);
-    log.add("dataflow_chain_auto", auto_ns, "ns/iter",
-            "dependent RW chain, autotuned, chose " + auto_label + ", " +
-                workers_label);
-    log.add("partition_autotune_speedup", default_ns / auto_ns, "x",
-            "autotuned_vs_default_pool_partitions, chose " + auto_label +
-                ", " + workers_label);
     log.add("dataflow_chain_straddle_exempt", straddle_ns, "ns/iter",
             "indirect INC straddle chain, 4 partitions, " + workers_label);
     log.write();

@@ -98,8 +98,8 @@ def main(argv):
             continue
         value = row["value"]
         status = "ok" if value >= floor else "FAIL"
-        # The label carries the row's configuration (e.g. the config the
-        # auto-tuner chose) — print it so a CI log shows *what* was
+        # The label carries the row's configuration (e.g. the partition
+        # and worker counts) — print it so a CI log shows *what* was
         # measured, not just the number.
         label = row.get("label", "")
         detail = f"  [{label}]" if label else ""

@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
         } else if (char const* v = flag_value("--checkpoint-every")) {
             cfg.checkpoint_every = std::atoi(v);
         } else if (char const* v = flag_value("--retries")) {
-            cfg.opts.retries = static_cast<std::size_t>(std::atol(v));
+            cfg.retries = static_cast<std::size_t>(std::atol(v));
         } else if (char const* v = flag_value("--fault")) {
             fault_plan = v;
         } else if (char const* v = flag_value("--watchdog-ms")) {

@@ -20,13 +20,18 @@ struct app_config {
     /// adt, res) every N iterations and, when an iteration segment
     /// fails (an injected fault, a throwing kernel, a quarantined
     /// read), roll back to the last checkpoint and re-issue the
-    /// segment, up to opts.retries times. Recovery is exact: the
+    /// segment, up to `retries` times. Recovery is exact: the
     /// rms accumulators of a re-issued segment are re-zeroed and the
     /// dat bytes restored wholesale, so a recovered run's output is
     /// bitwise-identical to an undisturbed run of the same
     /// configuration. 0 disables checkpointing (the seed behaviour:
     /// issue everything, fence once).
     int checkpoint_every = 0;
+    /// Rollback budget of the checkpointed march: how many failed
+    /// segments may be restored and re-issued before the failure
+    /// propagates. The loop layers themselves never retry (a loop is
+    /// not idempotent mid-flight).
+    std::size_t retries = 0;
 };
 
 /// Outcome of one run.

@@ -118,14 +118,14 @@ app_result run(problem& p, app_config const& cfg) {
     if (cfg.checkpoint_every > 0) {
         // Fault-tolerant march: checkpoint the state dats every N
         // iterations and re-issue a failed segment from the last
-        // checkpoint, up to opts.retries rollbacks. Recovery is exact —
+        // checkpoint, up to cfg.retries rollbacks. Recovery is exact —
         // the restored bytes and the re-zeroed rms accumulators make a
         // recovered run bitwise-identical to an undisturbed one.
         std::vector<op_dat> const state = {p.p_q, p.p_qold, p.p_adt,
                                            p.p_res};
         exec::checkpoint ckpt;
         ckpt.capture(state);
-        std::size_t tries = cfg.opts.retries;
+        std::size_t tries = cfg.retries;
         std::vector<exec::loop_handle> handles;
         int it = 0;
         while (it < cfg.niter) {

@@ -1,6 +1,6 @@
 // Umbrella header for hpxlite — the HPX-runtime subset reimplemented for
-// the OP2/HPX paper reproduction. See DESIGN.md for scope and mapping to
-// the original HPX constructs.
+// the OP2/HPX paper reproduction. See ARCHITECTURE.md (layer map) for its
+// scope.
 #pragma once
 
 #include <hpxlite/config.hpp>

@@ -37,11 +37,10 @@ struct pool_options {
     /// Bind worker i to a core chosen *node-major* from the probed
     /// topology (threads/topology.hpp): consecutive workers fill one
     /// NUMA node's cores before spilling to the next, so the dataflow
-    /// placement hint (partition p -> worker p % pool_size) means a
-    /// core *and* a memory controller — neighbouring partitions share
-    /// a node and their first-touched pages land on it. Single-node
-    /// machines reduce to the classic i % hardware_concurrency
-    /// binding. Best-effort and portable: a no-op on platforms without
+    /// placement hint (partition p -> worker p % pool_size) names a
+    /// fixed core, and neighbouring partitions' workers share a node.
+    /// Single-node machines reduce to the classic
+    /// i % hardware_concurrency binding. Best-effort and portable: a no-op on platforms without
     /// pthread_setaffinity_np (or when the kernel rejects/ignores it,
     /// e.g. restrictive cpusets — see bound_workers()).
     bool bind_workers = false;
@@ -54,7 +53,7 @@ struct pool_options {
 /// A fixed-size worker pool with per-worker lock-free deques and work
 /// stealing.
 ///
-/// Design notes (see DESIGN.md):
+/// Design notes (see ARCHITECTURE.md):
 ///  * Each worker owns a Chase–Lev deque: it pushes/pops LIFO at the
 ///    bottom without locks (cache-friendly for nested spawns) and thieves
 ///    steal FIFO from the top with a single CAS (good for load balance).

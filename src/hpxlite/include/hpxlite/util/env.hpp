@@ -1,8 +1,8 @@
 #pragma once
 
-// One env-flag parser for every boolean knob (OP2HPX_BIND_WORKERS,
-// OP2HPX_AUTOTUNE): the accepted spellings must not drift between
-// knobs, and a fix must reach all of them.
+// The env-flag parser for boolean knobs (today OP2HPX_BIND_WORKERS):
+// one place for the accepted spellings, so a later boolean knob cannot
+// drift from them.
 
 #include <cstdlib>
 #include <cstring>

@@ -328,8 +328,7 @@ void thread_pool::bind_worker(std::size_t index) {
     // node-grouped order (topology.hpp), so consecutive workers fill
     // one NUMA node's cores before spilling to the next — a partition's
     // owner (p % pool_size) and its neighbours share a memory
-    // controller, and the pages their first touch faults in land on
-    // that node. Single-node machines get the identity order, i.e.
+    // controller. Single-node machines get the identity order, i.e.
     // exactly the old i % hardware_concurrency binding.
     topology_info const& topo = topology();
     std::size_t const ncpu = topo.cpus() == 0 ? 1 : topo.cpus();

@@ -32,7 +32,6 @@
 #include <op2/loop_options.hpp>
 #include <op2/plan.hpp>
 #include <op2/timing.hpp>
-#include <op2/tune.hpp>
 
 namespace op2::exec {
 
@@ -251,7 +250,6 @@ public:
         // kept alive for the nodes' lifetime).
         ctx_ = current_context();
         name_ = name;
-        probe_ = {};
         start_ns_.store(-1, std::memory_order_relaxed);
         plans_.clear();
         plans_.reserve(nparts);
@@ -301,11 +299,6 @@ public:
     }
     void bind_plan(op_plan const& pl) { plans_.push_back(&pl); }
     [[nodiscard]] char const* name() const noexcept { return name_; }
-
-    /// Tuner measurement token (issue time; inactive by default). The
-    /// join node reports the loop's wall span against it.
-    void set_probe(tune::probe p) noexcept { probe_ = p; }
-    [[nodiscard]] tune::probe probe() const noexcept { return probe_; }
 
     /// First sub-node to run stamps the loop's execution start; the
     /// join reads the span. This keeps the hpx_dataflow timing row a
@@ -403,7 +396,6 @@ private:
     std::unique_ptr<std::atomic<std::size_t>[]> colors_left_;
     std::size_t color_cap_ = 0;
     std::vector<std::vector<quarantine_target>> qtargets_;  // [partition]
-    tune::probe probe_{};
     std::atomic<std::int64_t> start_ns_{-1};
     // Issuing context, captured at construction/reset: holds the
     // combine lock alive for the sub-nodes' lifetime even if the
@@ -601,14 +593,8 @@ public:
 
 private:
     void run_body() override {
-        double const wall = grp_->wall_seconds();
         op_timing_record(grp_->name(), to_string(backend_kind::hpx_dataflow),
-                         wall);
-        // The tuner's measurement tap: the join is where the per-worker
-        // sub-node spans have been merged into one wall time
-        // (mark_start CAS / wall_seconds), so the report itself is two
-        // lock-free atomic adds on the site's cell.
-        tune::report(grp_->probe(), wall);
+                         grp_->wall_seconds());
     }
 
     void on_complete() noexcept override {
@@ -639,9 +625,10 @@ inline std::atomic<std::uint64_t> g_loop_tag_seq{1};
 /// run one sub-node at a time, then the join.
 ///
 /// Two per-loop refinements ride on that structure:
-///  * placement (opts.placement == affinity): partition p's sub-nodes
-///    carry the worker hint p % pool_size, so a partition's working set
-///    keeps landing on the same worker across the loops of a chain;
+///  * placement: partition p's sub-nodes carry the worker hint
+///    p % pool_size, so a partition's working set keeps landing on the
+///    same worker across the loops of a chain (the join carries no hint:
+///    it runs inline on the thread finishing the last sub-node);
 ///  * the same-colour non-conflict exemption: partition plans are
 ///    coloured globally, so same-coloured sub-nodes of THIS loop
 ///    provably never mutate the same target element and skip the
@@ -655,7 +642,7 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
                               op_set set, std::array<op_arg, N> args,
                               Kernel kernel,
                               hpxlite::threads::thread_pool& pool,
-                              std::size_t nparts, tune::probe probe = {}) {
+                              std::size_t nparts) {
     // Acquire the group from the cross-issue pool when possible: a
     // steady-state chain then re-issues each loop with zero executor
     // construction and zero scratch reallocation (the reduction
@@ -669,7 +656,6 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
                                                name, nparts);
     }
     group_ref<Kernel, N> grp(graw);
-    grp->set_probe(probe);
     try {
         grp->executor(0).validate(name);
     } catch (...) {
@@ -774,7 +760,6 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
         check_quarantine(grp->executor(0).args(), name);
     auto const iter_part = set.partition(nparts);
 
-    bool const affinity = opts.placement == placement_kind::affinity;
     std::uint64_t const loop_tag =
         g_loop_tag_seq.fetch_add(1, std::memory_order_relaxed);
 
@@ -831,9 +816,7 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
                 sub->seed_error(qerr);
             }
             join->depend_on(*sub);
-            if (affinity) {
-                sub->set_worker_hint(p % pool.size());
-            }
+            sub->set_worker_hint(p % pool.size());
             if (chain_prev) {
                 // Chain the partition's own sub-nodes in colour order:
                 // global colouring no longer guarantees that a
@@ -958,33 +941,12 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
         case backend_kind::hpx_dataflow: {
             auto& pool =
                 opts.pool != nullptr ? *opts.pool : hpxlite::get_pool();
-            std::array<op_arg, n> argv{std::move(args)...};
-            // Tuner consult: an explicit op2::auto_tune opts this loop
-            // in; OP2HPX_AUTOTUNE re-routes every *defaulted* loop
-            // (explicit partition counts stay pinned). The resolved
-            // count and placement flow through the unchanged issue path
-            // below, so a tuned issue is bit-for-bit an ordinary issue
-            // of that configuration plus one measurement token.
-            loop_options eff = opts;
-            tune::probe probe{};
-            if (opts.partitions == auto_tune ||
-                (opts.partitions == 0 && tune::autotune_default())) {
-                auto d = tune::choose(name, set.size(), pool.size());
-                eff.partitions = d.chosen.partitions;
-                eff.placement = d.chosen.placement;
-                probe = d.token;
-                if (!d.prewarm.empty()) {
-                    // First consult of this site: warm the ladder's
-                    // candidate plans so exploration never measures a
-                    // cold plan build (plans are cached per context).
-                    plan_prewarm(set, argv, eff.part_size, d.prewarm);
-                }
-            }
             std::size_t const nparts =
-                eff.partitions != 0 ? eff.partitions : pool.size();
+                opts.partitions != 0 ? opts.partitions : pool.size();
             return detail::issue_partitioned<Kernel, n>(
-                eff, name, std::move(set), std::move(argv),
-                std::move(kernel), pool, nparts, probe);
+                opts, name, std::move(set),
+                std::array<op_arg, n>{std::move(args)...}, std::move(kernel),
+                pool, nparts);
         }
     }
     return {};

@@ -313,8 +313,9 @@ public:
     /// Pin the node to a pool worker: once runnable it is submitted
     /// through the pool's affinity path (submit_to) instead of the
     /// issuer's own queue. Best-effort — stealing still rebalances.
-    /// Must be set before the node is wired into any dep_record, like
-    /// bind_pool.
+    /// Every node that is queued needs one (a loop's sub-nodes); a node
+    /// without one must run inline (set_run_inline). Must be set before
+    /// the node is wired into any dep_record, like bind_pool.
     void set_worker_hint(std::size_t worker) noexcept {
         hint_ = static_cast<std::uint32_t>(worker);
     }
@@ -370,10 +371,8 @@ private:
             auto* n = static_cast<hpxlite::threads::task_node*>(this);
             if (run_inline_) {
                 pool_action(n, true);
-            } else if (hint_ != kNoHint) {
-                pool_->submit_to(hint_, n);
             } else {
-                pool_->submit(n);
+                pool_->submit_to(hint_, n);
             }
         }
     }
@@ -669,8 +668,8 @@ struct dep_state {
                     // scan collects it `count` times. Seeding the
                     // duplicates back would multiply the carried set by
                     // the partition count on every re-partition —
-                    // exponential once granularity changes repeat (the
-                    // auto-tuner's exploration does exactly that).
+                    // exponential once granularity changes repeat (a
+                    // program alternating partition counts does that).
                     auto dedupe = [](std::vector<node_ref>& v) {
                         std::sort(v.begin(), v.end(),
                                   [](node_ref const& a, node_ref const& b) {

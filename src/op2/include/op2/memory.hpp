@@ -8,8 +8,8 @@
 //    whole number of cache lines, so two dats never share a line.
 //  * partition touch ranges and copy_partitions — checkpoint snapshots
 //    and rollback restores copy a dat one set partition at a time on
-//    worker p % pool_size, the worker the dataflow placement hint
-//    (loop_options::placement) keeps sending partition p's loops to.
+//    worker p % pool_size, the worker the dataflow backend's placement
+//    hint keeps sending partition p's sub-nodes to.
 //    Touch ranges are padded to cache lines with a boundary-straddling
 //    line owned by the lower partition, so no line is written by two
 //    copy tasks.

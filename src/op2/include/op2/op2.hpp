@@ -2,7 +2,7 @@
 // mesh DSL (sets / maps / dats / parallel loops) with a pluggable
 // backend layer (op2/exec) — sequential, staged fork-join ("OpenMP-
 // style", global barrier per loop) and HPX dataflow (asynchronous,
-// epoch-chained). See DESIGN.md.
+// epoch-chained). See ARCHITECTURE.md.
 #pragma once
 
 #include <op2/access.hpp>

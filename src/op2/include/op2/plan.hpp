@@ -163,15 +163,6 @@ op_plan const& plan_get(op_set const& set, std::span<op_arg const> args,
 op_plan const& plan_get(op_set const& set, std::span<op_arg const> args,
                         std::size_t part_size);
 
-/// Warm the cache for every partition plan of each candidate partition
-/// count (the online tuner's ladder): called once per tuned site,
-/// before exploration starts, so no explored configuration's first
-/// measurement rides on a cold plan build the exploited configuration
-/// would never pay. A count <= 1 warms the whole-set plan.
-void plan_prewarm(op_set const& set, std::span<op_arg const> args,
-                  std::size_t part_size,
-                  std::span<std::size_t const> candidates);
-
 /// Build a plan without consulting the cache (exposed for tests).
 op_plan plan_build(op_set const& set, std::span<op_arg const> args,
                    plan_desc const& desc);

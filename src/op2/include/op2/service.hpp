@@ -116,9 +116,7 @@ private:
 /// What a policy sees of one waiting job. est_cost_s starts as the
 /// psim price computed at submission; once the job's tenant has
 /// retired a job, the scheduler re-prices with the tenant's measured
-/// run-time EWMA instead (measured beats modelled — the same principle
-/// as the loop tuner's explore-then-exploit, applied at job
-/// granularity).
+/// run-time EWMA instead (measured beats modelled).
 struct job_view {
     char const* name = "";
     char const* tenant = "";

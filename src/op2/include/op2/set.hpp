@@ -59,8 +59,8 @@ struct set_impl {
     std::uint64_t id = 0;
 
     // Cached partition descriptors, one per requested count. Loops reuse
-    // the same handful of counts (pool size, an explicit option, the
-    // tuner's ladder), so this stays tiny.
+    // the same handful of counts (pool size, an explicit option), so
+    // this stays tiny.
     std::mutex part_mtx;
     std::vector<std::shared_ptr<set_partition const>> part_cache;
 };

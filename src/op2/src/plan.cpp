@@ -548,20 +548,6 @@ op_plan const& plan_get(op_set const& set, std::span<op_arg const> args,
     return plan_get(set, args, plan_desc{part_size});
 }
 
-void plan_prewarm(op_set const& set, std::span<op_arg const> args,
-                  std::size_t part_size,
-                  std::span<std::size_t const> candidates) {
-    for (std::size_t nparts : candidates) {
-        if (nparts <= 1) {
-            (void)plan_get(set, args, plan_desc{part_size});
-            continue;
-        }
-        for (std::size_t p = 0; p < nparts; ++p) {
-            (void)plan_get(set, args, plan_desc{part_size, nparts, p});
-        }
-    }
-}
-
 void plan_cache_clear() {
     // Invalidate the per-worker pointer maps *before* freeing the plans
     // they point into; each thread flushes its map on its next lookup.

@@ -16,7 +16,6 @@
 #include <op2/dat.hpp>
 #include <op2/exec/dataflow.hpp>
 #include <op2/plan.hpp>
-#include <op2/tune.hpp>
 #include <psim/scheduler.hpp>
 
 namespace op2::service {
@@ -378,10 +377,6 @@ void scheduler::run_job(std::shared_ptr<detail::job_impl> const& j) {
     }
     if (st_->opts.purge_plans) {
         plan_cache_purge(j->ctx->id());
-        // The tuner's measurement sites share the plan cache's
-        // per-context namespace discipline; the job is fenced, so no
-        // in-flight probe still points at them.
-        tune::purge(j->ctx->id());
     }
 
     auto const t_end = clock::now();

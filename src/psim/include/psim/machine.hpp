@@ -53,20 +53,6 @@ struct machine_model {
     [[nodiscard]] double barrier_cost_us(int threads) const noexcept;
 
     [[nodiscard]] int max_threads() const noexcept { return cores * smt; }
-
-    /// Prior cost (microseconds) of issuing one partition-granular
-    /// dataflow loop of `elems` elements split into `partitions`
-    /// sub-nodes on `threads` workers: issue admin + one task spawn per
-    /// sub-node + the compute divided over min(partitions, threads)
-    /// workers at base_speed. Exported for the online tuner
-    /// (op2/tune.hpp), which seeds each candidate's measurement cell
-    /// with this value so the first issue is never blind — the absolute
-    /// scale is a nominal per-element cost, only the *ordering* across
-    /// partition counts matters, and real measurements replace it after
-    /// one run.
-    [[nodiscard]] double partition_prior_us(std::size_t elems,
-                                            std::size_t partitions,
-                                            int threads) const noexcept;
 };
 
 }  // namespace psim

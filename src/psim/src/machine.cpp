@@ -38,21 +38,4 @@ double machine_model::barrier_cost_us(int threads) const noexcept {
            barrier_log_us * std::log2(std::max(2.0, static_cast<double>(threads)));
 }
 
-double machine_model::partition_prior_us(std::size_t elems,
-                                         std::size_t partitions,
-                                         int threads) const noexcept {
-    // Nominal per-element kernel cost. The tuner overwrites the prior
-    // with the first real measurement, so this only has to get the
-    // spawn-overhead vs. parallelism trade-off qualitatively right.
-    constexpr double elem_us = 0.001;
-    std::size_t const parts = std::max<std::size_t>(1, partitions);
-    int const active = static_cast<int>(std::min<std::size_t>(
-        parts, static_cast<std::size_t>(std::max(1, threads))));
-    double const spawn_us =
-        issue_overhead_us + task_spawn_us * static_cast<double>(parts);
-    double const work_us = static_cast<double>(elems) * elem_us /
-                           (static_cast<double>(active) * base_speed(active));
-    return spawn_us + work_us;
-}
-
 }  // namespace psim

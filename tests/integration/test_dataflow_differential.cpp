@@ -34,7 +34,8 @@ namespace {
 /// Mini-airfoil: the five-loop time-march chain of the paper's Fig. 2
 /// (save_soln / adt_calc / res_calc / update shapes) over a random
 /// edges->cells mesh, issued iteration after iteration with *no*
-/// intermediate fence on the dataflow backend.
+/// intermediate fence on the dataflow backend. Iteration i issues its
+/// loops at partition count counts[i % counts.size()].
 struct airfoil_shaped {
     static constexpr std::size_t kCells = 600;
     static constexpr std::size_t kEdges = 1700;
@@ -72,8 +73,8 @@ struct airfoil_shaped {
         double rms = 0.0;
     };
 
-    outcome run(exec::backend_kind be, int iters, std::size_t partitions = 0,
-                placement_kind placement = placement_kind::affinity) {
+    outcome run(exec::backend_kind be, int iters,
+                std::vector<std::size_t> const& counts = {0}) {
         auto qv = q.view<double>();
         std::copy(q_init.begin(), q_init.end(), qv.begin());
         for (auto& x : qold.view<double>()) x = 0.0;
@@ -83,14 +84,14 @@ struct airfoil_shaped {
         loop_options o;
         o.part_size = 48;
         o.backend = be;
-        o.partitions = partitions;
-        o.placement = placement;
 
         outcome out;
         // Stable storage for the per-iteration reductions, like the real
         // airfoil driver: the whole pipeline stays in flight.
         std::vector<double> rms(static_cast<std::size_t>(iters), 0.0);
         for (int it = 0; it < iters; ++it) {
+            o.partitions =
+                counts[static_cast<std::size_t>(it) % counts.size()];
             (void)exec::run_loop(o, "save_soln", cells,
                                  [](double const* qq, double* qo) {
                                      qo[0] = qq[0];
@@ -180,7 +181,7 @@ TEST_P(DataflowDifferential, PartitionedChainMatchesSeqBitwise) {
     airfoil_shaped prog(GetParam());
     auto oracle = prog.run(exec::backend_kind::seq, 4);
     for (std::size_t parts : {1u, 2u, 3u, 5u}) {
-        auto got = prog.run(exec::backend_kind::hpx_dataflow, 4, parts);
+        auto got = prog.run(exec::backend_kind::hpx_dataflow, 4, {parts});
         ASSERT_EQ(got.q.size(), oracle.q.size());
         EXPECT_EQ(std::memcmp(got.q.data(), oracle.q.data(),
                               oracle.q.size() * sizeof(double)),
@@ -191,32 +192,6 @@ TEST_P(DataflowDifferential, PartitionedChainMatchesSeqBitwise) {
                   0)
             << "residual diverged at " << parts << " partitions";
         EXPECT_EQ(got.rms, oracle.rms) << parts << " partitions";
-    }
-}
-
-/// Affinity placement is a scheduling hint, never a semantic change:
-/// pinning partition p's sub-nodes to worker p (vs letting them drift)
-/// must leave the whole chain bitwise identical. Odd partition counts
-/// exercise partitions-to-workers wrap-around (p % pool_size).
-TEST_P(DataflowDifferential, AffinityVsAnyPlacementBitwiseIdentical) {
-    airfoil_shaped prog(GetParam());
-    for (std::size_t parts : {2u, 3u, 5u}) {
-        auto any = prog.run(exec::backend_kind::hpx_dataflow, 4, parts,
-                            placement_kind::any);
-        auto aff = prog.run(exec::backend_kind::hpx_dataflow, 4, parts,
-                            placement_kind::affinity);
-        ASSERT_EQ(aff.q.size(), any.q.size());
-        EXPECT_EQ(std::memcmp(aff.q.data(), any.q.data(),
-                              any.q.size() * sizeof(double)),
-                  0)
-            << "state q diverged between placements at " << parts
-            << " partitions";
-        EXPECT_EQ(std::memcmp(aff.res.data(), any.res.data(),
-                              any.res.size() * sizeof(double)),
-                  0)
-            << "residual diverged between placements at " << parts
-            << " partitions";
-        EXPECT_EQ(aff.rms, any.rms) << parts << " partitions";
     }
 }
 
@@ -233,8 +208,7 @@ TEST_P(DataflowDifferential, RandomLoopDagMatchesSeqAndEpochCount) {
     auto run = [&](exec::backend_kind be,
                    std::vector<std::vector<double>>* snapshot,
                    std::vector<std::uint64_t>* epochs,
-                   std::size_t partitions = 0,
-                   placement_kind placement = placement_kind::affinity) {
+                   std::size_t partitions = 0) {
         auto set = op_decl_set(kElems, "elems");
         std::vector<op_dat> dats;
         for (int k = 0; k < kDats; ++k) {
@@ -254,7 +228,6 @@ TEST_P(DataflowDifferential, RandomLoopDagMatchesSeqAndEpochCount) {
         o.part_size = 32;
         o.backend = be;
         o.partitions = partitions;
-        o.placement = placement;
         for (int l = 0; l < kLoops; ++l) {
             int const r1 = pick(rng);
             int r2 = pick(rng);
@@ -306,21 +279,14 @@ TEST_P(DataflowDifferential, RandomLoopDagMatchesSeqAndEpochCount) {
     // issue order's semantics bitwise, and all must count writer loops
     // identically in the dat-level epochs.
     for (std::size_t parts : {0u, 1u, 5u}) {
-        for (auto placement :
-             {placement_kind::affinity, placement_kind::any}) {
-            run(exec::backend_kind::hpx_dataflow, &got, &epochs, parts,
-                placement);
-            ASSERT_EQ(ref.size(), got.size());
-            for (std::size_t k = 0; k < ref.size(); ++k) {
-                EXPECT_EQ(std::memcmp(got[k].data(), ref[k].data(),
-                                      ref[k].size() * sizeof(double)),
-                          0)
-                    << "dat " << k
-                    << " diverged under the randomized DAG at " << parts
-                    << " partitions ("
-                    << (placement == placement_kind::any ? "any" : "affinity")
-                    << " placement)";
-            }
+        run(exec::backend_kind::hpx_dataflow, &got, &epochs, parts);
+        ASSERT_EQ(ref.size(), got.size());
+        for (std::size_t k = 0; k < ref.size(); ++k) {
+            EXPECT_EQ(std::memcmp(got[k].data(), ref[k].data(),
+                                  ref[k].size() * sizeof(double)),
+                      0)
+                << "dat " << k << " diverged under the randomized DAG at "
+                << parts << " partitions";
         }
     }
 }
@@ -404,7 +370,7 @@ TEST_P(DataflowWrappedPartitions, AirfoilShapedChainMatchesSeqBitwise) {
     airfoil_shaped prog(GetParam());
     auto oracle = prog.run(exec::backend_kind::seq, 4);
     for (std::size_t parts : {1u, 6u, 8u, 12u}) {
-        auto got = prog.run(exec::backend_kind::hpx_dataflow, 4, parts);
+        auto got = prog.run(exec::backend_kind::hpx_dataflow, 4, {parts});
         ASSERT_EQ(got.q.size(), oracle.q.size());
         EXPECT_EQ(std::memcmp(got.q.data(), oracle.q.data(),
                               oracle.q.size() * sizeof(double)),
@@ -421,118 +387,171 @@ TEST_P(DataflowWrappedPartitions, AirfoilShapedChainMatchesSeqBitwise) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DataflowWrappedPartitions,
                          ::testing::Values(3u, 17u, 29u, 53u));
 
-/// Randomized DAGs mixing direct read-modify-writes with indirect
+/// Randomized DAG mixing direct read-modify-writes with indirect
 /// gathers (OP_READ through the map, OP_INC back through it) and
 /// scatters fed by an indirect read: a dense interleaving of indirect
-/// readers and INC writers over the same dats at 5 partitions.
-class DataflowRandomIndirectDag : public DataflowDifferential {};
-
-TEST_P(DataflowRandomIndirectDag, GatherScatterDagMatchesSeqBitwise) {
+/// readers and INC writers over the same dats, issued without a fence.
+/// The program is a function of `seed`; loop l is issued at partition
+/// count counts[l % counts.size()]. Returns every dat's final contents.
+std::vector<std::vector<double>> random_indirect_dag(
+    unsigned seed, exec::backend_kind be,
+    std::vector<std::size_t> const& counts) {
     constexpr std::size_t kCells = 192;
     constexpr std::size_t kEdges = 480;
     constexpr int kDats = 4;
     constexpr int kLoops = 28;
 
-    auto run = [&](exec::backend_kind be, std::size_t partitions,
-                   std::vector<std::vector<double>>* snapshot) {
-        auto cells = op_decl_set(kCells, "cells");
-        auto edges = op_decl_set(kEdges, "edges");
-        std::mt19937 rng(GetParam() * 661u + 7u);
-        std::uniform_int_distribution<int> cd(0,
-                                              static_cast<int>(kCells) - 1);
-        std::vector<int> tab(2 * kEdges);
-        for (auto& v : tab) {
-            v = cd(rng);
-        }
-        auto em = op_decl_map(edges, cells, 2, tab, "em");
+    auto cells = op_decl_set(kCells, "cells");
+    auto edges = op_decl_set(kEdges, "edges");
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<int> cd(0, static_cast<int>(kCells) - 1);
+    std::vector<int> tab(2 * kEdges);
+    for (auto& v : tab) {
+        v = cd(rng);
+    }
+    auto em = op_decl_map(edges, cells, 2, tab, "em");
 
-        std::vector<op_dat> dats;
-        for (int k = 0; k < kDats; ++k) {
-            auto d = op_decl_dat_zero<double>(cells, 1, "double",
-                                              "c" + std::to_string(k));
-            auto v = d.view<double>();
-            for (std::size_t i = 0; i < kCells; ++i) {
-                v[i] = static_cast<double>((i + static_cast<std::size_t>(k)) %
-                                           5);
-            }
-            dats.push_back(d);
+    std::vector<op_dat> dats;
+    for (int k = 0; k < kDats; ++k) {
+        auto d = op_decl_dat_zero<double>(cells, 1, "double",
+                                          "c" + std::to_string(k));
+        auto v = d.view<double>();
+        for (std::size_t i = 0; i < kCells; ++i) {
+            v[i] = static_cast<double>((i + static_cast<std::size_t>(k)) % 5);
         }
+        dats.push_back(d);
+    }
 
-        loop_options o;
-        o.part_size = 32;
-        o.backend = be;
-        o.partitions = partitions;
+    loop_options o;
+    o.part_size = 32;
+    o.backend = be;
 
-        std::uniform_int_distribution<int> pick(0, kDats - 1);
-        std::uniform_int_distribution<int> kind(0, 2);
-        for (int l = 0; l < kLoops; ++l) {
-            int const r1 = pick(rng);
-            int r2 = pick(rng);
-            int w = pick(rng);
-            while (r2 == r1) r2 = (r2 + 1) % kDats;
-            while (w == r1 || w == r2) w = (w + 1) % kDats;
-            auto& dr1 = dats[static_cast<std::size_t>(r1)];
-            auto& dr2 = dats[static_cast<std::size_t>(r2)];
-            auto& dw = dats[static_cast<std::size_t>(w)];
-            switch (kind(rng)) {
-                case 0:  // direct read-modify-write on cells
-                    (void)exec::run_loop(
-                        o, "direct_mix", cells,
-                        [](double const* a, double const* b, double* t) {
-                            *t = std::fmod(*t + *a + 2.0 * *b, 1024.0);
-                        },
-                        op_arg_dat(dr1, -1, OP_ID, 1, "double", OP_READ),
-                        op_arg_dat(dr2, -1, OP_ID, 1, "double", OP_READ),
-                        op_arg_dat(dw, -1, OP_ID, 1, "double", OP_RW));
-                    break;
-                case 1:  // indirect gather on both slots, INC back
-                    (void)exec::run_loop(
-                        o, "gather_mix", edges,
-                        [](double const* a0, double const* a1, double* t0,
-                           double* t1) {
-                            *t0 += std::fmod(*a0 + 1.0, 32.0);
-                            *t1 += std::fmod(*a1 + 2.0, 32.0);
-                        },
-                        op_arg_dat(dr1, 0, em, 1, "double", OP_READ),
-                        op_arg_dat(dr1, 1, em, 1, "double", OP_READ),
-                        op_arg_dat(dw, 0, em, 1, "double", OP_INC),
-                        op_arg_dat(dw, 1, em, 1, "double", OP_INC));
-                    break;
-                default:  // indirect scatter fed by an indirect read
-                    (void)exec::run_loop(
-                        o, "scatter_mix", edges,
-                        [](double const* a, double* t) {
-                            *t += std::fmod(*a, 16.0) + 1.0;
-                        },
-                        op_arg_dat(dr2, 0, em, 1, "double", OP_READ),
-                        op_arg_dat(dw, 1, em, 1, "double", OP_INC));
-                    break;
-            }
+    std::uniform_int_distribution<int> pick(0, kDats - 1);
+    std::uniform_int_distribution<int> kind(0, 2);
+    for (int l = 0; l < kLoops; ++l) {
+        o.partitions = counts[static_cast<std::size_t>(l) % counts.size()];
+        int const r1 = pick(rng);
+        int r2 = pick(rng);
+        int w = pick(rng);
+        while (r2 == r1) r2 = (r2 + 1) % kDats;
+        while (w == r1 || w == r2) w = (w + 1) % kDats;
+        auto& dr1 = dats[static_cast<std::size_t>(r1)];
+        auto& dr2 = dats[static_cast<std::size_t>(r2)];
+        auto& dw = dats[static_cast<std::size_t>(w)];
+        switch (kind(rng)) {
+            case 0:  // direct read-modify-write on cells
+                (void)exec::run_loop(
+                    o, "direct_mix", cells,
+                    [](double const* a, double const* b, double* t) {
+                        *t = std::fmod(*t + *a + 2.0 * *b, 1024.0);
+                    },
+                    op_arg_dat(dr1, -1, OP_ID, 1, "double", OP_READ),
+                    op_arg_dat(dr2, -1, OP_ID, 1, "double", OP_READ),
+                    op_arg_dat(dw, -1, OP_ID, 1, "double", OP_RW));
+                break;
+            case 1:  // indirect gather on both slots, INC back
+                (void)exec::run_loop(
+                    o, "gather_mix", edges,
+                    [](double const* a0, double const* a1, double* t0,
+                       double* t1) {
+                        *t0 += std::fmod(*a0 + 1.0, 32.0);
+                        *t1 += std::fmod(*a1 + 2.0, 32.0);
+                    },
+                    op_arg_dat(dr1, 0, em, 1, "double", OP_READ),
+                    op_arg_dat(dr1, 1, em, 1, "double", OP_READ),
+                    op_arg_dat(dw, 0, em, 1, "double", OP_INC),
+                    op_arg_dat(dw, 1, em, 1, "double", OP_INC));
+                break;
+            default:  // indirect scatter fed by an indirect read
+                (void)exec::run_loop(
+                    o, "scatter_mix", edges,
+                    [](double const* a, double* t) {
+                        *t += std::fmod(*a, 16.0) + 1.0;
+                    },
+                    op_arg_dat(dr2, 0, em, 1, "double", OP_READ),
+                    op_arg_dat(dw, 1, em, 1, "double", OP_INC));
+                break;
         }
-        if (be == exec::backend_kind::hpx_dataflow) {
-            op_fence_all();
-        }
-        snapshot->clear();
-        for (auto& d : dats) {
-            auto v = d.view<double>();
-            snapshot->emplace_back(v.begin(), v.end());
-        }
-    };
+    }
+    if (be == exec::backend_kind::hpx_dataflow) {
+        op_fence_all();
+    }
+    std::vector<std::vector<double>> out;
+    for (auto& d : dats) {
+        auto v = d.view<double>();
+        out.emplace_back(v.begin(), v.end());
+    }
+    return out;
+}
 
-    std::vector<std::vector<double>> ref, got;
-    run(exec::backend_kind::seq, 0, &ref);
-    run(exec::backend_kind::hpx_dataflow, 5, &got);
+/// Every dat of `got` bitwise equal to the same dat of `ref`.
+void expect_dats_bitwise_equal(std::vector<std::vector<double>> const& ref,
+                               std::vector<std::vector<double>> const& got) {
     ASSERT_EQ(ref.size(), got.size());
     for (std::size_t k = 0; k < ref.size(); ++k) {
         EXPECT_EQ(std::memcmp(got[k].data(), ref[k].data(),
                               ref[k].size() * sizeof(double)),
                   0)
-            << "dat " << k << " diverged under the randomized indirect DAG";
+            << "dat " << k << " diverged from seq";
     }
+}
+
+/// The randomized indirect DAG at 5 partitions.
+class DataflowRandomIndirectDag : public DataflowDifferential {};
+
+TEST_P(DataflowRandomIndirectDag, GatherScatterDagMatchesSeqBitwise) {
+    unsigned const seed = GetParam() * 661u + 7u;
+    expect_dats_bitwise_equal(
+        random_indirect_dag(seed, exec::backend_kind::seq, {0}),
+        random_indirect_dag(seed, exec::backend_kind::hpx_dataflow, {5}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DataflowRandomIndirectDag,
                          ::testing::Values(3u, 17u, 29u, 53u));
+
+/// Loops issued back to back, with no fence, at partition counts that
+/// change from loop to loop. Every change re-partitions the touched
+/// dats' dependency tables while nodes issued at the old count are
+/// still in flight: dep_state::pin drains them, then rebuilds the
+/// table at the new count.
+class DataflowMixedGranularity : public DataflowDifferential {};
+
+/// The randomized indirect DAG with each loop at a count drawn by seed
+/// from {1, 2, 4, 8}.
+TEST_P(DataflowMixedGranularity, RandomIndirectDagMatchesSeqBitwise) {
+    unsigned const seed = GetParam() * 977u + 3u;
+    std::mt19937 rng(GetParam());
+    std::uniform_int_distribution<int> shift(0, 3);
+    std::vector<std::size_t> counts(28);
+    for (auto& c : counts) {
+        c = std::size_t{1} << shift(rng);
+    }
+    expect_dats_bitwise_equal(
+        random_indirect_dag(seed, exec::backend_kind::seq, {0}),
+        random_indirect_dag(seed, exec::backend_kind::hpx_dataflow, counts));
+}
+
+/// The airfoil-shaped chain, update's gbl INC included, with iteration
+/// i at {1, 2, 4, 8}[i % 4].
+TEST_P(DataflowMixedGranularity, AirfoilShapedChainMatchesSeqBitwise) {
+    airfoil_shaped prog(GetParam());
+    auto const ref = prog.run(exec::backend_kind::seq, 8);
+    auto const got =
+        prog.run(exec::backend_kind::hpx_dataflow, 8, {1, 2, 4, 8});
+    ASSERT_EQ(got.q.size(), ref.q.size());
+    EXPECT_EQ(std::memcmp(got.q.data(), ref.q.data(),
+                          ref.q.size() * sizeof(double)),
+              0)
+        << "state q diverged across granularity changes";
+    EXPECT_EQ(std::memcmp(got.res.data(), ref.res.data(),
+                          ref.res.size() * sizeof(double)),
+              0)
+        << "residual diverged across granularity changes";
+    EXPECT_EQ(got.rms, ref.rms);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DataflowMixedGranularity,
+                         ::testing::Values(2u, 11u, 23u, 41u, 67u));
 
 class DataflowTinySet : public ::testing::Test {
 protected:
@@ -623,12 +642,8 @@ TEST_P(DataflowOnePartition, DefaultOnOneWorkerMatchesSeqBitwise) {
               0)
         << "residual diverged on one worker";
     EXPECT_EQ(got.rms, ref.rms);
-    if (!tune::autotune_default()) {
-        // OP2HPX_AUTOTUNE=1 routes defaulted loops through the tuner's
-        // ladder instead, which includes two partitions.
-        for (op_dat d : {prog.q, prog.qold, prog.adt, prog.res}) {
-            EXPECT_EQ(d.internal().dep.count, 1u) << d.name();
-        }
+    for (op_dat d : {prog.q, prog.qold, prog.adt, prog.res}) {
+        EXPECT_EQ(d.internal().dep.count, 1u) << d.name();
     }
 }
 

@@ -29,14 +29,9 @@ protected:
         cfg.niter = 16;
         cfg.rms_stride = 4;
         cfg.be = be;
-        // Every assertion here compares two *separate* runs bitwise, so
-        // the partition structure must be identical between them: pin
-        // it to the pool size explicitly. Under OP2HPX_AUTOTUNE a
-        // defaulted (0) count would let the tuner vary partitioning
-        // per issue — legitimate, but the two runs then accumulate INC
-        // contributions in different orders and the comparison is
-        // meaningless. Explicit counts always bypass the tuner.
-        cfg.opts.partitions = 4;
+        // Every assertion here compares two *separate* runs bitwise:
+        // both take the default partition count (the pool size), so
+        // they accumulate INC contributions in the same order.
         return cfg;
     }
 
@@ -74,7 +69,7 @@ TEST_F(FaultRecoveryTest, HpxRecoveryIsBitwiseExact) {
     op2::fault::arm("kernel=res_calc@*.*#6");
     auto cfg = small_config(op2::backend::hpx);
     cfg.checkpoint_every = 4;
-    cfg.opts.retries = 4;
+    cfg.retries = 4;
     auto const faulted = airfoil::run(cfg);
     op2::fault::disarm();
 
@@ -88,7 +83,7 @@ TEST_F(FaultRecoveryTest, SeqRecoveryIsBitwiseExact) {
     op2::fault::arm("kernel=save_soln@*.*#3");
     auto cfg = small_config(op2::backend::seq);
     cfg.checkpoint_every = 4;
-    cfg.opts.retries = 2;
+    cfg.retries = 2;
     auto const faulted = airfoil::run(cfg);
     op2::fault::disarm();
 
@@ -101,7 +96,7 @@ TEST_F(FaultRecoveryTest, CheckpointingWithoutFaultsChangesNothing) {
 
     auto cfg = small_config(op2::backend::hpx);
     cfg.checkpoint_every = 5;
-    cfg.opts.retries = 2;
+    cfg.retries = 2;
     auto const ckpted = airfoil::run(cfg);
 
     EXPECT_EQ(ckpted.recoveries, 0);
@@ -117,7 +112,7 @@ TEST_F(FaultRecoveryTest, DirectLoopRecoveryIsBitwiseExact) {
     op2::fault::arm("kernel=adt_calc@*.*#6");
     auto cfg = small_config(op2::backend::hpx);
     cfg.checkpoint_every = 4;
-    cfg.opts.retries = 4;
+    cfg.retries = 4;
     auto const faulted = airfoil::run(cfg);
     op2::fault::disarm();
 
@@ -134,7 +129,7 @@ TEST_F(FaultRecoveryTest, ReductionLoopRecoveryIsBitwiseExact) {
     op2::fault::arm("kernel=update@*.*#6");
     auto cfg = small_config(op2::backend::hpx);
     cfg.checkpoint_every = 4;
-    cfg.opts.retries = 4;
+    cfg.retries = 4;
     auto const faulted = airfoil::run(cfg);
     op2::fault::disarm();
 
@@ -146,7 +141,39 @@ TEST_F(FaultRecoveryTest, ExhaustedRetryBudgetPropagates) {
     op2::fault::arm("kernel=save_soln@*.*#1");
     auto cfg = small_config(op2::backend::seq);
     cfg.checkpoint_every = 4;
-    cfg.opts.retries = 0;  // no budget: the injected fault must surface
+    cfg.retries = 0;  // no budget: the injected fault must surface
+    EXPECT_THROW(airfoil::run(cfg), std::runtime_error);
+}
+
+/// Two faults in different segments of a 4-iteration checkpoint
+/// stride. Each site counts the save_soln sweeps it sees (one per
+/// iteration on seq, re-issued iterations included): the first fails
+/// segment 0, the second segment 2.
+constexpr char const* kTwoSegmentFaults =
+    "kernel=save_soln@*.*#2;kernel=save_soln@*.*#11";
+
+TEST_F(FaultRecoveryTest, RetryBudgetCoversEveryFailedSegment) {
+    auto const oracle = airfoil::run(small_config(op2::backend::seq));
+
+    op2::fault::arm(kTwoSegmentFaults);
+    auto cfg = small_config(op2::backend::seq);
+    cfg.checkpoint_every = 4;
+    cfg.retries = 2;
+    auto const faulted = airfoil::run(cfg);
+    op2::fault::disarm();
+
+    EXPECT_EQ(faulted.recoveries, 2);
+    expect_recovered_equal(oracle, faulted, 0.0);
+}
+
+TEST_F(FaultRecoveryTest, RetryBudgetIsSharedAcrossSegments) {
+    // The budget counts rollbacks over the whole run, not per segment:
+    // segment 0's rollback spends the only retry, so the fault in
+    // segment 2 surfaces although that segment has not been retried.
+    op2::fault::arm(kTwoSegmentFaults);
+    auto cfg = small_config(op2::backend::seq);
+    cfg.checkpoint_every = 4;
+    cfg.retries = 1;
     EXPECT_THROW(airfoil::run(cfg), std::runtime_error);
 }
 

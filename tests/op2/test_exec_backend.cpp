@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -345,78 +346,106 @@ TEST_F(ExecBackendTest, DependentLoopsOverlapOnDisjointPartitions) {
     }
 }
 
-/// The placement tentpole, as a deterministic scheduler trace: under
-/// placement = affinity every partition's sub-nodes must execute on
-/// worker partition % pool_size. Stealing makes a naive version of this
-/// racy (an early-waking worker could rob a slow one's inbox), so the
-/// scenario forces determinism: spinning blockers occupy all four
-/// workers while the loop is issued — the pinned sub-nodes sit
-/// untouchable in their target inboxes — and each sub-node then spins
-/// until all four are claimed. A worker's first pop after its blocker
-/// releases is its own inbox, so the claims are exactly the pinned
-/// assignments; only then does the main thread start helping.
-TEST_F(ExecBackendTest, AffinityPlacementPinsSubNodesToWorkers) {
-    constexpr std::size_t kN = 400;  // 4 partitions of 100
+/// Sub-node placement, as a deterministic scheduler trace: one direct
+/// loop at `o.partitions`, which resolves to `nparts` one-block
+/// partitions of 100 elements on the current pool, must execute every
+/// partition p on worker p % pool_size, and leave both touched dats'
+/// dependency tables at `nparts` records. Stealing makes a naive version
+/// of this racy (an idle worker robs a busy one's inbox), so the
+/// scenario forces determinism: spinning blockers occupy every worker
+/// while the loop is issued — the pinned sub-nodes sit untouchable in
+/// their target inboxes — and no worker goes idle before every
+/// partition is claimed: a worker's last partition spins until then,
+/// and so does the blocker of a worker that owns no partition. A worker
+/// drains its own inbox before it steals, so the claims are exactly the
+/// pinned assignments; only then does the main thread start helping.
+void expect_pinned_placement(loop_options o, std::size_t nparts) {
     auto& pool = hpxlite::get_pool();
-    ASSERT_EQ(pool.size(), 4u);
+    std::size_t const nw = pool.size();
+    std::size_t const n = nparts * 100;
 
-    auto cells = op_decl_set(kN, "cells");
-    std::vector<double> ids(kN);
-    for (std::size_t i = 0; i < kN; ++i) {
+    auto cells = op_decl_set(n, "cells");
+    std::vector<double> ids(n);
+    for (std::size_t i = 0; i < n; ++i) {
         ids[i] = static_cast<double>(i);
     }
     auto idx = op_decl_dat<double>(cells, 1, "double", ids, "idx");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
 
-    std::array<std::atomic<long>, 4> part_worker;
+    // Partitions each worker owns under the p % pool_size hint.
+    std::vector<std::size_t> share(nw, 0);
+    for (std::size_t p = 0; p < nparts; ++p) {
+        ++share[p % nw];
+    }
+    std::vector<std::atomic<long>> part_worker(nparts);
     for (auto& w : part_worker) {
         w.store(-1);
     }
+    std::vector<std::atomic<std::size_t>> worker_claims(nw);
     std::atomic<bool> mixed{false};
     std::atomic<std::size_t> claimed{0};
     std::atomic<bool> gave_up{false};
+    auto wait_all_claimed = [&] {
+        auto const deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (claimed.load(std::memory_order_acquire) < nparts &&
+               !gave_up.load(std::memory_order_relaxed)) {
+            if (std::chrono::steady_clock::now() > deadline) {
+                gave_up.store(true, std::memory_order_relaxed);
+                break;
+            }
+            std::this_thread::yield();
+        }
+    };
 
+    // One blocker per worker, submitted to that worker: a sleeping
+    // worker is then woken by its own submission (plain submits may
+    // wake one sleeper twice and leave another asleep with a blocker
+    // queued), and a blocker an idle worker steals goes back to its
+    // owner's inbox instead of blocking the thief.
     std::atomic<std::size_t> blockers_running{0};
+    std::atomic<std::size_t> blocker_tasks{nw};
     std::atomic<bool> release{false};
-    for (std::size_t i = 0; i < 4; ++i) {
-        pool.submit([&] {
+    std::function<void(std::size_t)> block = [&](std::size_t w) {
+        if (pool.worker_index() == w) {
             blockers_running.fetch_add(1);
             while (!release.load(std::memory_order_acquire)) {
                 std::this_thread::yield();
             }
-        });
+            if (share[w] == 0) {
+                wait_all_claimed();
+            }
+        } else {
+            blocker_tasks.fetch_add(1);
+            pool.submit_to(w, [&block, w] { block(w); });
+        }
+        blocker_tasks.fetch_sub(1, std::memory_order_release);
+    };
+    for (std::size_t w = 0; w < nw; ++w) {
+        pool.submit_to(w, [&block, w] { block(w); });
     }
-    while (blockers_running.load() < 4) {
+    while (blockers_running.load() < nw) {
         std::this_thread::yield();
     }
 
-    loop_options o = opts_;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 4;
     o.part_size = 100;
-    o.placement = placement_kind::affinity;
     auto h = exec::run_loop(
         o, "pinned", cells,
         [&](double const* i, double* x) {
             auto const e = static_cast<std::size_t>(*i);
             std::size_t const p = e / 100;
-            long const w = static_cast<long>(pool.worker_index());
+            std::size_t const w = pool.worker_index();
             if (e % 100 == 0) {
                 claimed.fetch_add(1);
-                auto const deadline = std::chrono::steady_clock::now() +
-                                      std::chrono::seconds(10);
-                while (claimed.load(std::memory_order_acquire) < 4 &&
-                       !gave_up.load(std::memory_order_relaxed)) {
-                    if (std::chrono::steady_clock::now() > deadline) {
-                        gave_up.store(true, std::memory_order_relaxed);
-                        break;
-                    }
-                    std::this_thread::yield();
+                if (w < nw && worker_claims[w].fetch_add(1) + 1 == share[w]) {
+                    wait_all_claimed();
                 }
             }
             long expect = -1;
-            if (!part_worker[p].compare_exchange_strong(expect, w) &&
-                expect != w) {
+            if (!part_worker[p].compare_exchange_strong(
+                    expect, static_cast<long>(w)) &&
+                expect != static_cast<long>(w)) {
                 mixed.store(true, std::memory_order_relaxed);
             }
             *x = *i + 1.0;
@@ -428,21 +457,78 @@ TEST_F(ExecBackendTest, AffinityPlacementPinsSubNodesToWorkers) {
     // Do not help before every sub-node is claimed by its own worker:
     // run_loop's handle (and op_fence) steal as a fallback, which would
     // legitimately run a pinned node on the main thread.
-    while (claimed.load() < 4 && !gave_up.load()) {
+    while (claimed.load() < nparts && !gave_up.load()) {
         std::this_thread::yield();
     }
     h.get();
     op_fence_all();
+    // The blockers reference this frame: let every one finish first.
+    while (blocker_tasks.load(std::memory_order_acquire) != 0) {
+        std::this_thread::yield();
+    }
 
     ASSERT_FALSE(gave_up.load())
-        << "the four pinned sub-nodes never ran concurrently";
+        << "the " << nparts << " pinned sub-nodes were never all claimed";
     EXPECT_FALSE(mixed.load()) << "a partition's elements ran on more than "
                                   "one worker";
-    for (std::size_t p = 0; p < 4; ++p) {
-        EXPECT_EQ(part_worker[p].load(), static_cast<long>(p))
+    for (std::size_t p = 0; p < nparts; ++p) {
+        EXPECT_EQ(part_worker[p].load(), static_cast<long>(p % nw))
             << "partition " << p << " did not run on its pinned worker";
     }
+    EXPECT_EQ(idx.internal().dep.count, nparts);
+    EXPECT_EQ(d.internal().dep.count, nparts);
+    auto const dv = d.view<double>();
+    for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(dv[i], static_cast<double>(i) + 1.0) << "element " << i;
+    }
 }
+
+/// One partition per worker, pinned to it.
+TEST_F(ExecBackendTest, AffinityPlacementPinsSubNodesToWorkers) {
+    ASSERT_EQ(hpxlite::get_pool().size(), 4u);
+    loop_options o = opts_;
+    o.partitions = 4;
+    expect_pinned_placement(o, 4);
+}
+
+/// Fewer partitions than workers leave the high workers without pinned
+/// work; more wrap around, partition p landing on worker p % 4 behind
+/// the partitions that worker already owns.
+class ExecBackendPlacement : public ::testing::TestWithParam<std::size_t> {
+protected:
+    void SetUp() override { hpxlite::init(hpxlite::runtime_config{4}); }
+    void TearDown() override { hpxlite::finalize(); }
+};
+
+TEST_P(ExecBackendPlacement, PartitionRunsOnWorkerPartitionModPoolSize) {
+    ASSERT_EQ(hpxlite::get_pool().size(), 4u);
+    loop_options o;
+    o.partitions = GetParam();
+    expect_pinned_placement(o, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Partitions, ExecBackendPlacement,
+                         ::testing::Values(1u, 2u, 3u, 5u, 8u));
+
+/// A defaulted partition count (0) resolves to the pool size: one
+/// partition per worker, partition p on worker p, on every pool size.
+class ExecBackendDefaultPartitions
+    : public ::testing::TestWithParam<std::size_t> {
+protected:
+    void SetUp() override {
+        hpxlite::init(hpxlite::runtime_config{GetParam()});
+    }
+    void TearDown() override { hpxlite::finalize(); }
+};
+
+TEST_P(ExecBackendDefaultPartitions,
+       DefaultCountIsPoolSizeWithPinnedPartitions) {
+    ASSERT_EQ(hpxlite::get_pool().size(), GetParam());
+    expect_pinned_placement(loop_options{}, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, ExecBackendDefaultPartitions,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 /// The same-colour non-conflict exemption, as a deterministic trace:
 /// a single indirect INC loop over a shifted one-to-one map (edge i ->
@@ -692,6 +778,56 @@ TEST_F(ExecBackendTest, GranularityChangeRepartitionsAndCarriesErrors) {
     for (double x : d.view<double>()) {
         ASSERT_DOUBLE_EQ(x, 0.0);  // the failed graph never ran the writer
     }
+}
+
+TEST_F(ExecBackendTest, RepeatedGranularityChangesKeepCarriedErrorsDeduped) {
+    // Every re-partition carries the table's failed nodes into each
+    // record of the new table, so after one switch a carried node sits
+    // in every record. The next switch must collect it once, not once
+    // per record: seeding the duplicates back would multiply the carried
+    // set by the partition count on every switch.
+    auto cells = op_decl_set(256, "cells");
+    auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
+    loop_options o = opts_;
+    o.backend = exec::backend_kind::hpx_dataflow;
+
+    o.partitions = 1;
+    auto bad = exec::run_loop(o, "bad", cells,
+                              [](double*) {
+                                  throw std::runtime_error("boom");
+                              },
+                              op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
+    EXPECT_THROW(bad.get(), std::runtime_error);
+
+    for (int round = 0; round < 4; ++round) {
+        for (std::size_t parts : {2u, 3u}) {
+            o.partitions = parts;
+            auto w = exec::run_loop(
+                o, "writer", cells, [](double* x) { *x = 1.0; },
+                op_arg_dat(d, -1, OP_ID, 1, "double", OP_WRITE));
+            EXPECT_THROW(w.get(), std::runtime_error)
+                << "round " << round << ", " << parts << " partitions";
+            auto const [recs, count] = d.internal().dep.table();
+            ASSERT_EQ(count, parts);
+            for (std::size_t r = 0; r < count; ++r) {
+                std::vector<exec::node_ref> nodes;
+                recs[r].snapshot(nodes);
+                std::vector<exec::dataflow_node const*> ptrs;
+                for (auto const& n : nodes) {
+                    ptrs.push_back(n.get());
+                }
+                std::sort(ptrs.begin(), ptrs.end());
+                bool const twice = std::adjacent_find(ptrs.begin(),
+                                                      ptrs.end()) !=
+                                   ptrs.end();
+                ASSERT_FALSE(twice)
+                    << "record " << r << " holds a node twice (round "
+                    << round << ", " << parts << " partitions, "
+                    << ptrs.size() << " entries)";
+            }
+        }
+    }
+    op_fence(d);
 }
 
 /// A loop's join runs on the thread that finishes the loop's last

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs gate: keep ARCHITECTURE.md and the rest of the handbook honest.
 
-Three checks, run by the CI `docs` job (no dependencies beyond the
+Four checks, run by the CI `docs` job (no dependencies beyond the
 standard library):
 
 1. **Markdown links.** Every relative link in the repo's tracked *.md
@@ -26,9 +26,15 @@ standard library):
    CMakeLists.txt. A leg left behind for a deleted knob would otherwise
    run the default configuration and pass silently.
 
-A name counts as referenced only outside comments (C++ `//` and
-`/* */`, CMake `#`): a comment that outlives a knob's code does not
-keep the knob's row or CI leg alive.
+4. **Markdown mentions in the sources.** Every `*.md` file that a file
+   under src/, bench/, examples/ or tests/ names — comments included —
+   must match a markdown file of the repo (the name, or a path, that is
+   a suffix of the file's repo-relative path). A source pointing its
+   reader at a handbook page that does not exist fails this script.
+
+In checks 2 and 3 a name counts as referenced only outside comments
+(C++ `//` and `/* */`, CMake `#`): a comment that outlives a knob's
+code does not keep the knob's row or CI leg alive.
 
 Exit status: 0 clean, 1 with findings (each printed on its own line).
 """
@@ -70,6 +76,7 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 ENV_RE = re.compile(r"\bOP2HPX_[A-Z_]+\b")
 FIELD_REF_RE = re.compile(r"\bloop_options::(\w+)")
 ENV_SET_RE = re.compile(r"\b(OP2HPX_[A-Z_]+)\s*[:=]")
+MD_NAME_RE = re.compile(r"[\w./-]+\.md\b")
 # Comments and string literals, scanned left to right so a comment
 # marker inside a string (or a quote inside a comment) is not taken
 # for one. Literals are kept: env var names live in them.
@@ -194,8 +201,31 @@ def check_ci_env() -> list[str]:
     return problems
 
 
+def check_md_mentions() -> list[str]:
+    markdown = [p.relative_to(REPO).as_posix() for p in repo_files("*.md")]
+    problems = []
+    for root in SOURCE_DIRS:
+        for src in sorted(root.rglob("*")):
+            if not src.is_file() or any(
+                    part in SKIP_DIRS for part in src.relative_to(REPO).parts):
+                continue
+            text = src.read_text(encoding="utf-8", errors="replace")
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for name in MD_NAME_RE.findall(line):
+                    # Relative prefixes (./, ../) locate, not name.
+                    want = re.sub(r"^(\.{1,2}/)+", "", name)
+                    if not any(md == want or md.endswith("/" + want)
+                               for md in markdown):
+                        problems.append(
+                            f"{src.relative_to(REPO)}:{lineno}: names "
+                            f"`{name}`, which matches no markdown file "
+                            "of the repo")
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_knob_table() + check_ci_env()
+    problems = (check_links() + check_knob_table() + check_ci_env() +
+                check_md_mentions())
     for p in problems:
         print(p)
     if problems:
