@@ -2,10 +2,10 @@
 // loop chain — the shape of airfoil's time-march.
 //
 // The partition sweep: a dependent direct RW chain issued at 1, 2 and 4
-// partitions (one sub-node per (partition, colour)). At 1 partition loop
+// partitions (one sub-node per (colour, slice)). At 1 partition loop
 // i+1 waits for all of loop i; at P partitions its sub-node for
-// partition p waits only for loop i's partition p, so the partitions
-// pipeline independently through the chain — dependent loops overlap.
+// slice p waits only for loop i's slice p, so the slices pipeline
+// independently through the chain — dependent loops overlap.
 //
 // Plus the straddle section: a dependent *indirect* INC chain over a
 // ring map whose partitions straddle the partition boundary — the shape

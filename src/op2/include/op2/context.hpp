@@ -61,8 +61,8 @@ public:
         return id_ == 0 ? nullptr : name_.c_str();
     }
 
-    /// Reduction combine lock (see exec/backend.hpp: partitioned
-    /// reduction scratch seeding and folding). One lock per context:
+    /// Reduction combine lock (see exec/backend.hpp: the dataflow
+    /// backend's reduction scratch seeding and folding). One lock per context:
     /// loops of one program reducing into the same user variable
     /// serialise here; independent programs do not contend.
     hpxlite::util::spinlock combine_mtx;

@@ -80,7 +80,7 @@ public:
     /// Re-point a pooled executor at a fresh issue (exec::backend.hpp's
     /// cross-issue group pool): new set/arg handles, kernel and options.
     /// The grow-only reduction scratch keeps its capacity — only the
-    /// contents are re-seeded, by the next prepare_scratch() — which is
+    /// contents are re-seeded, by the next seed_scratch() — which is
     /// what turns the per-issue scratch allocation into a one-time
     /// warm-up cost. The kernel is re-emplaced because lambdas are
     /// copy-constructible but not assignable.
@@ -138,46 +138,54 @@ public:
     template <typename Bulk>
     void execute(op_plan const& plan, Bulk&& bulk) {
         setup(plan);
-        prepare_scratch();
+        seed_scratch(plan.blkmap);
         for (std::size_t c = 0; c < plan.ncolors; ++c) {
             bulk(plan.blocks_of_color(c));
         }
         combine();
     }
 
-    /// Bind argument contexts and stage tables to `plan` without
-    /// executing anything. The partition-granular dataflow path calls
-    /// this once at issue time and then drives colours individually
-    /// through run_color(); execute() remains the one-shot form for the
-    /// synchronous backends.
+    /// Bind argument contexts and stage tables to `plan` and size the
+    /// per-block reduction scratch, without executing anything. The
+    /// dataflow backend calls this once at issue time and then runs
+    /// slices of the plan from many workers at once; execute() remains
+    /// the one-shot form for the synchronous backends. The scratch is
+    /// grow-only, so repeated setups over one plan allocate nothing.
     void setup(op_plan const& plan) {
         prepare_ctx();
         bind_plan(plan);
-    }
-
-    /// Initialise the per-block reduction scratch. Must run *after* the
-    /// loop's dependencies resolved and before the first block: MIN/MAX
-    /// partials seed from the user's current value, which an earlier
-    /// loop reducing into the same variable may still be updating at
-    /// issue time. setup(plan) must have run. The allocation is cached
-    /// per executor instance (grow-only) and only the *contents* are
-    /// re-seeded, so repeated runs of one executor over the same plan
-    /// allocate nothing.
-    void prepare_scratch() {
+        reduces_ = false;
         for (std::size_t j = 0; j < N; ++j) {
-            op_arg& a = args_[j];
+            op_arg const& a = args_[j];
             reduction_[j] = a.is_gbl() && a.acc != op_access::OP_READ;
             if (!reduction_[j]) {
                 continue;
             }
-            // Privatise the reduction target per block.
-            std::size_t const bytes =
-                a.gbl_elem_bytes * static_cast<std::size_t>(a.dim);
-            if (scratch_[j].size() < bytes * nblocks_) {
-                scratch_[j].resize(bytes * nblocks_);
+            reduces_ = true;
+            std::size_t const bytes = gbl_bytes(j) * nblocks_;
+            if (scratch_[j].size() < bytes) {
+                scratch_[j].resize(bytes);
             }
-            for (std::size_t blk = 0; blk < nblocks_; ++blk) {
-                std::byte* p = scratch_[j].data() + blk * bytes;
+        }
+    }
+
+    /// True when some argument reduces through per-block scratch.
+    /// Valid after setup().
+    [[nodiscard]] bool reduces() const noexcept { return reduces_; }
+
+    /// Seed the reduction partials of `blocks`: OP_INC to zero, MIN/MAX
+    /// from the user's current value. Must run after the loop's
+    /// dependencies resolved and before those blocks run (an earlier
+    /// loop reducing into the same variable may still be updating it at
+    /// issue time); concurrent callers must seed disjoint blocks.
+    void seed_scratch(std::span<std::size_t const> blocks) {
+        for (std::size_t j = 0; j < N; ++j) {
+            if (!reduction_[j]) {
+                continue;
+            }
+            op_arg const& a = args_[j];
+            for (std::size_t blk : blocks) {
+                std::byte* p = scratch_[j].data() + blk * gbl_bytes(j);
                 if (a.acc == op_access::OP_INC) {
                     a.gbl_zero_fn(p, a.dim);
                 } else {
@@ -187,31 +195,19 @@ public:
         }
     }
 
-    /// Run every block of colour `c` inline on the calling thread. A
-    /// (partition, colour) dataflow sub-node *is* the unit of
-    /// parallelism, so its blocks need no further fan-out.
-    void run_color(op_plan const& plan, std::size_t c) {
-        for (std::size_t b : plan.blocks_of_color(c)) {
-            run_block(plan, b);
-        }
-    }
-
-    /// Fold the per-block reduction partials into the user's globals.
-    /// Must run exactly once, after every block executed; with
-    /// partitioned execution the join node serialises the per-partition
-    /// combines, so concurrent partition sweeps never race on the user's
-    /// variable.
+    /// Fold the per-block reduction partials into the user's globals, in
+    /// block order. Must run exactly once, after every block executed;
+    /// the fixed order makes every backend's result bitwise-identical.
     void combine() {
         for (std::size_t j = 0; j < N; ++j) {
-            op_arg& a = args_[j];
             if (!reduction_[j]) {
                 continue;
             }
-            std::size_t const bytes =
-                a.gbl_elem_bytes * static_cast<std::size_t>(a.dim);
+            op_arg& a = args_[j];
             for (std::size_t blk = 0; blk < nblocks_; ++blk) {
-                a.gbl.combine(a.gbl_data, scratch_[j].data() + blk * bytes,
-                              a.dim, a.acc);
+                a.gbl.combine(a.gbl_data,
+                              scratch_[j].data() + blk * gbl_bytes(j), a.dim,
+                              a.acc);
             }
         }
     }
@@ -412,14 +408,18 @@ private:
         for (std::size_t j = 0; j < N; ++j) {
             if (ctx_[j].gbl) {
                 gblp[j] = reduction_[j]
-                              ? scratch_[j].data() +
-                                    blk * args_[j].gbl_elem_bytes *
-                                        static_cast<std::size_t>(args_[j].dim)
+                              ? scratch_[j].data() + blk * gbl_bytes(j)
                               : args_[j].gbl_data;
             } else {
                 gblp[j] = nullptr;
             }
         }
+    }
+
+    /// Bytes of one block's partial of reduction argument j.
+    [[nodiscard]] std::size_t gbl_bytes(std::size_t j) const noexcept {
+        return args_[j].gbl_elem_bytes *
+               static_cast<std::size_t>(args_[j].dim);
     }
 
     void prepare_ctx() {
@@ -477,25 +477,6 @@ private:
                 all_indirect_staged_ = false;
             }
         }
-        // Partition plans index elements relative to elem_base: re-base
-        // the direct pointers and map rows once here so every inner loop
-        // runs unchanged. Indirect bases stay as-is (the gather tables
-        // hold absolute byte offsets into the target dat).
-        if (plan.elem_base != 0) {
-            for (std::size_t j = 0; j < N; ++j) {
-                arg_ctx& c = ctx_[j];
-                if (c.gbl) {
-                    continue;
-                }
-                if (c.map != nullptr) {
-                    c.map += plan.elem_base *
-                             static_cast<std::size_t>(c.mapdim);
-                } else {
-                    c.base += plan.elem_base * c.stride;
-                    dat_bytes_[j] -= plan.elem_base * c.stride;
-                }
-            }
-        }
         nblocks_ = plan.nblocks;
     }
 
@@ -511,6 +492,7 @@ private:
     std::array<std::vector<std::byte>, N> scratch_;
     bool reduction_[N] = {};  // arg j reduces through scratch_[j]
     std::size_t nblocks_ = 0;
+    bool reduces_ = false;  // some reduction_[j] is set
     bool all_direct_ = true;
     bool all_indirect_staged_ = false;
 };

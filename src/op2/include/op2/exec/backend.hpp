@@ -87,32 +87,18 @@ private:
 
 namespace detail {
 
-// Guard for partitioned reduction scratch seeding and combining: the
-// issuing context's combine lock (runtime_context::combine_mtx),
-// captured into each loop group at issue. One lock across all loops
-// *of one program*, not one per loop: two partitioned loops reducing
-// into the same user variable can have their sub-nodes in flight
-// concurrently (gbl args create no graph edges), and the variable's
-// read-modify-write must not tear between them. Order under the lock
-// is irrelevant to the result: OP_INC partials seed from zero and add,
-// OP_MIN/OP_MAX combines are monotone folds, so any interleaving of
-// seeds and combines produces the sequential value. Combines are rare
-// (one per partition per loop) and short, so one spinlock per context
-// costs nothing — and independent service jobs (which never share
-// reduction variables) never contend on it.
+// Guard for the dataflow backend's reduction scratch seeding and
+// folding: the issuing context's combine lock
+// (runtime_context::combine_mtx), captured into each loop group at
+// issue. One lock across all loops *of one program*, not one per loop:
+// two loops reducing into the same user variable can have their
+// sub-nodes in flight concurrently (gbl args create no graph edges),
+// and the variable's read-modify-write must not tear between them.
+// Seeds and folds are short and run once per slice and once per loop,
+// so one spinlock per context costs nothing — and independent service
+// jobs (which never share reduction variables) never contend on it.
 
-// --- partition-granular quarantine (issue-side) ---------------------------
-
-/// One dat element span a failing sub-node may have half-written:
-/// registered at issue time, turned into a poison span if the node
-/// completes with an error. Points at the dat's impl (alive as long as
-/// the group/executor holds the arg) so the failure path can reach both
-/// the dep_state and the dat's name without per-issue string copies.
-struct quarantine_target {
-    op2::detail::dat_impl const* dat = nullptr;
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-};
+// --- quarantine (issue-side) ----------------------------------------------
 
 /// Issue-time quarantine gate shared by every backend. Two passes:
 /// first fail fast when any dat the loop *consumes* (any access but
@@ -200,78 +186,46 @@ void staged_sweep(op2::detail::loop_executor<Kernel, N>& ex,
 }
 
 template <typename Kernel, std::size_t N>
-class partitioned_loop;
+class loop_group;
 
 /// Park a retired group in the cross-issue pool (defined with
-/// group_pool below; forward-declared so partitioned_loop::release can
-/// name it).
+/// group_pool below; forward-declared so loop_group::release can name
+/// it).
 template <typename Kernel, std::size_t N>
-void pool_put(partitioned_loop<Kernel, N>* g) noexcept;
+void pool_put(loop_group<Kernel, N>* g) noexcept;
 
-/// Shared state of one partition-granular dataflow loop: one executor
-/// (and one cached partition plan) per partition, each with its own
-/// staged-table bindings and reduction scratch. Sub-nodes and the join
+/// Shared state of one dataflow loop issue: one executor bound to the
+/// whole-set plan the staged backend runs (same blocks, colours and
+/// staged tables), serving every (colour, slice) sub-node, plus the
+/// plan's slicing at the loop's partition count. Sub-nodes and the join
 /// node share it through group_ref (an embedded intrusive count — no
 /// shared_ptr control-block allocation per issue) and drop their
 /// references in on_complete(), which is what breaks the dat -> record
 /// -> node -> group -> dat cycle once the loop has run. The last drop
 /// parks the group in the per-instantiation cross-issue pool, so a
 /// steady-state chain re-issues a loop without reconstructing its
-/// executors or reallocating their reduction scratch.
+/// executor or reallocating its reduction scratch.
 template <typename Kernel, std::size_t N>
-class partitioned_loop {
+class loop_group {
 public:
-    partitioned_loop(op_set const& set, std::array<op_arg, N> const& args,
-                     Kernel const& kernel, loop_options const& opts,
-                     char const* name, std::size_t nparts)
-      : ctx_(current_context()), name_(name) {
-        execs_.reserve(nparts);
-        plans_.reserve(nparts);
-        for (std::size_t p = 0; p < nparts; ++p) {
-            execs_.emplace_back(set, args, kernel, opts);
-        }
-        colors_left_ =
-            std::make_unique<std::atomic<std::size_t>[]>(nparts);
-        color_cap_ = nparts;
-        qtargets_.resize(nparts);
-    }
+    loop_group(op_set const& set, std::array<op_arg, N> const& args,
+               Kernel const& kernel, loop_options const& opts,
+               char const* name)
+      : ex_(set, args, kernel, opts), ctx_(current_context()), name_(name) {}
 
     /// Re-arm a pool-recycled group for a new issue of the same call
-    /// site. Grown capacity is retained everywhere it matters: the
-    /// executors keep their reduction scratch blocks (contents
-    /// are re-seeded per run by prepare_scratch), the per-partition
-    /// quarantine vectors keep their buffers, and the colour-countdown
-    /// array only reallocates when the partition count grew.
+    /// site. The executor keeps its reduction scratch capacity (contents
+    /// are re-seeded per slice by seed_scratch).
     void reset(op_set const& set, std::array<op_arg, N> const& args,
                Kernel const& kernel, loop_options const& opts,
-               char const* name, std::size_t nparts) {
+               char const* name) {
         // Pooled groups cross issue sites, and under the service layer
         // cross jobs: re-capture the issuing context (combine lock,
         // kept alive for the nodes' lifetime).
         ctx_ = current_context();
         name_ = name;
         start_ns_.store(-1, std::memory_order_relaxed);
-        plans_.clear();
-        plans_.reserve(nparts);
-        std::size_t const keep = std::min(execs_.size(), nparts);
-        for (std::size_t p = 0; p < keep; ++p) {
-            execs_[p].rebind(set, args, kernel, opts);
-        }
-        while (execs_.size() > nparts) {
-            execs_.pop_back();
-        }
-        while (execs_.size() < nparts) {
-            execs_.emplace_back(set, args, kernel, opts);
-        }
-        if (color_cap_ < nparts) {
-            colors_left_ =
-                std::make_unique<std::atomic<std::size_t>[]>(nparts);
-            color_cap_ = nparts;
-        }
-        for (auto& q : qtargets_) {
-            q.clear();
-        }
-        qtargets_.resize(nparts);
+        ex_.rebind(set, args, kernel, opts);
     }
 
     /// Intrusive reference count (see group_ref). The last release
@@ -287,22 +241,25 @@ public:
         }
     }
 
-    [[nodiscard]] std::size_t nparts() const noexcept {
-        return execs_.size();
+    [[nodiscard]] op2::detail::loop_executor<Kernel, N>& executor() {
+        return ex_;
     }
-    [[nodiscard]] op2::detail::loop_executor<Kernel, N>& executor(
-        std::size_t p) {
-        return execs_[p];
-    }
-    [[nodiscard]] op_plan const& plan(std::size_t p) const {
-        return *plans_[p];
-    }
-    void bind_plan(op_plan const& pl) { plans_.push_back(&pl); }
     [[nodiscard]] char const* name() const noexcept { return name_; }
+
+    /// Bind the plan and its slicing and arm the slice countdown with
+    /// the number of non-empty slices. Issue time, before any sub-node
+    /// exists.
+    void bind(op_plan const& plan, plan_slicing const& slicing,
+              std::size_t live) {
+        plan_ = &plan;
+        slicing_ = &slicing;
+        ex_.setup(plan);
+        slices_left_.store(live, std::memory_order_relaxed);
+    }
 
     /// First sub-node to run stamps the loop's execution start; the
     /// join reads the span. This keeps the hpx_dataflow timing row a
-    /// *wall* time (first block to last combine), comparable with the
+    /// *wall* time (first block to last fold), comparable with the
     /// seq/staged rows — not a sum of concurrent sub-node CPU times.
     void mark_start() noexcept {
         std::int64_t expected = -1;
@@ -314,68 +271,60 @@ public:
         return s < 0 ? 0.0 : static_cast<double>(now_ns() - s) * 1e-9;
     }
 
-    /// Arm partition p's colour countdown (issue time).
-    void init_colors(std::size_t p, std::size_t ncolors) noexcept {
-        colors_left_[p].store(ncolors, std::memory_order_relaxed);
-    }
-
-    /// Count one finished colour of partition p; true for the last.
-    [[nodiscard]] bool finish_color(std::size_t p) noexcept {
-        return colors_left_[p].fetch_sub(1, std::memory_order_acq_rel) == 1;
-    }
-
-    /// Seed partition p's reduction scratch (the partition's colour-0
-    /// sub-node). Under the context's combine lock: MIN/MAX partials
-    /// *read* the user's variable, which another partition's — or
-    /// another loop's — combine may be writing at that moment.
-    void prepare_partition(std::size_t p) {
-        std::lock_guard<hpxlite::util::spinlock> lk(ctx_->combine_mtx);
-        execs_[p].prepare_scratch();
-    }
-
-    /// Fold partition p's reduction partials into the user's globals.
-    /// Runs on the partition's last sub-node — with the sub-nodes, not
+    /// Run slice s of the slicing: seed its own blocks' reduction
+    /// partials, run its blocks, and — on the loop's last slice to
+    /// finish — fold every block's partials in block order, exactly as
+    /// the staged backend does. The fold runs with the sub-nodes, not
     /// after them, so a fence that drains the dat records also covers
-    /// the reductions. The context's lock serialises the
-    /// read-modify-write of the user's variable across partitions *and*
-    /// across loops of the issuing program (see the combine-lock note
-    /// above for why ordering doesn't matter).
-    void combine_partition(std::size_t p) {
-        std::lock_guard<hpxlite::util::spinlock> lk(ctx_->combine_mtx);
-        execs_[p].combine();
-    }
-
-    void release_handles() noexcept {
-        for (auto& ex : execs_) {
-            ex.release_handles();
+    /// the reductions. Seeds and the fold hold the context's combine
+    /// lock: MIN/MAX partials read the user's variable, which another
+    /// loop's fold may be writing.
+    void run_slice(std::size_t s) {
+        auto const blocks = plan_->blocks_of_slice(*slicing_, s);
+        if (ex_.reduces()) {
+            std::lock_guard<hpxlite::util::spinlock> lk(ctx_->combine_mtx);
+            ex_.seed_scratch(blocks);
+        }
+        for (std::size_t b : blocks) {
+            ex_.run_block(*plan_, b);
+        }
+        if (slices_left_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+            ex_.reduces()) {
+            std::lock_guard<hpxlite::util::spinlock> lk(ctx_->combine_mtx);
+            ex_.combine();
         }
     }
 
-    /// Register a dat element span partition p's failure would taint.
-    /// Issue-side only, and all of partition p's targets land before
-    /// p's first sub-node is issued — the only writer racing a
-    /// potential reader (poison_partition) is pushing to a *different*
-    /// partition's inner vector of the pre-sized outer one.
-    void add_quarantine_target(std::size_t p, quarantine_target t) {
-        qtargets_[p].push_back(t);
-    }
+    void release_handles() noexcept { ex_.release_handles(); }
 
-    /// Quarantine every span partition p could have half-written,
-    /// attributed to (this loop, p, `color`) with `origin` chained into
-    /// the diagnostic. Called from a failed sub-node's on_complete
-    /// (noexcept there, so best-effort: an allocation failure leaves
-    /// plain error propagation).
-    void poison_partition(std::size_t p, std::size_t color,
-                          std::exception_ptr origin) noexcept {
+    /// Quarantine every dat span slice s could have half-written — the
+    /// partitions its footprints name for each written argument —
+    /// attributed to (this loop, the slice's index within its colour,
+    /// the colour) with `origin` chained into the diagnostic. Called
+    /// from a failed sub-node's on_complete, while the executor still
+    /// holds its handles (noexcept there, so best-effort: an allocation
+    /// failure leaves plain error propagation).
+    void poison_slice(std::size_t s, std::exception_ptr origin) noexcept {
         try {
-            for (auto const& t : qtargets_[p]) {
-                auto info = std::make_shared<poison_info>();
-                info->loop = name_;
-                info->dat = t.dat->name;
-                info->partition = p;
-                info->color = color;
-                info->origin = origin;
-                t.dat->dep.add_poison(t.lo, t.hi, std::move(info));
+            std::size_t const nparts = slicing_->nparts;
+            for (op_arg const& a : ex_.args()) {
+                if (!a.dat.valid() || a.acc == op_access::OP_READ) {
+                    continue;
+                }
+                slice_footprint const& fp =
+                    a.is_direct() ? slicing_->direct
+                                  : *slicing_->find(a.map.id(), a.idx);
+                auto const dp = a.dat.set().partition(nparts);
+                for (std::uint32_t q : fp.of(s)) {
+                    auto info = std::make_shared<poison_info>();
+                    info->loop = name_;
+                    info->dat = a.dat.name();
+                    info->partition = s % nparts;
+                    info->color = s / nparts;
+                    info->origin = origin;
+                    a.dat.internal().dep.add_poison(dp->begin(q), dp->end(q),
+                                                    std::move(info));
+                }
             }
         } catch (...) {
         }
@@ -391,11 +340,10 @@ private:
     template <typename K, std::size_t M>
     friend class group_pool;
 
-    std::vector<op2::detail::loop_executor<Kernel, N>> execs_;
-    std::vector<op_plan const*> plans_;
-    std::unique_ptr<std::atomic<std::size_t>[]> colors_left_;
-    std::size_t color_cap_ = 0;
-    std::vector<std::vector<quarantine_target>> qtargets_;  // [partition]
+    op2::detail::loop_executor<Kernel, N> ex_;
+    op_plan const* plan_ = nullptr;
+    plan_slicing const* slicing_ = nullptr;
+    std::atomic<std::size_t> slices_left_{0};
     std::atomic<std::int64_t> start_ns_{-1};
     // Issuing context, captured at construction/reset: holds the
     // combine lock alive for the sub-nodes' lifetime even if the
@@ -403,26 +351,26 @@ private:
     std::shared_ptr<runtime_context> ctx_;
     char const* name_;
     std::atomic<std::size_t> refs_{0};
-    partitioned_loop* pool_next_ = nullptr;  // free-list link while parked
+    loop_group* pool_next_ = nullptr;  // free-list link while parked
 };
 
-/// Cross-issue pool of retired partitioned-loop groups, one pool per
-/// (kernel type, arity) template instantiation — i.e. per issue site,
-/// which is exactly the population whose groups are interchangeable.
-/// Mirrors the plan cache's shard discipline: a thread-local one-group
-/// slot answers the common issue/retire cadence with no locking or
-/// atomics at all, backed by spinlocked sharded free lists for the
-/// cross-thread case (groups retire on whichever worker completes the
-/// loop's last node, but are re-acquired on the issuing thread).
-/// Parked groups hold no dat handles (released at join completion) and
-/// stay reachable from the static shard heads for the process
-/// lifetime, so the pool leaks nothing.
+/// Cross-issue pool of retired loop groups, one pool per (kernel type,
+/// arity) template instantiation — i.e. per issue site, which is exactly
+/// the population whose groups are interchangeable. Mirrors the plan
+/// cache's shard discipline: a thread-local one-group slot answers the
+/// common issue/retire cadence with no locking or atomics at all,
+/// backed by spinlocked sharded free lists for the cross-thread case
+/// (groups retire on whichever worker completes the loop's last node,
+/// but are re-acquired on the issuing thread). Parked groups hold no dat
+/// handles (released at join completion) and stay reachable from the
+/// static shard heads for the process lifetime, so the pool leaks
+/// nothing.
 template <typename Kernel, std::size_t N>
 class group_pool {
 public:
     /// A parked group, or nullptr. Thread-local slot first, then the
     /// shards starting at this thread's own.
-    [[nodiscard]] static partitioned_loop<Kernel, N>* take() noexcept {
+    [[nodiscard]] static loop_group<Kernel, N>* take() noexcept {
         tls_cache& c = tls();
         if (c.g != nullptr) {
             return std::exchange(c.g, nullptr);
@@ -441,7 +389,7 @@ public:
         return nullptr;
     }
 
-    static void put(partitioned_loop<Kernel, N>* g) noexcept {
+    static void put(loop_group<Kernel, N>* g) noexcept {
         tls_cache& c = tls();
         if (c.g == nullptr) {
             c.g = g;
@@ -453,12 +401,12 @@ public:
 private:
     struct shard {
         hpxlite::util::spinlock mtx;
-        partitioned_loop<Kernel, N>* head = nullptr;
+        loop_group<Kernel, N>* head = nullptr;
     };
     /// Thread-local one-group cache; re-parked into the shared shards
     /// at thread exit so nothing is stranded on short-lived threads.
     struct tls_cache {
-        partitioned_loop<Kernel, N>* g = nullptr;
+        loop_group<Kernel, N>* g = nullptr;
         ~tls_cache() {
             if (g != nullptr) {
                 push_shared(g);
@@ -467,7 +415,7 @@ private:
     };
     static constexpr std::size_t kShards = 8;
 
-    static void push_shared(partitioned_loop<Kernel, N>* g) noexcept {
+    static void push_shared(loop_group<Kernel, N>* g) noexcept {
         shard& s = shards_[thread_shard()];
         std::lock_guard<hpxlite::util::spinlock> lk(s.mtx);
         g->pool_next_ = s.head;
@@ -488,19 +436,19 @@ private:
 };
 
 template <typename Kernel, std::size_t N>
-void pool_put(partitioned_loop<Kernel, N>* g) noexcept {
+void pool_put(loop_group<Kernel, N>* g) noexcept {
     group_pool<Kernel, N>::put(g);
 }
 
-/// Intrusive smart reference to a partitioned_loop group. Replaces
-/// shared_ptr so group ownership costs one embedded counter instead of
-/// a control-block allocation per issue (and so the terminal release
-/// can recycle into group_pool instead of deleting).
+/// Intrusive smart reference to a loop_group. Replaces shared_ptr so
+/// group ownership costs one embedded counter instead of a
+/// control-block allocation per issue (and so the terminal release can
+/// recycle into group_pool instead of deleting).
 template <typename Kernel, std::size_t N>
 class group_ref {
 public:
     group_ref() noexcept = default;
-    explicit group_ref(partitioned_loop<Kernel, N>* g) noexcept : g_(g) {
+    explicit group_ref(loop_group<Kernel, N>* g) noexcept : g_(g) {
         if (g_ != nullptr) {
             g_->add_ref();
         }
@@ -523,61 +471,46 @@ public:
             std::exchange(g_, nullptr)->release();
         }
     }
-    [[nodiscard]] partitioned_loop<Kernel, N>* operator->() const noexcept {
+    [[nodiscard]] loop_group<Kernel, N>* operator->() const noexcept {
         return g_;
     }
     explicit operator bool() const noexcept { return g_ != nullptr; }
 
 private:
-    partitioned_loop<Kernel, N>* g_ = nullptr;
+    loop_group<Kernel, N>* g_ = nullptr;
 };
 
-/// One (partition, colour) sub-node of a partitioned loop: the unit of
-/// both scheduling and dependency tracking. Its blocks run inline — the
-/// sub-node *is* the parallelism grain, one per worker by default.
+/// One (colour, slice) sub-node of a dataflow loop: the unit of both
+/// scheduling and dependency tracking. Its blocks run inline — the
+/// sub-node *is* the parallelism grain, `partitions` per colour.
 template <typename Kernel, std::size_t N>
-class part_node final : public dataflow_node {
+class slice_node final : public dataflow_node {
 public:
-    part_node(group_ref<Kernel, N> grp, std::size_t partition,
-              std::size_t color, bool first) noexcept
-      : grp_(std::move(grp)), partition_(partition), color_(color),
-        first_(first) {}
+    /// `slice` indexes the group's slicing (colour * nparts + k).
+    slice_node(group_ref<Kernel, N> grp, std::size_t slice) noexcept
+      : grp_(std::move(grp)), slice_(slice) {}
 
 private:
     void run_body() override {
         grp_->mark_start();
-        // Deterministic injection point: an armed kernel=NAME@P.C site
-        // throws here, as if this (partition, colour) kernel had failed.
-        fault::on_kernel(grp_->name(), partition_, color_);
-        auto& ex = grp_->executor(partition_);
-        op_plan const& plan = grp_->plan(partition_);
-        if (first_) {
-            // The partition's first (lowest non-empty colour) sub-node
-            // runs first — the issue path chains a partition's sub-nodes
-            // in colour order — so it owns the run-time scratch
-            // initialisation.
-            grp_->prepare_partition(partition_);
-        }
-        ex.run_color(plan, color_);
-        if (grp_->finish_color(partition_)) {
-            grp_->combine_partition(partition_);
-        }
+        // Deterministic injection point: an armed kernel=NAME@K.C site
+        // throws here, as if this (slice, colour) kernel had failed.
+        fault::on_kernel(grp_->name(), site_partition(), site_color());
+        grp_->run_slice(slice_);
     }
 
     void on_complete() noexcept override {
         if (error()) {
             // Own failure, inherited failure, or a shutdown discard:
-            // either way the partition's writes never (fully) happened,
-            // so its target spans are stale — quarantine them.
-            grp_->poison_partition(partition_, color_, error());
+            // either way the slice's writes never (fully) happened, so
+            // its target spans are stale — quarantine them.
+            grp_->poison_slice(slice_, error());
         }
         grp_.reset();
     }
 
     group_ref<Kernel, N> grp_;
-    std::size_t partition_;
-    std::size_t color_;
-    bool first_;
+    std::size_t slice_;
 };
 
 /// The loop's completion node: depends on every sub-node and is what
@@ -611,78 +544,73 @@ private:
 /// every kernel instantiation, so ids never repeat between loops.
 inline std::atomic<std::uint64_t> g_loop_tag_seq{1};
 
-/// The dataflow issue path: the loop becomes one sub-node per
-/// (partition, colour) plus a join node. Each sub-node edges on exactly
-/// the dat partitions it can reach — the iteration partition itself for
-/// direct args, the plan's map-derived footprint for indirect ones — so
-/// independent partitions of dependent loops, and independent colours
-/// of different loops, overlap in the epoch graph. Sub-nodes are issued
-/// in (partition, colour) order; conflicting sub-nodes always share at
-/// least one dat-partition record (a conflict is a shared target
+/// The dataflow issue path: the loop runs the same cached plan as the
+/// staged backend, with each colour's blocks cut into `nparts` slices
+/// (plan_slices), and becomes one sub-node per non-empty (colour, slice)
+/// plus a join node — the per-colour block loop of the paper's generated
+/// code (Fig. 4) with every colour spread over all workers. Each
+/// sub-node edges on exactly the dat partitions its footprints name
+/// (direct args: the iteration partitions its blocks fall in; indirect
+/// args: the target partitions its map rows reach), so independent
+/// parts of dependent loops, and independent colours of different
+/// loops, overlap in the epoch graph.
+///
+/// Sub-nodes are issued colour-major. Conflicting sub-nodes always share
+/// at least one dat-partition record (a conflict is a shared target
 /// element, and the element's partition record orders its writers by
-/// issue order), so program order is preserved wherever it matters.
-/// nparts = 1 is the same shape with one partition: its live colours
-/// run one sub-node at a time, then the join.
+/// issue order), so program order is preserved wherever it matters, and
+/// within the loop every edge runs from a lower colour to a higher one:
+/// the colour order the staged sweep uses, so an INC target sees its
+/// increments in the same order and the results are bitwise-identical.
 ///
 /// Two per-loop refinements ride on that structure:
-///  * placement: partition p's sub-nodes carry the worker hint
-///    p % pool_size, so a partition's working set keeps landing on the
-///    same worker across the loops of a chain (the join carries no hint:
-///    it runs inline on the thread finishing the last sub-node);
-///  * the same-colour non-conflict exemption: partition plans are
-///    coloured globally, so same-coloured sub-nodes of THIS loop
-///    provably never mutate the same target element and skip the
-///    conservative WAW record edges between each other —
-///    boundary-straddling INC partitions of a single loop overlap. A
-///    partition's own sub-nodes are still chained in colour order
-///    (deterministic scratch prepare, single-threaded per-partition
-///    executor), so the won concurrency is across partitions.
+///  * placement: slice k of every colour carries the worker hint
+///    k % pool_size, so a region's working set keeps landing on the same
+///    worker across colours and across the loops of a chain (the join
+///    carries no hint: it runs inline on the thread finishing the last
+///    sub-node);
+///  * the same-colour non-conflict exemption: same-coloured sub-nodes of
+///    THIS loop provably never mutate the same target element, so they
+///    skip the conservative WAW record edges between each other and all
+///    run at once.
 template <typename Kernel, std::size_t N>
-loop_handle issue_partitioned(loop_options const& opts, char const* name,
-                              op_set set, std::array<op_arg, N> args,
-                              Kernel kernel,
-                              hpxlite::threads::thread_pool& pool,
-                              std::size_t nparts) {
+loop_handle issue_slices(loop_options const& opts, char const* name,
+                         op_set set, std::array<op_arg, N> args,
+                         Kernel kernel, hpxlite::threads::thread_pool& pool,
+                         std::size_t nparts) {
     // Acquire the group from the cross-issue pool when possible: a
     // steady-state chain then re-issues each loop with zero executor
     // construction and zero scratch reallocation (the reduction
-    // buffers retained in the recycled executors are re-seeded per run,
+    // buffers retained in the recycled executor are re-seeded per run,
     // never trusted).
-    partitioned_loop<Kernel, N>* graw = group_pool<Kernel, N>::take();
+    loop_group<Kernel, N>* graw = group_pool<Kernel, N>::take();
     if (graw != nullptr) {
-        graw->reset(set, args, kernel, opts, name, nparts);
+        graw->reset(set, args, kernel, opts, name);
     } else {
-        graw = new partitioned_loop<Kernel, N>(set, args, kernel, opts,
-                                               name, nparts);
+        graw = new loop_group<Kernel, N>(set, args, kernel, opts, name);
     }
     group_ref<Kernel, N> grp(graw);
+    auto const& ex = grp->executor();
+
+    // Resolve the plan and its slicing up front, so nothing below the
+    // first sub-node issue can throw.
+    op_plan const* plan = nullptr;
+    plan_slicing const* sl = nullptr;
     try {
-        grp->executor(0).validate(name);
+        ex.validate(name);
+        plan = &plan_get(set, ex.args(), plan_desc{opts.part_size});
+        sl = &plan_slices(*plan, set, ex.args(), nparts);
     } catch (...) {
         // The group may park back in the pool on unwind; drop its dat
         // handles first so a parked group never extends dat lifetimes.
         grp->release_handles();
         throw;
     }
-
-    // Resolve every partition plan (and bind the executors) up front, so
-    // nothing below the first sub-node issue can throw. The colour
-    // countdown counts *live* (non-empty) colours only: global colouring
-    // can leave a partition plan with sparse colour classes, and empty
-    // ones get no sub-node.
-    for (std::size_t p = 0; p < nparts; ++p) {
-        op_plan const& plan = plan_get(set, grp->executor(0).args(),
-                                       plan_desc{opts.part_size, nparts, p});
-        grp->bind_plan(plan);
-        grp->executor(p).setup(plan);
-        std::size_t live = 0;
-        for (std::size_t c = 0; c < plan.ncolors; ++c) {
-            if (!plan.blocks_of_color(c).empty()) {
-                ++live;
-            }
-        }
-        grp->init_colors(p, live);
+    std::size_t live = 0;
+    for (std::size_t s = 0; s < sl->nslices(); ++s) {
+        live += plan->blocks_of_slice(*sl, s).empty() ? 0 : 1;
     }
+    grp->bind(*plan, *sl, live);
 
     // Distinct dats of the loop, with their record tables pinned at
     // this granularity (until every sub-node is wired) and the
@@ -695,27 +623,21 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
         issue_pin pin;
     };
     std::array<dat_entry, N == 0 ? 1 : N> dats;
-    std::array<std::size_t, N == 0 ? 1 : N> arg_dat{};  // arg -> dats index
     std::size_t ndats = 0;
-    {
-        std::size_t j = 0;
-        for (op_arg const& a : grp->executor(0).args()) {
-            if (!a.dat.valid()) {
-                arg_dat[j++] = static_cast<std::size_t>(-1);
-                continue;
-            }
-            dep_state& st = a.dat.internal().dep;
-            std::size_t i = 0;
-            while (i < ndats && dats[i].state != &st) {
-                ++i;
-            }
-            if (i == ndats) {
-                dats[i].state = &st;
-                ++ndats;
-            }
-            dats[i].write = dats[i].write || a.acc != op_access::OP_READ;
-            ++j;
+    for (op_arg const& a : ex.args()) {
+        if (!a.dat.valid()) {
+            continue;
         }
+        dep_state& st = a.dat.internal().dep;
+        std::size_t i = 0;
+        while (i < ndats && dats[i].state != &st) {
+            ++i;
+        }
+        if (i == ndats) {
+            dats[i].state = &st;
+            ++ndats;
+        }
+        dats[i].write = dats[i].write || a.acc != op_access::OP_READ;
     }
     std::sort(dats.begin(), dats.begin() + static_cast<std::ptrdiff_t>(ndats),
               [](dat_entry const& x, dat_entry const& y) {
@@ -727,12 +649,19 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
             dats[i].state->bump_epoch();
         }
     }
+    // Per argument: its records (the dat's pinned table), whether it
+    // writes, and which slice footprint names the partitions it reaches.
+    struct arg_entry {
+        dep_record* recs = nullptr;  // null: a global, no records
+        bool write = false;
+        slice_footprint const* fp = nullptr;
+    };
+    std::array<arg_entry, N == 0 ? 1 : N> arg_recs{};
     {
-        // Re-derive the arg -> entry mapping against the sorted order.
         std::size_t j = 0;
-        for (op_arg const& a : grp->executor(0).args()) {
+        for (op_arg const& a : ex.args()) {
+            arg_entry& e = arg_recs[j++];
             if (!a.dat.valid()) {
-                arg_dat[j++] = static_cast<std::size_t>(-1);
                 continue;
             }
             dep_state& st = a.dat.internal().dep;
@@ -740,7 +669,9 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
             while (dats[i].state != &st) {
                 ++i;
             }
-            arg_dat[j++] = i;
+            e.recs = dats[i].pin.records();
+            e.write = a.acc != op_access::OP_READ;
+            e.fp = a.is_direct() ? &sl->direct : sl->find(a.map.id(), a.idx);
         }
     }
 
@@ -756,116 +687,52 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
     // every other asynchronous failure. (The sub-nodes still enter the
     // graph, so dependents inherit the error and the written spans are
     // quarantined in turn.)
-    std::exception_ptr const qerr =
-        check_quarantine(grp->executor(0).args(), name);
-    auto const iter_part = set.partition(nparts);
+    std::exception_ptr const qerr = check_quarantine(ex.args(), name);
 
     std::uint64_t const loop_tag =
         g_loop_tag_seq.fetch_add(1, std::memory_order_relaxed);
 
-    // Reused across issues (and across the (partition, colour) loop
-    // below): request counts are small and issue() consumes the span
-    // synchronously, so one thread-local buffer per thread suffices and
-    // the per-issue allocation disappears.
+    // Reused across issues (and across the slice loop below): request
+    // counts are small and issue() consumes the span synchronously, so
+    // one thread-local buffer per thread suffices and the per-issue
+    // allocation disappears.
     static thread_local std::vector<dep_request> reqs;
-    for (std::size_t p = 0; p < nparts; ++p) {
-        op_plan const& plan = grp->plan(p);
+    for (std::size_t s = 0; s < sl->nslices(); ++s) {
+        if (plan->blocks_of_slice(*sl, s).empty()) {
+            continue;  // a colour with fewer blocks than slices
+        }
+        std::size_t const color = s / nparts;
+        std::size_t const k = s % nparts;
+        auto* sub = new slice_node<Kernel, N>(grp, s);
+        node_ref sref(sub, /*adopt=*/true);
+        sub->set_site(name, k, color);
+        if (qerr) {
+            sub->seed_error(qerr);
+        }
+        join->depend_on(*sub);
+        sub->set_worker_hint(k % pool.size());
 
-        // Partition p's quarantine targets: the dat element spans a
-        // failure of any of p's sub-nodes may have half-written —
-        // direct args taint the iteration partition's own span,
-        // indirect ones the spans of the footprint's dat partitions.
-        // Registered before p's first sub-node is issued (a sub-node
-        // can fail the instant it is wired).
-        {
-            std::size_t j = 0;
-            for (op_arg const& a : grp->executor(0).args()) {
-                std::size_t const i = arg_dat[j++];
-                if (i == static_cast<std::size_t>(-1) ||
-                    a.acc == op_access::OP_READ) {
-                    continue;
-                }
-                auto const* impl = &a.dat.internal();
-                if (a.is_direct()) {
-                    grp->add_quarantine_target(
-                        p, {impl, iter_part->begin(p), iter_part->end(p)});
-                } else if (plan_footprint const* fp =
-                               plan.find_footprint(a.map.id(), a.idx)) {
-                    auto const dp = a.dat.set().partition(nparts);
-                    for (std::uint32_t q : fp->parts) {
-                        grp->add_quarantine_target(
-                            p, {impl, dp->begin(q), dp->end(q)});
-                    }
+        reqs.clear();
+        for (std::size_t j = 0; j < N; ++j) {
+            arg_entry const& e = arg_recs[j];
+            if (e.recs == nullptr) {
+                continue;
+            }
+            for (std::uint32_t q : e.fp->of(s)) {
+                dep_record* rec = &e.recs[q];
+                auto it = std::find_if(
+                    reqs.begin(), reqs.end(),
+                    [rec](dep_request const& r) { return r.rec == rec; });
+                if (it != reqs.end()) {
+                    it->write = it->write || e.write;
                 } else {
-                    grp->add_quarantine_target(
-                        p, {impl, 0, a.dat.set().size()});
+                    reqs.push_back({rec, e.write, loop_tag,
+                                    static_cast<std::uint32_t>(color)});
                 }
             }
         }
-
-        node_ref chain_prev;
-        for (std::size_t c = 0; c < plan.ncolors; ++c) {
-            if (plan.blocks_of_color(c).empty()) {
-                continue;  // sparse global colour class: nothing to run
-            }
-            auto* sub =
-                new part_node<Kernel, N>(grp, p, c, /*first=*/!chain_prev);
-            node_ref sref(sub, /*adopt=*/true);
-            sub->set_site(name, p, c);
-            if (qerr) {
-                sub->seed_error(qerr);
-            }
-            join->depend_on(*sub);
-            sub->set_worker_hint(p % pool.size());
-            if (chain_prev) {
-                // Chain the partition's own sub-nodes in colour order:
-                // global colouring no longer guarantees that a
-                // partition's colours conflict pairwise, and the
-                // per-partition executor (scratch prepare, per-block
-                // reduction partials) expects one sub-node at a time.
-                sub->depend_on(*chain_prev);
-            }
-
-            reqs.clear();
-            // reqs has thread-local storage, so the lambda names it
-            // directly (non-automatic variables cannot be captured).
-            auto add = [loop_tag, c](dep_record* rec, bool write) {
-                for (auto& r : reqs) {
-                    if (r.rec == rec) {
-                        r.write = r.write || write;
-                        return;
-                    }
-                }
-                reqs.push_back({rec, write, loop_tag,
-                                static_cast<std::uint32_t>(c)});
-            };
-            std::size_t j = 0;
-            for (op_arg const& a : grp->executor(0).args()) {
-                std::size_t const i = arg_dat[j++];
-                if (i == static_cast<std::size_t>(-1)) {
-                    continue;
-                }
-                bool const write = a.acc != op_access::OP_READ;
-                if (a.is_direct()) {
-                    add(&dats[i].pin.records()[p], write);
-                } else if (plan_footprint const* fp =
-                               plan.find_footprint(a.map.id(), a.idx)) {
-                    for (std::uint32_t q : fp->parts) {
-                        add(&dats[i].pin.records()[q], write);
-                    }
-                } else {
-                    // No footprint (one-partition plans carry none):
-                    // edge on every partition of the dat.
-                    for (std::size_t q = 0; q < nparts; ++q) {
-                        add(&dats[i].pin.records()[q], write);
-                    }
-                }
-            }
-            issue(*sub, std::span<dep_request const>{reqs.data(),
-                                                     reqs.size()},
-                  pool);
-            chain_prev = std::move(sref);
-        }
+        issue(*sub, std::span<dep_request const>{reqs.data(), reqs.size()},
+              pool);
     }
     join->schedule();
     return loop_handle(std::move(jref));
@@ -879,14 +746,14 @@ loop_handle issue_partitioned(loop_options const& opts, char const* name,
 ///  * staged: plan-driven fork-join sweep (colour by colour, implicit
 ///    barrier at the end — the stock-OP2 OpenMP shape); returns ready.
 ///  * hpx_dataflow: the loop is *issued*, not executed — it enters the
-///    epoch graph at partition granularity (loop_options::partitions
-///    sub-ranges of the set, one sub-node per (partition, colour), one
+///    epoch graph as one sub-node per (colour, slice) of the staged
+///    backend's plan (loop_options::partitions slices per colour, one
 ///    per pool worker by default) and runs as its per-partition
-///    dependencies resolve; independent partitions of dependent loops
+///    dependencies resolve; independent parts of dependent loops
 ///    overlap, and there is no global barrier. partitions = 1 is one
-///    partition: its colours run one sub-node at a time. Reduction
-///    results (op_arg_gbl) are valid only once the returned handle is
-///    ready.
+///    slice per colour: the colours run one sub-node at a time.
+///    Reduction results (op_arg_gbl) are valid only once the returned
+///    handle is ready.
 template <typename Kernel, typename... Args>
 loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
                      Kernel kernel, Args... args) {
@@ -943,7 +810,7 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
                 opts.pool != nullptr ? *opts.pool : hpxlite::get_pool();
             std::size_t const nparts =
                 opts.partitions != 0 ? opts.partitions : pool.size();
-            return detail::issue_partitioned<Kernel, n>(
+            return detail::issue_slices<Kernel, n>(
                 opts, name, std::move(set),
                 std::array<op_arg, n>{std::move(args)...}, std::move(kernel),
                 pool, nparts);

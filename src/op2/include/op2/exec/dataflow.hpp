@@ -14,7 +14,7 @@
 //    last-writer epoch plus the reader set of that epoch — instead of a
 //    vector of shared futures;
 //  * every issued loop is a set of refcounted dataflow_nodes — one per
-//    (partition, colour) plus a join, see backend.hpp — and each node
+//    (colour, slice) plus a join, see backend.hpp — and each node
 //    doubles as the pool's intrusive task_node, so wiring a loop into
 //    the graph and scheduling it allocates nothing beyond the nodes;
 //  * readers of the same epoch run concurrently (they only edge on the
@@ -240,8 +240,9 @@ public:
 
     /// Stamp the node's graph-site identity: issuing loop name (a
     /// static string — loop names are string literals by convention),
-    /// partition and colour. kJoin as partition marks a loop's join
-    /// node. Written at issue, before publication, like the hint.
+    /// partition (a sub-node's slice index within its colour) and
+    /// colour. kJoin as partition marks a loop's join node. Written at
+    /// issue, before publication, like the hint.
     static constexpr std::uint32_t kJoin = ~std::uint32_t{0};
     void set_site(char const* loop, std::size_t partition,
                   std::size_t color) noexcept {
@@ -486,11 +487,11 @@ struct dep_writer {
 /// `writers` is plural because of the loop-local same-colour
 /// non-conflict exemption: the sub-nodes of ONE loop write a record as
 /// an open "burst" (`burst_loop` holds the loop's id while it lasts).
-/// Partition plans are coloured globally, so two same-coloured
+/// A loop's slices share one plan colouring, so two same-coloured
 /// sub-nodes of one loop provably never mutate the same target element;
 /// a burst member therefore skips the WAW edge to same-colour members
-/// already in `writers` — that is what lets boundary-straddling INC
-/// partitions of a single loop run concurrently — while still edging on
+/// already in `writers` — that is what lets the slices of one colour
+/// run concurrently — while still edging on
 /// different-colour members (those may genuinely conflict) and on
 /// `prev`, the epoch the burst displaced. `prev` stays alive until the
 /// next loop's write closes the burst, so late-arriving members inherit
@@ -544,7 +545,7 @@ struct dep_record {
 struct poison_info {
     std::string loop;        // origin loop name
     std::string dat;         // written dat's name
-    std::size_t partition = 0;  // failing sub-node's partition
+    std::size_t partition = 0;  // failing sub-node's slice in its colour
     std::size_t color = 0;      // failing sub-node's colour
     std::exception_ptr origin;  // the original failure
 };
@@ -604,10 +605,10 @@ private:
 /// Partition-granular dependency state of one dat: a table of
 /// dep_records, one per partition of the dat's set, plus a dat-level
 /// epoch counting issued writer *loops* (any granularity). Loops touch
-/// only the records of the partitions their sub-nodes can reach (direct
-/// args: the iteration partition itself; indirect args: the plan's
-/// map-derived footprint), which is what lets independent partitions of
-/// dependent loops overlap in the epoch graph.
+/// only the records of the partitions their sub-nodes can reach (the
+/// slice footprints: iteration partitions for direct args, map-reached
+/// target partitions for indirect ones), which is what lets independent
+/// partitions of dependent loops overlap in the epoch graph.
 ///
 /// The table is sized lazily to the granularity of the first loop that
 /// touches the dat and re-partitioned when a loop arrives at a
@@ -868,8 +869,7 @@ private:
 /// duplicate dats before issuing (write dominates), so each record
 /// appears at most once per sub-node. `loop`/`color` carry the
 /// same-colour exemption tag: `loop` is the issuing loop's nonzero id
-/// (one per issue) and `color` the sub-node's globally-consistent plan
-/// colour.
+/// (one per issue) and `color` the sub-node's plan colour.
 struct dep_request {
     dep_record* rec = nullptr;
     bool write = false;

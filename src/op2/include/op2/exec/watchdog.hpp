@@ -7,7 +7,7 @@
 // up as a frozen pool: tasks_pending() > 0 while tasks_executed() stops
 // moving. The watchdog samples both counters from a helper thread and,
 // after `stall` without progress, writes a dump of the live epoch graph
-// — every pending sub-node with its loop name, partition, colour and
+// — every pending sub-node with its loop name, slice, colour and
 // worker hint, plus each dat's dependency-record table and quarantine
 // state — so a hung run leaves the evidence needed to find the stuck
 // site. Pairs with loop_handle::wait_for: the caller bounds its wait,

@@ -9,7 +9,7 @@
 // armed per process through fault::arm() or the OP2HPX_FAULT_PLAN
 // environment variable, with injection points at every tier:
 //
-//  * kernel sites — keyed on loop name x partition x colour: the
+//  * kernel sites — keyed on loop name x slice x colour: the
 //    exec backends call fault::on_kernel(...) right before running a
 //    (sub-)node's kernel sweep, and a matching site throws
 //    fault::injected_fault exactly once (the engine's quarantine and
@@ -27,13 +27,13 @@
 // Plan grammar — ';'-separated directives, all optional:
 //
 //    seed=N                 RNG seed for jitter (default 1)
-//    kernel=NAME@P.C[#K]    throw in loop NAME, partition P, colour C
+//    kernel=NAME@P.C[#K]    throw in loop NAME, slice P of colour C
 //                           (P and/or C may be '*'), on the K-th
 //                           matching hit (default 1); fires once. A
 //                           hit is one kernel sweep: one per loop on
-//                           the synchronous backends, one per live
-//                           colour of each partition on the dataflow
-//                           backend (one-partition loops included)
+//                           the synchronous backends, one per
+//                           non-empty (colour, slice) sub-node on the
+//                           dataflow backend
 //    alloc=K                K-th aligned_buffer allocation throws
 //    delay=K:US             K-th pool task sleeps US microseconds first
 //    drop=K                 K-th pool task is discarded, never run
@@ -92,9 +92,8 @@ void disarm() noexcept;
 
 /// Exec-layer hook: called right before a (sub-)node runs its kernel
 /// sweep. `partition`/`color` are 0 for the synchronous backends; a
-/// dataflow sub-node reports its own (partition, colour), also when the
-/// loop has one partition. Throws injected_fault when an armed kernel
-/// site matches.
+/// dataflow sub-node reports its slice index within its colour and the
+/// colour. Throws injected_fault when an armed kernel site matches.
 inline void on_kernel(char const* loop, std::size_t partition,
                       std::size_t color) {
     if (armed()) {

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -30,17 +32,74 @@ struct plan_stage {
     std::vector<std::uint32_t> off;  // [set_size] byte offsets into the dat
 };
 
-/// Which partitions of an indirect argument's *target* set this plan's
-/// element range reaches through (map, slot) — the map-derived partition
-/// footprint. The dataflow backend turns these into per-partition
-/// dependency requests: a sub-node executing this plan edges on exactly
-/// the dat partitions it can touch, nothing more. Only present on plans
-/// built at partition granularity (npartitions > 1).
-struct plan_footprint {
-    std::uint64_t map_id = 0;
+/// The partitions each slice of a plan_slicing reaches, as compressed
+/// rows: slice s's sorted partition ids are parts[offset[s] ..
+/// offset[s + 1]). For the iteration set (direct args) they are the
+/// iteration partitions the slice's blocks fall in; for an indirect
+/// (map, slot) class, the partitions of the map's target set its rows
+/// reach. The dataflow backend turns them into per-partition dependency
+/// requests: a sub-node edges on exactly the dat partitions it can
+/// touch, nothing more.
+struct slice_footprint {
+    std::uint64_t map_id = 0;  // 0 for the iteration set's own footprint
     int idx = 0;
-    std::vector<std::uint32_t> parts;  // sorted target-partition ids
+    std::vector<std::uint32_t> offset;  // [nslices + 1] ranges into parts
+    std::vector<std::uint32_t> parts;
+
+    [[nodiscard]] std::span<std::uint32_t const> of(std::size_t s) const {
+        return {parts.data() + offset[s], offset[s + 1] - offset[s]};
+    }
 };
+
+/// A plan's colour classes cut for dataflow issue at `nparts`: each
+/// colour's block list is split into `nparts` near-equal runs (sizes
+/// differ by at most one block), so slice s = colour * nparts + k covers
+/// blkmap[cut[s], cut[s + 1]). Slices of one colour never conflict (the
+/// plan's colouring), so they can all run at once; `nparts` also sets
+/// the granularity of the dats' dependency records the footprints name.
+/// Built once per (plan, nparts) by plan_slices and kept with the plan.
+struct plan_slicing {
+    std::size_t nparts = 1;
+    std::vector<std::size_t> cut;  // [ncolors * nparts + 1] into blkmap
+    slice_footprint direct;        // iteration partitions per slice
+    std::vector<slice_footprint> indirect;  // one per (map, slot) class
+    plan_slicing const* next = nullptr;     // the owning plan's list link
+
+    [[nodiscard]] std::size_t nslices() const noexcept {
+        return cut.size() - 1;
+    }
+
+    /// The footprint of indirect class (map, slot), or nullptr.
+    [[nodiscard]] slice_footprint const* find(std::uint64_t map_id,
+                                              int idx) const noexcept {
+        for (auto const& f : indirect) {
+            if (f.map_id == map_id && f.idx == idx) {
+                return &f;
+            }
+        }
+        return nullptr;
+    }
+};
+
+namespace detail {
+/// A plan's slicings, one per partition count: a grow-only list that
+/// lookups walk with acquire loads and inserts extend by CAS on the
+/// head, so a warm lookup takes no lock.
+struct slicing_list {
+    std::atomic<plan_slicing const*> head{nullptr};
+
+    slicing_list() = default;
+    slicing_list(slicing_list const&) = delete;
+    slicing_list& operator=(slicing_list const&) = delete;
+    ~slicing_list() {
+        for (plan_slicing const* s = head.load(); s != nullptr;) {
+            plan_slicing const* const n = s->next;
+            delete s;
+            s = n;
+        }
+    }
+};
+}  // namespace detail
 
 /// Identifies one plan configuration. Everything in here affects the
 /// built plan's contents, so everything in here is part of the cache
@@ -48,27 +107,18 @@ struct plan_footprint {
 struct plan_desc {
     /// Block (mini-partition) size; 0 normalises to default_part_size.
     std::size_t part_size = default_part_size;
-    /// Partition granularity of the iteration set and every indirect
-    /// target set (1 = whole-set plan).
-    std::size_t npartitions = 1;
-    /// Which partition this plan covers (< npartitions).
-    std::size_t partition = 0;
 
     constexpr plan_desc() noexcept = default;
-    constexpr explicit plan_desc(std::size_t part_size_,
-                                 std::size_t npartitions_ = 1,
-                                 std::size_t partition_ = 0) noexcept
-      : part_size(part_size_),
-        npartitions(npartitions_),
-        partition(partition_) {}
-    /// The older four-value form, whose second value selected whether
-    /// staged gather tables were built. Tables are always built now, so
-    /// the flag is ignored; the form stays for callers that still pass
-    /// it (the perfbench harness).
+    constexpr explicit plan_desc(std::size_t part_size_) noexcept
+      : part_size(part_size_) {}
+    /// The older four-value form (part_size, staged, npartitions,
+    /// partition). Plans always cover the whole set with staged tables
+    /// now, so only part_size is kept; the form stays for callers that
+    /// still pass it (the perfbench harness).
     constexpr explicit plan_desc(std::size_t part_size_, bool /*staged*/,
-                                 std::size_t npartitions_,
-                                 std::size_t partition_) noexcept
-      : plan_desc(part_size_, npartitions_, partition_) {}
+                                 std::size_t /*npartitions*/,
+                                 std::size_t /*partition*/) noexcept
+      : plan_desc(part_size_) {}
 };
 
 /// An execution plan for one (set, args, part_size) combination:
@@ -79,21 +129,12 @@ struct plan_desc {
 /// concurrently without atomics; colours execute in sequence. This
 /// reproduces the blockId/offset_b/nelem structure of the OP2-generated
 /// loop in Fig. 4 of the paper, plus OP2's staging (loc-map) tables.
+/// Every backend runs the same plan: staged sweeps it colour by colour,
+/// hpx_dataflow issues it as colour slices (plan_slicing).
 struct op_plan {
-    /// Elements covered by this plan. Whole-set plans cover [0, set
-    /// size); partition plans cover [elem_base, elem_base + set_size) of
-    /// the set, with every block offset and gather table indexed
-    /// *relative* to elem_base (the executor re-bases its direct
-    /// pointers and map rows once per loop, so the hot path is
-    /// unchanged).
-    std::size_t set_size = 0;   // elements covered (partition size)
-    std::size_t elem_base = 0;  // absolute index of the first element
+    std::size_t set_size = 0;
     std::size_t part_size = 0;
     std::size_t nblocks = 0;
-
-    /// Partition context the plan was built for.
-    std::size_t npartitions = 1;
-    std::size_t partition = 0;
 
     std::vector<std::size_t> offset;  // [nblocks] first element of block
     std::vector<std::size_t> nelems;  // [nblocks] elements in block
@@ -111,15 +152,21 @@ struct op_plan {
     /// back to per-element map resolution for that argument.
     std::vector<plan_stage> stages;
 
-    /// Map-derived partition footprints, one per distinct (map, slot)
-    /// among the loop's indirect args. Empty on whole-set plans.
-    std::vector<plan_footprint> footprints;
+    /// Slicings built for this plan (plan_slices).
+    std::unique_ptr<detail::slicing_list> slicings =
+        std::make_unique<detail::slicing_list>();
 
     /// Blocks of colour c (ids into offset/nelems).
     [[nodiscard]] std::span<std::size_t const> blocks_of_color(
         std::size_t c) const {
         return {blkmap.data() + color_offset[c],
                 color_offset[c + 1] - color_offset[c]};
+    }
+
+    /// Blocks of slice s of `sl` (ids into offset/nelems).
+    [[nodiscard]] std::span<std::size_t const> blocks_of_slice(
+        plan_slicing const& sl, std::size_t s) const {
+        return {blkmap.data() + sl.cut[s], sl.cut[s + 1] - sl.cut[s]};
     }
 
     /// The staged table for (map, slot, stride), or nullptr when absent.
@@ -133,25 +180,11 @@ struct op_plan {
         }
         return nullptr;
     }
-
-    /// The target-partition footprint of (map, slot), or nullptr when
-    /// absent (whole-set plans carry none).
-    [[nodiscard]] plan_footprint const* find_footprint(std::uint64_t map_id,
-                                                       int idx) const
-        noexcept {
-        for (auto const& f : footprints) {
-            if (f.map_id == map_id && f.idx == idx) {
-                return &f;
-            }
-        }
-        return nullptr;
-    }
 };
 
 /// Build (or fetch from the process-wide cache) the plan for executing
-/// `args` over `set` (or over one partition of it) under `desc`. Plans
-/// are cached by (set, every plan_desc field, indirect argument
-/// classes), like op_plan_get in OP2. The cache is two-level: a
+/// `args` over `set` under `desc`. Plans are cached by (set, every
+/// plan_desc field, indirect argument classes), like op_plan_get in OP2. The cache is two-level: a
 /// per-worker (thread-local) pointer map answers repeat lookups with no
 /// locking or atomics at all — concurrent loops on different workers
 /// never contend — backed by a sharded shared store that owns the plans,
@@ -159,7 +192,6 @@ struct op_plan {
 op_plan const& plan_get(op_set const& set, std::span<op_arg const> args,
                         plan_desc const& desc);
 
-/// Whole-set convenience overload (partition granularity 1).
 op_plan const& plan_get(op_set const& set, std::span<op_arg const> args,
                         std::size_t part_size);
 
@@ -169,6 +201,14 @@ op_plan plan_build(op_set const& set, std::span<op_arg const> args,
 
 op_plan plan_build(op_set const& set, std::span<op_arg const> args,
                    std::size_t part_size);
+
+/// The colour slicing of `plan` (built for `args` over `set`) at
+/// `nparts`, built on first use and kept with the plan: every later
+/// lookup at the same count walks a short lock-free list. nparts == 0
+/// is treated as 1.
+plan_slicing const& plan_slices(op_plan const& plan, op_set const& set,
+                                std::span<op_arg const> args,
+                                std::size_t nparts);
 
 /// Drop all cached plans (tests / reinitialisation).
 void plan_cache_clear();
@@ -185,5 +225,11 @@ std::size_t plan_cache_size(std::uint64_t ctx_id);
 /// retirement so a long-lived process doesn't accumulate dead jobs'
 /// plans.
 void plan_cache_purge(std::uint64_t ctx_id);
+
+/// Drop every plan cached for iteration set `set_id`. Runs when the
+/// set's last handle goes (set_impl's destructor), so a program that
+/// declares and drops meshes does not keep their plans for the life of
+/// the process.
+void plan_cache_drop_set(std::uint64_t set_id);
 
 }  // namespace op2

@@ -10,10 +10,10 @@
 namespace op2 {
 
 /// A contiguous block partitioning of a set's index space [0, size) into
-/// `count` near-equal ranges. This is the granularity at which the
-/// execution layers scope work: plans are built and cached per
-/// partition, dats track one dependency record per partition, and the
-/// dataflow backend issues one graph sub-node per (partition, colour).
+/// `count` near-equal ranges. This is the granularity of the dataflow
+/// backend's dependency tracking: dats keep one dependency record per
+/// partition, and a loop's colour slices name the partitions they reach
+/// (op2/plan.hpp: plan_slicing).
 /// Bounds derive deterministically from (size, count), so two sets of
 /// equal size partitioned to the same count agree element-for-element.
 struct set_partition {
@@ -63,6 +63,9 @@ struct set_impl {
     // this stays tiny.
     std::mutex part_mtx;
     std::vector<std::shared_ptr<set_partition const>> part_cache;
+
+    /// The last handle is gone: drop the set's cached plans.
+    ~set_impl();
 };
 std::uint64_t next_entity_id() noexcept;
 }  // namespace detail

@@ -63,9 +63,8 @@ std::vector<stage_ref> collect_stage_refs(std::span<op_arg const> args) {
 }
 
 /// Every plan-affecting input is part of the key: the set, every
-/// plan_desc field (part_size, partition granularity and index) and the
-/// indirect argument classes. See the key-collision regression tests in
-/// test_plan.cpp.
+/// plan_desc field and the indirect argument classes. See the
+/// key-collision regression tests in test_plan.cpp.
 ///
 /// The issuing runtime_context's id is part of the key too. Entity ids
 /// are process-unique, so two jobs' same-shaped sets already hash apart
@@ -76,15 +75,12 @@ struct plan_key {
     std::uint64_t set_id = 0;
     std::uint64_t ctx = 0;
     std::size_t part_size = 0;
-    std::size_t npartitions = 1;
-    std::size_t partition = 0;
     // (map id, slot, stride, mutating) per indirect argument class.
     std::vector<std::tuple<std::uint64_t, int, std::size_t, bool>> refs;
 
     bool operator==(plan_key const& o) const {
         return set_id == o.set_id && ctx == o.ctx &&
-               part_size == o.part_size && npartitions == o.npartitions &&
-               partition == o.partition && refs == o.refs;
+               part_size == o.part_size && refs == o.refs;
     }
 };
 
@@ -97,8 +93,6 @@ struct plan_key_hash {
         mix(k.set_id);
         mix(k.ctx);
         mix(k.part_size);
-        mix(k.npartitions);
-        mix(k.partition);
         for (auto const& [id, idx, stride, mut] : k.refs) {
             mix(id);
             mix(static_cast<std::uint64_t>(idx));
@@ -115,8 +109,6 @@ plan_key make_key(op_set const& set, plan_desc const& desc,
     key.set_id = set.id();
     key.ctx = current_context()->id();
     key.part_size = desc.part_size;
-    key.npartitions = desc.npartitions;
-    key.partition = desc.partition;
     key.refs.reserve(refs.size());
     for (auto const& r : refs) {
         key.refs.emplace_back(r.map.id(), r.idx, r.stride, r.mutating);
@@ -136,9 +128,9 @@ struct cache_shard {
 
 cache_shard g_shards[kCacheShards];
 
-/// Version counter bumped by plan_cache_clear(): per-worker caches hold
-/// raw plan pointers into the shared store, so a clear must invalidate
-/// them before the store frees the plans.
+/// Version counter bumped by every purge (purge_if): per-worker caches
+/// hold raw plan pointers into the shared store, so a purge must
+/// invalidate them before the store frees the plans.
 std::atomic<std::uint64_t> g_cache_version{1};
 
 cache_shard& shard_for(std::size_t hash) {
@@ -166,25 +158,15 @@ local_cache& local_shard() {
     return cache;
 }
 
-/// One block to colour: an absolute element range [lo, hi) of the
-/// iteration set, plus the owning plan's block id when the block belongs
-/// to the partition being built (SIZE_MAX for other partitions' blocks,
-/// which participate in conflict detection but whose colours are not
-/// recorded).
-struct color_span {
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    std::size_t mine = SIZE_MAX;
-};
+/// Single-pass block-conflict colouring. For every target element we keep
+/// a 64-bit mask of the colours already claimed by blocks touching it;
+/// a block ORs the masks of all its targets and takes the lowest free
+/// colour. One sweep over the set colours up to 64 colours (the old
+/// greedy scheme re-scanned the whole set once per colour); in the
+/// pathological >64-colour case another sweep handles the next 64.
+void color_blocks(op_plan& plan, std::vector<stage_ref> const& color_refs) {
+    plan.colored = true;
 
-/// The greedy mask sweep at the heart of the colouring (see
-/// color_blocks): for every target element a 64-bit mask of the colours
-/// already claimed by spans touching it; each span ORs its targets'
-/// masks and takes the lowest free colour. One sweep handles 64
-/// colours; the pathological >64-colour case takes another sweep for
-/// the next 64.
-std::vector<int> sweep_colors(std::vector<color_span> const& spans,
-                              std::vector<stage_ref> const& color_refs) {
     // One mask array per distinct target set (conflicts are per target
     // element, regardless of which map reached it).
     std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> masks;
@@ -193,21 +175,23 @@ std::vector<int> sweep_colors(std::vector<color_span> const& spans,
                           std::vector<std::uint64_t>(r.map.to().size(), 0));
     }
 
-    std::vector<int> span_color(spans.size(), -1);
-    std::size_t remaining = spans.size();
+    std::vector<int> block_color(plan.nblocks, -1);
+    std::size_t remaining = plan.nblocks;
     int base = 0;
     while (remaining > 0) {
         for (auto& [id, m] : masks) {
             std::fill(m.begin(), m.end(), std::uint64_t{0});
         }
-        for (std::size_t s = 0; s < spans.size(); ++s) {
-            if (span_color[s] != -1) {
+        for (std::size_t b = 0; b < plan.nblocks; ++b) {
+            if (block_color[b] != -1) {
                 continue;
             }
+            std::size_t const lo = plan.offset[b];
+            std::size_t const hi = lo + plan.nelems[b];
             std::uint64_t used = 0;
             for (auto const& r : color_refs) {
                 auto const& m = masks.at(r.map.to().id());
-                for (std::size_t e = spans[s].lo; e < spans[s].hi; ++e) {
+                for (std::size_t e = lo; e < hi; ++e) {
                     used |= m[static_cast<std::size_t>(r.map(e, r.idx))];
                 }
             }
@@ -215,11 +199,11 @@ std::vector<int> sweep_colors(std::vector<color_span> const& spans,
                 continue;  // all 64 colours of this sweep taken: next sweep
             }
             int const c = std::countr_one(used);
-            span_color[s] = base + c;
+            block_color[b] = base + c;
             std::uint64_t const bit = std::uint64_t{1} << c;
             for (auto const& r : color_refs) {
                 auto& m = masks.at(r.map.to().id());
-                for (std::size_t e = spans[s].lo; e < spans[s].hi; ++e) {
+                for (std::size_t e = lo; e < hi; ++e) {
                     m[static_cast<std::size_t>(r.map(e, r.idx))] |= bit;
                 }
             }
@@ -227,119 +211,9 @@ std::vector<int> sweep_colors(std::vector<color_span> const& spans,
         }
         base += 64;
     }
-    return span_color;
-}
 
-/// Memo of the global sweep shared by the partition plans of one
-/// configuration. The sweep's input is fully determined by (set,
-/// part_size, npartitions, mutating indirect classes) — the partition
-/// index does not affect colouring — so the first partition plan built
-/// computes it once and the other P-1 reuse the result instead of each
-/// re-walking the whole set. Entries are dropped by
-/// plan_cache_clear() along with the plans that reference them.
-struct color_memo {
-    std::mutex mtx;
-    std::unordered_map<plan_key, std::shared_ptr<std::vector<int> const>,
-                       plan_key_hash>
-        map;
-};
-color_memo g_color_memo;
-
-std::shared_ptr<std::vector<int> const> sweep_colors_cached(
-    op_plan const& plan, op_set const& set,
-    std::vector<color_span> const& spans,
-    std::vector<stage_ref> const& color_refs) {
-    // Key normalised to the memo's granularity — partition 0, mutating
-    // classes only — so there is one entry per configuration whose
-    // colouring actually differs.
-    plan_key key = make_key(set, plan_desc{plan.part_size, plan.npartitions},
-                            color_refs);
-    {
-        std::lock_guard<std::mutex> lk(g_color_memo.mtx);
-        if (auto it = g_color_memo.map.find(key);
-            it != g_color_memo.map.end()) {
-            return it->second;
-        }
-    }
-    // Compute outside the lock: the sweep is deterministic, so two
-    // racing builders produce identical vectors and the first insert
-    // wins.
-    auto computed = std::make_shared<std::vector<int> const>(
-        sweep_colors(spans, color_refs));
-    std::lock_guard<std::mutex> lk(g_color_memo.mtx);
-    auto [it, inserted] =
-        g_color_memo.map.try_emplace(std::move(key), std::move(computed));
-    return it->second;
-}
-
-/// Single-pass block-conflict colouring. For every target element we keep
-/// a 64-bit mask of the colours already claimed by blocks touching it;
-/// a block ORs the masks of all its targets and takes the lowest free
-/// colour. One sweep over the set colours up to 64 colours (the old
-/// greedy scheme re-scanned the whole set once per colour); in the
-/// pathological >64-colour case another sweep handles the next 64.
-///
-/// Whole-set plans colour their own blocks. Partition plans colour the
-/// *whole loop* — every partition's blocks, walked in deterministic
-/// (partition, block) order — and record only their own partition's
-/// colours. Every partition plan of one configuration therefore derives
-/// the same global assignment, which gives the colour labels a
-/// cross-partition guarantee: two same-coloured blocks never mutate the
-/// same target element, *no matter which partitions they belong to*.
-/// That invariant is what makes the dataflow backend's loop-local
-/// same-colour non-conflict exemption sound (per-partition colouring
-/// would let the single blocks of two boundary-straddling partitions
-/// both claim colour 0 while INC-ing the same boundary element).
-void color_blocks(op_plan& plan, std::vector<stage_ref> const& color_refs,
-                  op_set const& set) {
-    plan.colored = true;
-
-    // The spans to colour, in the deterministic global walk order.
-    std::vector<color_span> spans;
-    if (plan.npartitions > 1) {
-        auto const part = set.partition(plan.npartitions);
-        for (std::size_t p = 0; p < plan.npartitions; ++p) {
-            std::size_t const base = part->begin(p);
-            std::size_t const n = part->size_of(p);
-            std::size_t const nb =
-                n == 0 ? 0 : (n + plan.part_size - 1) / plan.part_size;
-            for (std::size_t b = 0; b < nb; ++b) {
-                std::size_t const off = b * plan.part_size;
-                spans.push_back({base + off,
-                                 base + off + std::min(plan.part_size, n - off),
-                                 p == plan.partition ? b : SIZE_MAX});
-            }
-        }
-    } else {
-        spans.reserve(plan.nblocks);
-        for (std::size_t b = 0; b < plan.nblocks; ++b) {
-            spans.push_back({plan.offset[b], plan.offset[b] + plan.nelems[b],
-                             b});
-        }
-    }
-
-    std::vector<int> local_colors;
-    std::shared_ptr<std::vector<int> const> shared_colors;
-    if (plan.npartitions > 1) {
-        shared_colors = sweep_colors_cached(plan, set, spans, color_refs);
-    } else {
-        local_colors = sweep_colors(spans, color_refs);
-    }
-    std::vector<int> const& span_color =
-        shared_colors ? *shared_colors : local_colors;
-
-    std::vector<int> block_color(plan.nblocks, -1);
-    int max_color = -1;  // max colour among *this plan's* blocks
-    for (std::size_t s = 0; s < spans.size(); ++s) {
-        if (spans[s].mine != SIZE_MAX) {
-            block_color[spans[s].mine] = span_color[s];
-            max_color = std::max(max_color, span_color[s]);
-        }
-    }
-
-    // Partition plans may own a sparse subset of the global colours
-    // (colour classes with no block here stay empty in color_offset);
-    // the issue path skips empty colours when creating sub-nodes.
+    int const max_color =
+        *std::max_element(block_color.begin(), block_color.end());
     plan.ncolors = static_cast<std::size_t>(max_color + 1);
     plan.color_offset.assign(plan.ncolors + 1, 0);
     for (std::size_t b = 0; b < plan.nblocks; ++b) {
@@ -356,10 +230,8 @@ void color_blocks(op_plan& plan, std::vector<stage_ref> const& color_refs,
     }
 }
 
-/// Build the staged gather tables: off[e] = map[(base+e)*dim+idx] *
-/// stride, the per-element byte offset the executor's inner loop reads
-/// directly. Tables are indexed relative to the plan's elem_base; the
-/// offsets themselves are absolute bytes into the target dat.
+/// Build the staged gather tables: off[e] = map[e*dim+idx] * stride,
+/// the per-element byte offset the executor's inner loop reads directly.
 void build_stages(op_plan& plan, std::vector<stage_ref> const& refs) {
     plan.stages.reserve(refs.size());
     for (auto const& r : refs) {
@@ -374,9 +246,7 @@ void build_stages(op_plan& plan, std::vector<stage_ref> const& refs) {
         st.idx = r.idx;
         st.stride = r.stride;
         st.off.resize(plan.set_size);
-        int const* table = r.map.table().data() +
-                           plan.elem_base * static_cast<std::size_t>(
-                                                r.map.dim());
+        int const* table = r.map.table().data();
         auto const mapdim = static_cast<std::size_t>(r.map.dim());
         auto const idx = static_cast<std::size_t>(r.idx);
         for (std::size_t e = 0; e < plan.set_size; ++e) {
@@ -387,47 +257,11 @@ void build_stages(op_plan& plan, std::vector<stage_ref> const& refs) {
     }
 }
 
-/// Compute the map-derived partition footprints: which partitions of
-/// each indirect target set the plan's element range reaches. One entry
-/// per distinct (map, slot); strides are irrelevant to reachability.
-void build_footprints(op_plan& plan, std::vector<stage_ref> const& refs) {
-    for (auto const& r : refs) {
-        if (plan.find_footprint(r.map.id(), r.idx) != nullptr) {
-            continue;
-        }
-        auto const tpart = r.map.to().partition(plan.npartitions);
-        std::vector<bool> touched(plan.npartitions, false);
-        for (std::size_t e = 0; e < plan.set_size; ++e) {
-            auto const t = static_cast<std::size_t>(
-                r.map(plan.elem_base + e, r.idx));
-            touched[tpart->find(t)] = true;
-        }
-        plan_footprint fp;
-        fp.map_id = r.map.id();
-        fp.idx = r.idx;
-        for (std::size_t p = 0; p < plan.npartitions; ++p) {
-            if (touched[p]) {
-                fp.parts.push_back(static_cast<std::uint32_t>(p));
-            }
-        }
-        plan.footprints.push_back(std::move(fp));
-    }
-}
-
 op_plan plan_build_impl(op_set const& set, plan_desc const& desc,
                         std::vector<stage_ref> const& refs) {
     op_plan plan;
     plan.part_size = desc.part_size;
-    plan.npartitions = desc.npartitions;
-    plan.partition = desc.partition;
-    if (desc.npartitions > 1) {
-        auto const part = set.partition(desc.npartitions);
-        plan.elem_base = part->begin(desc.partition);
-        plan.set_size = part->size_of(desc.partition);
-    } else {
-        plan.elem_base = 0;
-        plan.set_size = set.size();
-    }
+    plan.set_size = set.size();
     std::size_t const part_size = desc.part_size;
     std::size_t const n = plan.set_size;
     plan.nblocks = (n + part_size - 1) / part_size;
@@ -439,9 +273,6 @@ op_plan plan_build_impl(op_set const& set, plan_desc const& desc,
     }
 
     build_stages(plan, refs);
-    if (desc.npartitions > 1) {
-        build_footprints(plan, refs);
-    }
 
     std::vector<stage_ref> color_refs;
     for (auto const& r : refs) {
@@ -449,15 +280,7 @@ op_plan plan_build_impl(op_set const& set, plan_desc const& desc,
             color_refs.push_back(r);
         }
     }
-    // Partition plans with mutating indirect args always take the
-    // colouring path, even with a single block: the block's colour must
-    // come from the *global* sweep so it stays comparable with the other
-    // partitions' colours (a lone block is trivially colour 0 locally,
-    // but may conflict with another partition's colour-0 block).
-    bool const trivial =
-        color_refs.empty() || plan.nblocks == 0 ||
-        (plan.nblocks <= 1 && desc.npartitions == 1);
-    if (trivial) {
+    if (color_refs.empty() || plan.nblocks <= 1) {
         plan.colored = false;
         plan.ncolors = plan.nblocks == 0 ? 0 : 1;
         plan.blkmap.resize(plan.nblocks);
@@ -471,22 +294,110 @@ op_plan plan_build_impl(op_set const& set, plan_desc const& desc,
         return plan;
     }
 
-    color_blocks(plan, color_refs, set);
+    color_blocks(plan, color_refs);
     return plan;
 }
 
-/// Validate + normalise a caller-supplied desc (part_size 0 and
-/// default_part_size are the same configuration and must share one
-/// cache entry; partition bounds must be sane).
+/// One footprint in compressed rows: `visit(s, mark)` calls mark(q) for
+/// every partition q slice s reaches (repeats allowed); each slice's row
+/// comes out deduplicated and sorted.
+template <typename Visit>
+slice_footprint build_footprint(std::size_t nslices, std::size_t nparts,
+                                Visit&& visit) {
+    slice_footprint fp;
+    fp.offset.reserve(nslices + 1);
+    fp.offset.push_back(0);
+    std::vector<std::size_t> stamp(nparts, SIZE_MAX);
+    for (std::size_t s = 0; s < nslices; ++s) {
+        auto const row = fp.parts.size();
+        visit(s, [&](std::size_t q) {
+            if (stamp[q] != s) {
+                stamp[q] = s;
+                fp.parts.push_back(static_cast<std::uint32_t>(q));
+            }
+        });
+        std::sort(fp.parts.begin() + static_cast<std::ptrdiff_t>(row),
+                  fp.parts.end());
+        fp.offset.push_back(static_cast<std::uint32_t>(fp.parts.size()));
+    }
+    return fp;
+}
+
+/// Cut every colour's blocks into `nparts` near-equal runs and derive
+/// each run's footprints: the iteration partitions its blocks overlap
+/// and, per distinct (map, slot), the target partitions its map rows
+/// reach.
+plan_slicing build_slicing(op_plan const& plan, op_set const& set,
+                           std::vector<stage_ref> const& refs,
+                           std::size_t nparts) {
+    plan_slicing sl;
+    sl.nparts = nparts;
+    sl.cut.reserve(plan.ncolors * nparts + 1);
+    for (std::size_t c = 0; c < plan.ncolors; ++c) {
+        std::size_t const lo = plan.color_offset[c];
+        std::size_t const m = plan.color_offset[c + 1] - lo;
+        for (std::size_t k = 0; k < nparts; ++k) {
+            // Rounded up, so a colour with fewer blocks than slices fills
+            // its low slices (and their workers) first.
+            sl.cut.push_back(lo + (m * k + nparts - 1) / nparts);
+        }
+    }
+    sl.cut.push_back(plan.nblocks);
+    std::size_t const nslices = sl.nslices();
+
+    auto const ipart = set.partition(nparts);
+    sl.direct = build_footprint(nslices, nparts, [&](std::size_t s,
+                                                     auto&& mark) {
+        for (std::size_t b : plan.blocks_of_slice(sl, s)) {
+            std::size_t const last =
+                ipart->find(plan.offset[b] + plan.nelems[b] - 1);
+            for (std::size_t q = ipart->find(plan.offset[b]); q <= last; ++q) {
+                mark(q);
+            }
+        }
+    });
+    for (auto const& r : refs) {
+        if (sl.find(r.map.id(), r.idx) != nullptr) {
+            continue;  // strides do not change reachability
+        }
+        auto const tpart = r.map.to().partition(nparts);
+        slice_footprint fp = build_footprint(
+            nslices, nparts, [&](std::size_t s, auto&& mark) {
+                for (std::size_t b : plan.blocks_of_slice(sl, s)) {
+                    for (std::size_t e = plan.offset[b];
+                         e < plan.offset[b] + plan.nelems[b]; ++e) {
+                        mark(tpart->find(
+                            static_cast<std::size_t>(r.map(e, r.idx))));
+                    }
+                }
+            });
+        fp.map_id = r.map.id();
+        fp.idx = r.idx;
+        sl.indirect.push_back(std::move(fp));
+    }
+    return sl;
+}
+
+/// Drop every cached plan matching `pred`. Invalidates the per-worker
+/// pointer maps before freeing any plan they may point into; this drops
+/// *every* thread's local map, not just the matching entries — coarse,
+/// but purges run at job retirement and set death, not on the issue
+/// path.
+template <typename Pred>
+void purge_if(Pred&& pred) {
+    g_cache_version.fetch_add(1, std::memory_order_acq_rel);
+    for (auto& shard : g_shards) {
+        std::unique_lock<std::shared_mutex> wr(shard.mtx);
+        std::erase_if(shard.map,
+                      [&](auto const& kv) { return pred(kv.first); });
+    }
+}
+
+/// Normalise a caller-supplied desc: part_size 0 and default_part_size
+/// are the same configuration and must share one cache entry.
 plan_desc normalise(plan_desc desc) {
     if (desc.part_size == 0) {
         desc.part_size = default_part_size;
-    }
-    if (desc.npartitions == 0) {
-        desc.npartitions = 1;
-    }
-    if (desc.partition >= desc.npartitions) {
-        throw std::invalid_argument("plan: partition index out of range");
     }
     return desc;
 }
@@ -548,18 +459,39 @@ op_plan const& plan_get(op_set const& set, std::span<op_arg const> args,
     return plan_get(set, args, plan_desc{part_size});
 }
 
+plan_slicing const& plan_slices(op_plan const& plan, op_set const& set,
+                                std::span<op_arg const> args,
+                                std::size_t nparts) {
+    nparts = std::max<std::size_t>(nparts, 1);
+    auto const find = [nparts](plan_slicing const* s) {
+        while (s != nullptr && s->nparts != nparts) {
+            s = s->next;
+        }
+        return s;
+    };
+    detail::slicing_list& list = *plan.slicings;
+    plan_slicing const* head = list.head.load(std::memory_order_acquire);
+    if (plan_slicing const* s = find(head)) {
+        return *s;
+    }
+    auto built = std::make_unique<plan_slicing>(
+        build_slicing(plan, set, collect_stage_refs(args), nparts));
+    for (;;) {
+        built->next = head;
+        if (list.head.compare_exchange_weak(head, built.get(),
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+            return *built.release();
+        }
+        // Another thread pushed first: it may have built this very count.
+        if (plan_slicing const* s = find(head)) {
+            return *s;
+        }
+    }
+}
+
 void plan_cache_clear() {
-    // Invalidate the per-worker pointer maps *before* freeing the plans
-    // they point into; each thread flushes its map on its next lookup.
-    g_cache_version.fetch_add(1, std::memory_order_acq_rel);
-    for (auto& shard : g_shards) {
-        std::unique_lock<std::shared_mutex> wr(shard.mtx);
-        shard.map.clear();
-    }
-    {
-        std::lock_guard<std::mutex> lk(g_color_memo.mtx);
-        g_color_memo.map.clear();
-    }
+    purge_if([](plan_key const&) { return true; });
 }
 
 std::size_t plan_cache_size() {
@@ -585,22 +517,11 @@ std::size_t plan_cache_size(std::uint64_t ctx_id) {
 }
 
 void plan_cache_purge(std::uint64_t ctx_id) {
-    // Same ordering discipline as plan_cache_clear: invalidate the
-    // per-worker pointer maps before freeing any plan they may point
-    // into. A purge drops *every* thread's local map, not just entries
-    // of the purged context — coarse, but purges happen at job
-    // retirement, not on the issue path.
-    g_cache_version.fetch_add(1, std::memory_order_acq_rel);
-    for (auto& shard : g_shards) {
-        std::unique_lock<std::shared_mutex> wr(shard.mtx);
-        std::erase_if(shard.map,
-                      [&](auto const& kv) { return kv.first.ctx == ctx_id; });
-    }
-    {
-        std::lock_guard<std::mutex> lk(g_color_memo.mtx);
-        std::erase_if(g_color_memo.map,
-                      [&](auto const& kv) { return kv.first.ctx == ctx_id; });
-    }
+    purge_if([ctx_id](plan_key const& k) { return k.ctx == ctx_id; });
+}
+
+void plan_cache_drop_set(std::uint64_t set_id) {
+    purge_if([set_id](plan_key const& k) { return k.set_id == set_id; });
 }
 
 }  // namespace op2

@@ -1,5 +1,7 @@
 #include <op2/set.hpp>
 
+#include <op2/plan.hpp>
+
 #include <atomic>
 #include <stdexcept>
 
@@ -10,6 +12,8 @@ std::uint64_t next_entity_id() noexcept {
     static std::atomic<std::uint64_t> counter{1};
     return counter.fetch_add(1, std::memory_order_relaxed);
 }
+
+set_impl::~set_impl() { plan_cache_drop_set(id); }
 
 std::vector<std::size_t> partition_bounds(std::size_t size,
                                           std::size_t count) {

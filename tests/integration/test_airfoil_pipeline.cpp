@@ -29,13 +29,16 @@ TEST_F(PipelineTest, ModelIssueOrderMatchesRealApplication) {
     // own (cells, but with staged x-gather tables through pcell),
     // while res_calc (edges) and bres_calc (bedges) each need a coloured
     // one with their own staging tables.
+    // The problem is held while counting: a set's plans are dropped
+    // with its last handle.
     op2::plan_cache_clear();
     airfoil::app_config cfg;
     cfg.mesh.nx = 20;
     cfg.mesh.ny = 10;
     cfg.niter = 1;
     cfg.be = op2::backend::fork_join;
-    (void)airfoil::run(cfg);
+    auto prob = airfoil::make_problem(airfoil::make_mesh(cfg.mesh));
+    (void)airfoil::run(prob, cfg);
     EXPECT_EQ(op2::plan_cache_size(), 4u);
 }
 

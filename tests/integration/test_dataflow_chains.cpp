@@ -162,8 +162,8 @@ TEST_P(DataflowChainShapes, IndirectIncTwinsMatchSeqBitwise) {
 
 /// Two reductions per round over one dat (an RW loop with a gbl INC,
 /// then a reader with a gbl INC), their handles waited in reverse
-/// issue order. Partition partials combine in completion order, so the
-/// values are dyadics with few bits (integer inits, x*0.5+0.25 over six
+/// issue order. Per-block partials fold in another order than seq's
+/// running sum, so the values are dyadics with few bits (integer inits, x*0.5+0.25 over six
 /// rounds) and every sum is exact in any order: a mismatch is a lost or
 /// double-counted partial.
 TEST_P(DataflowChainShapes, ReductionPairMatchesSeqBitwise) {
@@ -271,8 +271,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DataflowChainShapes,
 /// step. The fields must match seq bitwise. The probe sums are held to
 /// a tight relative tolerance instead: after 40 halving/quartering
 /// steps the values need more than 53 mantissa bits, so their sum is
-/// reassociation-sensitive, and gbl partials combine in
-/// partition-completion order.
+/// reassociation-sensitive, and the dataflow backend folds per-block
+/// partials where seq keeps one running sum.
 class DataflowRandomDirectDag : public DataflowChainShapes {};
 
 TEST_P(DataflowRandomDirectDag, RwDagWithProbesMatchesSeqBitwise) {

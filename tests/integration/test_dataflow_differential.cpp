@@ -674,7 +674,7 @@ TEST_P(DataflowOnePartition, ColourFaultQuarantinesPartitionZero) {
     o.part_size = 16;
     // The live colours of the plan the loop runs (partition 0 of 1).
     op_plan const& plan =
-        plan_get(edges, args, plan_desc{o.part_size, 1, 0});
+        plan_get(edges, args, o.part_size);
     std::vector<std::size_t> live;
     for (std::size_t c = 0; c < plan.ncolors; ++c) {
         if (!plan.blocks_of_color(c).empty()) {
@@ -744,7 +744,7 @@ TEST_P(DataflowOnePartition, ColoursRunInOrderOneAtATime) {
     o.partitions = 1;
     o.part_size = 16;
     op_plan const& plan =
-        plan_get(edges, args, plan_desc{o.part_size, 1, 0});
+        plan_get(edges, args, o.part_size);
     std::vector<std::size_t> color_of(kEdges, plan.ncolors);
     std::size_t live = 0;
     for (std::size_t c = 0; c < plan.ncolors; ++c) {
@@ -752,7 +752,7 @@ TEST_P(DataflowOnePartition, ColoursRunInOrderOneAtATime) {
         live += blocks.empty() ? 0 : 1;
         for (std::size_t b : blocks) {
             for (std::size_t i = 0; i < plan.nelems[b]; ++i) {
-                color_of[plan.elem_base + plan.offset[b] + i] = c;
+                color_of[plan.offset[b] + i] = c;
             }
         }
     }

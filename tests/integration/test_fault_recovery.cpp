@@ -2,8 +2,8 @@
 // injection, checkpoint-every-N and a bounded retry budget must
 // converge to *bitwise* the same final field as a fault-free run of
 // the same configuration — recovery is exact, never approximately
-// right. (The rms *diagnostic* alone is held to ulp-level tolerance on
-// the hpx backend; see expect_recovered_equal.)
+// right. (The rms *diagnostic* keeps an ulp-level tolerance on the hpx
+// backend; see expect_recovered_equal.)
 
 #include <gtest/gtest.h>
 
@@ -37,12 +37,10 @@ protected:
 
     /// The final field compared *bitwise* — dat contents are
     /// deterministic per config (colour-ordered INC) so recovery must
-    /// reproduce them exactly. The rms diagnostic reduces through gbl
-    /// partials that combine in partition *completion* order (the
-    /// engine guarantees the sequential value up to floating-point
-    /// reassociation, see g_combine_mtx), so two hpx runs can differ by
-    /// a few ulps there; `rms_tol` is 0 for the deterministic seq
-    /// backend and ulp-level relative for hpx.
+    /// reproduce them exactly. The rms diagnostic folds per-block gbl
+    /// partials in block order, so it is deterministic per config too;
+    /// `rms_tol` is 0 for seq and keeps an ulp-level relative allowance
+    /// for hpx.
     static void expect_recovered_equal(airfoil::app_result const& a,
                                        airfoil::app_result const& b,
                                        double rms_tol) {

@@ -37,14 +37,17 @@ struct mesh_result {
 /// update shapes, indirect INC through a random edges->cells map, one
 /// global reduction per iteration) over its own freshly declared mesh.
 /// Deterministic in `seed`; every job uses the SAME set sizes and loop
-/// names, so only the context keeps their runtime state apart.
+/// names, so only the context keeps their runtime state apart. With
+/// `hold`, the job hands its sets out, keeping them (and their cached
+/// plans) alive after it retires.
 service::job_desc make_mesh_job(std::string name, unsigned seed,
-                                mesh_result* out) {
+                                mesh_result* out,
+                                std::vector<op_set>* hold = nullptr) {
     service::job_desc d;
     d.name = std::move(name);
     d.est_loops = 4 * 3;
     d.est_bytes = 300 * 6 * sizeof(double);
-    d.program = [seed, out] {
+    d.program = [seed, out, hold] {
         constexpr std::size_t kCells = 300;
         constexpr std::size_t kEdges = 900;
         constexpr int kIters = 3;
@@ -122,6 +125,9 @@ service::job_desc make_mesh_job(std::string name, unsigned seed,
         op_fence(q);
         op_fence(res);
 
+        if (hold != nullptr) {
+            *hold = {cells, edges};
+        }
         out->rms = rms.back();
         auto qv = q.view<double>();
         out->q.assign(qv.begin(), qv.end());
@@ -188,17 +194,19 @@ TEST_F(ServiceIsolation, ConcurrentJobsMatchSequentialBitwise) {
 
 /// Plan-cache namespacing: with purging off, concurrent same-shaped
 /// jobs each populate their own namespace; purging one context's plans
-/// leaves the others' untouched.
+/// leaves the others' untouched. The jobs' sets are held while counting:
+/// a set's plans go with its last handle.
 TEST_F(ServiceIsolation, JobPlanNamespacesAreDisjoint) {
     std::size_t const baseline = plan_cache_size();
     service::scheduler_options so;
     so.purge_plans = false;
     service::scheduler sched(so);
     std::vector<mesh_result> outs(kJobs);
+    std::vector<std::vector<op_set>> held(kJobs);
     std::vector<service::job> jobs;
     for (std::size_t k = 0; k < kJobs; ++k) {
         jobs.push_back(sched.submit(make_mesh_job(
-            "tenant" + std::to_string(k), kSeeds[k], &outs[k])));
+            "tenant" + std::to_string(k), kSeeds[k], &outs[k], &held[k])));
     }
     sched.drain();
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -828,6 +829,242 @@ TEST_F(ExecBackendTest, RepeatedGranularityChangesKeepCarriedErrorsDeduped) {
         }
     }
     op_fence(d);
+}
+
+/// Holds every pool worker in a spinning task until release(): nodes
+/// issued meanwhile sit, unrun, in their inboxes with their graph edges
+/// intact. A blocker an idle worker steals goes back to its owner's
+/// inbox instead of blocking the thief.
+class worker_blockade {
+public:
+    explicit worker_blockade(hpxlite::threads::thread_pool& pool)
+      : pool_(pool), tasks_(pool.size()) {
+        block_ = [this](std::size_t w) {
+            if (pool_.worker_index() == w) {
+                running_.fetch_add(1);
+                while (!release_.load(std::memory_order_acquire)) {
+                    std::this_thread::yield();
+                }
+            } else {
+                tasks_.fetch_add(1);
+                pool_.submit_to(w, [this, w] { block_(w); });
+            }
+            tasks_.fetch_sub(1, std::memory_order_release);
+        };
+        for (std::size_t w = 0; w < pool.size(); ++w) {
+            pool.submit_to(w, [this, w] { block_(w); });
+        }
+        while (running_.load() < pool.size()) {
+            std::this_thread::yield();
+        }
+    }
+    worker_blockade(worker_blockade const&) = delete;
+    worker_blockade& operator=(worker_blockade const&) = delete;
+
+    void release() { release_.store(true, std::memory_order_release); }
+
+    /// Releases the workers and waits until no blocker references this.
+    ~worker_blockade() {
+        release();
+        while (tasks_.load(std::memory_order_acquire) != 0) {
+            std::this_thread::yield();
+        }
+    }
+
+private:
+    hpxlite::threads::thread_pool& pool_;
+    std::atomic<std::size_t> tasks_;
+    std::atomic<std::size_t> running_{0};
+    std::atomic<bool> release_{false};
+    std::function<void(std::size_t)> block_;
+};
+
+/// An airfoil-shaped mesh: nx x ny cells, every interior vertical edge
+/// numbered before every interior horizontal one (the layout whose
+/// global colour classes each cover only part of the set), edges ->
+/// nodes and edges -> cells maps, and res_calc's dats.
+struct airfoil_like {
+    op_set nodes, edges, cells;
+    op_map pedge, pecell;
+    op_dat x, q, adt, res;
+
+    airfoil_like(std::size_t nx, std::size_t ny) {
+        nodes = op_decl_set((nx + 1) * (ny + 1), "al_nodes");
+        cells = op_decl_set(nx * ny, "al_cells");
+        std::vector<int> pe;
+        std::vector<int> pc;
+        auto node = [&](std::size_t i, std::size_t j) {
+            return static_cast<int>(j * (nx + 1) + i);
+        };
+        auto cell = [&](std::size_t i, std::size_t j) {
+            return static_cast<int>(j * nx + i);
+        };
+        for (std::size_t j = 0; j < ny; ++j) {
+            for (std::size_t i = 1; i < nx; ++i) {
+                pe.insert(pe.end(), {node(i, j), node(i, j + 1)});
+                pc.insert(pc.end(), {cell(i, j), cell(i - 1, j)});
+            }
+        }
+        for (std::size_t j = 1; j < ny; ++j) {
+            for (std::size_t i = 0; i < nx; ++i) {
+                pe.insert(pe.end(), {node(i, j), node(i + 1, j)});
+                pc.insert(pc.end(), {cell(i, j - 1), cell(i, j)});
+            }
+        }
+        edges = op_decl_set(pc.size() / 2, "al_edges");
+        pedge = op_decl_map(edges, nodes, 2, pe, "al_pedge");
+        pecell = op_decl_map(edges, cells, 2, pc, "al_pecell");
+        x = op_decl_dat_zero<double>(nodes, 2, "double", "al_x");
+        q = op_decl_dat_zero<double>(cells, 4, "double", "al_q");
+        adt = op_decl_dat_zero<double>(cells, 1, "double", "al_adt");
+        res = op_decl_dat_zero<double>(cells, 4, "double", "al_res");
+    }
+
+    /// Issue res_calc's argument shape (x and q and adt gathered, res
+    /// incremented through both cells of an edge).
+    exec::loop_handle res_calc(loop_options const& o) {
+        return exec::run_loop(
+            o, "res_calc", edges,
+            [](double const* x1, double const* x2, double const* q1,
+               double const* q2, double const* a1, double const* a2,
+               double* r1, double* r2) {
+                double const f = x1[0] - x2[1] + q1[0] + q2[1] + *a1 + *a2;
+                r1[0] += f;
+                r2[0] -= f;
+            },
+            op_arg_dat(x, 0, pedge, 2, "double", OP_READ),
+            op_arg_dat(x, 1, pedge, 2, "double", OP_READ),
+            op_arg_dat(q, 0, pecell, 4, "double", OP_READ),
+            op_arg_dat(q, 1, pecell, 4, "double", OP_READ),
+            op_arg_dat(adt, 0, pecell, 1, "double", OP_READ),
+            op_arg_dat(adt, 1, pecell, 1, "double", OP_READ),
+            op_arg_dat(res, 0, pecell, 4, "double", OP_INC),
+            op_arg_dat(res, 1, pecell, 4, "double", OP_INC));
+    }
+};
+
+/// The colour-slice issue order, as a graph walk: with every worker
+/// blocked, an airfoil-shaped res_calc at 3 partitions is issued, and
+/// its sub-nodes — reached through the res records' writers — are
+/// checked edge by edge. Within the loop every edge must run from a
+/// lower colour to a higher one (same-colour slices never conflict, so
+/// they share no edge and all run at once); an edge from a higher
+/// colour to a lower one is the cross-partition wavefront that
+/// serialised partition-major issue.
+TEST_F(ExecBackendTest, SliceEdgesRunFromLowerToHigherColour) {
+    airfoil_like m(60, 30);
+    loop_options o;
+    o.backend = exec::backend_kind::hpx_dataflow;
+    o.partitions = 3;
+    exec::loop_handle h;
+    std::vector<exec::node_ref> subs;
+    {
+        worker_blockade blockade(hpxlite::get_pool());
+        h = m.res_calc(o);
+        auto const [recs, count] = m.res.internal().dep.table();
+        ASSERT_EQ(count, 3u);
+        for (std::size_t r = 0; r < count; ++r) {
+            std::vector<exec::node_ref> nodes;
+            recs[r].snapshot(nodes);
+            for (auto& n : nodes) {
+                if (std::none_of(subs.begin(), subs.end(),
+                                 [&](exec::node_ref const& s) {
+                                     return s.get() == n.get();
+                                 })) {
+                    subs.push_back(n);
+                }
+            }
+        }
+        std::set<std::uint32_t> colours;
+        std::size_t cross = 0;
+        for (auto const& n : subs) {
+            ASSERT_STREQ(n->site_loop(), "res_calc");
+            ASSERT_NE(n->site_partition(), exec::dataflow_node::kJoin);
+            colours.insert(n->site_color());
+            std::vector<exec::node_ref> succs;
+            n->successors(succs);
+            for (auto const& t : succs) {
+                if (t->site_partition() == exec::dataflow_node::kJoin) {
+                    continue;
+                }
+                EXPECT_LT(n->site_color(), t->site_color())
+                    << "slice " << n->site_partition() << " of colour "
+                    << n->site_color() << " precedes slice "
+                    << t->site_partition() << " of colour "
+                    << t->site_color();
+                ++cross;
+            }
+        }
+        EXPECT_GE(colours.size(), 2u);
+        EXPECT_GT(cross, 0u) << "no cross-colour edge to check";
+    }
+    h.get();
+    op_fence_all();
+}
+
+/// The staged and dataflow backends run one shared plan: the dataflow
+/// loop adds a slicing to the plan the staged loop built — no second
+/// plan, no second set of stage tables.
+TEST_F(ExecBackendTest, StagedAndHpxRunOneSharedPlan) {
+    plan_cache_clear();
+    airfoil_like m(16, 8);
+    loop_options o;
+    o.backend = exec::backend_kind::staged;
+    m.res_calc(o).get();
+    ASSERT_EQ(plan_cache_size(), 1u);
+    std::array<op_arg, 2> const inc{
+        op_arg_dat(m.res, 0, m.pecell, 4, "double", OP_INC),
+        op_arg_dat(m.res, 1, m.pecell, 4, "double", OP_INC)};
+    std::array<op_arg, 8> const args{
+        op_arg_dat(m.x, 0, m.pedge, 2, "double", OP_READ),
+        op_arg_dat(m.x, 1, m.pedge, 2, "double", OP_READ),
+        op_arg_dat(m.q, 0, m.pecell, 4, "double", OP_READ),
+        op_arg_dat(m.q, 1, m.pecell, 4, "double", OP_READ),
+        op_arg_dat(m.adt, 0, m.pecell, 1, "double", OP_READ),
+        op_arg_dat(m.adt, 1, m.pecell, 1, "double", OP_READ),
+        inc[0], inc[1]};
+    op_plan const& plan = plan_get(m.edges, args, o.part_size);
+    EXPECT_EQ(plan.slicings->head.load(), nullptr);
+    auto const* stage = plan.find_stage(m.pecell.id(), 0, 4 * sizeof(double));
+    ASSERT_NE(stage, nullptr);
+
+    o.backend = exec::backend_kind::hpx_dataflow;
+    o.partitions = 3;
+    m.res_calc(o).get();
+    EXPECT_EQ(plan_cache_size(), 1u);
+    EXPECT_EQ(&plan_get(m.edges, args, o.part_size), &plan);
+    plan_slicing const* sl = plan.slicings->head.load();
+    ASSERT_NE(sl, nullptr);
+    EXPECT_EQ(sl->nparts, 3u);
+    EXPECT_EQ(sl->next, nullptr);
+    EXPECT_EQ(&plan_slices(plan, m.edges, args, 3), sl);
+    EXPECT_EQ(plan.find_stage(m.pecell.id(), 0, 4 * sizeof(double)), stage);
+    op_fence_all();
+    plan_cache_clear();
+}
+
+/// A set's plans go with its last handle: declare a mesh, run staged
+/// and dataflow loops over it, drop it, and the plan cache is back at
+/// its baseline. The dataflow loop's group releases its handles on a
+/// worker, so the set can die there.
+TEST_F(ExecBackendTest, DroppedSetTakesItsPlansAlong) {
+    std::size_t const baseline = plan_cache_size();
+    {
+        airfoil_like m(16, 8);
+        loop_options o;
+        o.backend = exec::backend_kind::staged;
+        m.res_calc(o).get();
+        o.backend = exec::backend_kind::hpx_dataflow;
+        o.partitions = 3;
+        m.res_calc(o).get();
+        (void)exec::run_loop(o, "clear", m.cells, [](double* r) { r[0] = 0.0; },
+                             op_arg_dat(m.res, -1, OP_ID, 4, "double",
+                                        OP_WRITE))
+            .get();
+        op_fence_all();
+        EXPECT_EQ(plan_cache_size(), baseline + 2);
+    }
+    EXPECT_EQ(plan_cache_size(), baseline);
 }
 
 /// A loop's join runs on the thread that finishes the loop's last

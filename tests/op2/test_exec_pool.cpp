@@ -196,9 +196,9 @@ TEST_F(ExecPoolTest, PartitionCountChangesRebuildRecycledGroups) {
     }
 }
 
-/// The pooled reduction stream must match seq bit for bit. Partition
-/// partials fold into the gbl scalar in partition-completion order,
-/// which scheduling may reorder — so the values are
+/// The pooled reduction stream must match seq bit for bit. Per-block
+/// partials fold into the gbl scalar in another order than seq's
+/// running sum — so the values are
 /// exactly-representable dyadics (integer inits, x*0.5+0.125 over ten
 /// rounds stays well inside 53 mantissa bits) and the sums are
 /// order-independent: any divergence is a recycled group leaking or

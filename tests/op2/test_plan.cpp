@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <tuple>
@@ -189,176 +191,211 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{4096, 128},
                       std::pair<std::size_t, std::size_t>{5000, 512}));
 
-// --- partition-granular plans ------------------------------------------
+// --- colour slices ------------------------------------------------------
 
-TEST(PlanPartition, PartitionPlansTileTheSet) {
-    ring r(1000);
-    auto args = r.inc_args();
-    std::size_t covered = 0;
-    std::size_t expect_base = 0;
-    for (std::size_t p = 0; p < 3; ++p) {
-        auto plan = plan_build(r.edges, args, plan_desc{64, 3, p});
-        EXPECT_EQ(plan.npartitions, 3u);
-        EXPECT_EQ(plan.partition, p);
-        EXPECT_EQ(plan.elem_base, expect_base);
-        expect_base += plan.set_size;
-        covered += plan.set_size;
-        // Blocks tile the partition's local index space [0, set_size).
-        std::size_t local = 0;
-        for (std::size_t b = 0; b < plan.nblocks; ++b) {
-            EXPECT_EQ(plan.offset[b], local);
-            local += plan.nelems[b];
-        }
-        EXPECT_EQ(local, plan.set_size);
-    }
-    EXPECT_EQ(covered, 1000u);
-}
+/// Cases chosen so slices straddle the ring's wrap-around edge, colours
+/// have uneven block counts, and some colours have fewer blocks than
+/// slices: (n, part_size, nparts).
+constexpr std::tuple<std::size_t, std::size_t, std::size_t> kSliceCases[] = {
+    {1000, 64, 3}, {1000, 500, 2}, {777, 32, 5}, {128, 128, 4}, {900, 16, 8}};
 
-TEST(PlanPartition, PartitionStageTablesAreRelativeWithAbsoluteOffsets) {
-    ring r(900);
-    auto args = r.inc_args();
-    std::size_t const stride = sizeof(double);
-    for (std::size_t p = 0; p < 4; ++p) {
-        auto plan = plan_build(r.edges, args, plan_desc{64, 4, p});
-        for (int idx : {0, 1}) {
-            auto const* st = plan.find_stage(r.em.id(), idx, stride);
-            ASSERT_NE(st, nullptr);
-            ASSERT_EQ(st->off.size(), plan.set_size);
-            for (std::size_t e = 0; e < plan.set_size; ++e) {
-                EXPECT_EQ(st->off[e],
-                          static_cast<std::size_t>(
-                              r.em(plan.elem_base + e, idx)) *
-                              stride);
-            }
-        }
-    }
-}
-
-TEST(PlanPartition, FootprintsMatchMapReachabilityExactly) {
-    ring r(777);
-    auto args = r.inc_args();
-    constexpr std::size_t kParts = 5;
-    auto tpart = r.nodes.partition(kParts);
-    for (std::size_t p = 0; p < kParts; ++p) {
-        auto plan = plan_build(r.edges, args, plan_desc{32, kParts, p});
-        for (int idx : {0, 1}) {
-            auto const* fp = plan.find_footprint(r.em.id(), idx);
-            ASSERT_NE(fp, nullptr);
-            // Brute-force reachability over the partition's elements.
-            std::set<std::uint32_t> expect;
-            for (std::size_t e = plan.elem_base;
-                 e < plan.elem_base + plan.set_size; ++e) {
-                expect.insert(static_cast<std::uint32_t>(tpart->find(
-                    static_cast<std::size_t>(r.em(e, idx)))));
-            }
-            std::set<std::uint32_t> got(fp->parts.begin(), fp->parts.end());
-            EXPECT_EQ(got, expect) << "partition " << p << " slot " << idx;
-        }
-    }
-}
-
-/// Partition plans are coloured *globally*: no two same-coloured blocks
-/// may touch the same target element even when they belong to different
-/// partition plans of the configuration. This is the invariant behind
-/// the dataflow backend's same-colour non-conflict exemption, so it is
-/// pinned independently of any scheduler behaviour. Sizes chosen so
-/// partitions straddle the ring's wrap-around edge and have uneven
-/// block counts.
-TEST(PlanPartition, ColoringIsConflictFreeAcrossPartitions) {
-    for (auto [n, part_size, nparts] :
-         {std::tuple<std::size_t, std::size_t, std::size_t>{1000, 64, 3},
-          {1000, 500, 2},
-          {777, 32, 5},
-          {128, 128, 4}}) {
+/// Every colour class is cut into `nparts` runs, colour-major: slice
+/// s = c * nparts + k holds blocks of colour c only, every block of
+/// every colour lands in exactly one slice, and the runs of one colour
+/// differ in size by at most one block.
+TEST(PlanSlices, SlicesTileEveryColourClassOnce) {
+    for (auto [n, part_size, nparts] : kSliceCases) {
         ring r(n);
         auto args = r.inc_args();
+        auto plan = plan_build(r.edges, args, part_size);
+        auto const& sl = plan_slices(plan, r.edges, args, nparts);
+        ASSERT_EQ(sl.nparts, nparts);
+        ASSERT_EQ(sl.nslices(), plan.ncolors * nparts);
+        std::vector<int> seen(plan.nblocks, 0);
+        for (std::size_t c = 0; c < plan.ncolors; ++c) {
+            std::set<std::size_t> colour(plan.blocks_of_color(c).begin(),
+                                         plan.blocks_of_color(c).end());
+            std::size_t lo = SIZE_MAX;
+            std::size_t hi = 0;
+            for (std::size_t k = 0; k < nparts; ++k) {
+                auto const blocks = plan.blocks_of_slice(sl, c * nparts + k);
+                lo = std::min(lo, blocks.size());
+                hi = std::max(hi, blocks.size());
+                for (std::size_t b : blocks) {
+                    EXPECT_EQ(colour.count(b), 1u)
+                        << "slice " << k << " of colour " << c
+                        << " holds block " << b << " of another colour";
+                    ++seen[b];
+                }
+            }
+            EXPECT_LE(hi - lo, 1u) << "colour " << c << " (n=" << n
+                                   << " nparts=" << nparts << ")";
+        }
+        for (std::size_t b = 0; b < plan.nblocks; ++b) {
+            EXPECT_EQ(seen[b], 1) << "block " << b << " (n=" << n
+                                  << " nparts=" << nparts << ")";
+        }
+    }
+}
 
-        // (colour -> targets) across every partition's blocks.
-        std::map<std::size_t, std::set<int>> targets_by_color;
-        for (std::size_t p = 0; p < nparts; ++p) {
-            auto plan = plan_build(r.edges, args,
-                                   plan_desc{part_size, nparts, p});
-            for (std::size_t c = 0; c < plan.ncolors; ++c) {
-                for (std::size_t b : plan.blocks_of_color(c)) {
-                    std::set<int> mine;
-                    for (std::size_t e = plan.elem_base + plan.offset[b];
-                         e < plan.elem_base + plan.offset[b] + plan.nelems[b];
-                         ++e) {
-                        mine.insert(r.em(e, 0));
-                        mine.insert(r.em(e, 1));
+/// Direct and indirect slice footprints equal brute-force reachability:
+/// the iteration partitions a slice's elements fall in, and the target
+/// partitions its map rows reach through each slot.
+TEST(PlanSlices, FootprintsMatchMapReachabilityExactly) {
+    for (auto [n, part_size, nparts] : kSliceCases) {
+        ring r(n);
+        auto args = r.inc_args();
+        auto plan = plan_build(r.edges, args, part_size);
+        auto const& sl = plan_slices(plan, r.edges, args, nparts);
+        auto const ipart = r.edges.partition(nparts);
+        auto const tpart = r.nodes.partition(nparts);
+        for (std::size_t s = 0; s < sl.nslices(); ++s) {
+            std::set<std::uint32_t> direct;
+            std::map<int, std::set<std::uint32_t>> reach;
+            for (std::size_t b : plan.blocks_of_slice(sl, s)) {
+                for (std::size_t e = plan.offset[b];
+                     e < plan.offset[b] + plan.nelems[b]; ++e) {
+                    direct.insert(
+                        static_cast<std::uint32_t>(ipart->find(e)));
+                    for (int idx : {0, 1}) {
+                        reach[idx].insert(static_cast<std::uint32_t>(
+                            tpart->find(static_cast<std::size_t>(
+                                r.em(e, idx)))));
                     }
-                    auto& claimed = targets_by_color[c];
-                    for (int t : mine) {
-                        ASSERT_EQ(claimed.count(t), 0u)
-                            << "colour " << c << " reused target " << t
-                            << " across partitions (n=" << n
-                            << " part_size=" << part_size
-                            << " nparts=" << nparts << ")";
+                }
+            }
+            auto const d = sl.direct.of(s);
+            EXPECT_EQ(std::set<std::uint32_t>(d.begin(), d.end()), direct)
+                << "slice " << s << " (n=" << n << " nparts=" << nparts
+                << ")";
+            EXPECT_TRUE(std::is_sorted(d.begin(), d.end()));
+            for (int idx : {0, 1}) {
+                auto const* fp = sl.find(r.em.id(), idx);
+                ASSERT_NE(fp, nullptr);
+                auto const got = fp->of(s);
+                EXPECT_EQ(std::set<std::uint32_t>(got.begin(), got.end()),
+                          reach[idx])
+                    << "slice " << s << " slot " << idx << " (n=" << n
+                    << " nparts=" << nparts << ")";
+                EXPECT_EQ(got.size(), reach[idx].size()) << "duplicates";
+            }
+        }
+    }
+}
+
+/// Slices of one colour never touch a common target element, whichever
+/// slices the blocks fell into. This is the invariant behind the
+/// dataflow backend's same-colour non-conflict exemption, so it is
+/// pinned independently of any scheduler behaviour.
+TEST(PlanSlices, SameColourSlicesNeverShareATarget) {
+    for (auto [n, part_size, nparts] : kSliceCases) {
+        ring r(n);
+        auto args = r.inc_args();
+        auto plan = plan_build(r.edges, args, part_size);
+        auto const& sl = plan_slices(plan, r.edges, args, nparts);
+        for (std::size_t c = 0; c < plan.ncolors; ++c) {
+            std::map<int, std::size_t> owner;  // target -> slice
+            for (std::size_t k = 0; k < nparts; ++k) {
+                for (std::size_t b : plan.blocks_of_slice(sl, c * nparts + k)) {
+                    for (std::size_t e = plan.offset[b];
+                         e < plan.offset[b] + plan.nelems[b]; ++e) {
+                        for (int idx : {0, 1}) {
+                            auto const [it, fresh] = owner.try_emplace(
+                                r.em(e, idx), k);
+                            ASSERT_TRUE(fresh || it->second == k)
+                                << "colour " << c << ": slices "
+                                << it->second << " and " << k
+                                << " share target " << r.em(e, idx)
+                                << " (n=" << n << " part_size=" << part_size
+                                << " nparts=" << nparts << ")";
+                        }
                     }
-                    claimed.insert(mine.begin(), mine.end());
                 }
             }
         }
     }
 }
 
-/// A partition holding a single block still takes the global colouring
-/// path: two boundary-straddling single-block partitions must not both
-/// claim colour 0 (locally each is trivially colour 0 — globally they
-/// conflict through the shared boundary node).
-TEST(PlanPartition, SingleBlockPartitionsAreColoredGlobally) {
+/// One-block slices of conflicting blocks land in different colours:
+/// the two blocks of a 1000-edge ring at part_size 500 share the
+/// wrap-around node 0 and the boundary node 500, so they cannot be one
+/// colour's two slices — they are two colours' first slices, each
+/// colour's second slice empty.
+TEST(PlanSlices, ConflictingSingleBlockSlicesGetDifferentColours) {
     ring r(1000);
     auto args = r.inc_args();
-    std::set<int> colors;
-    for (std::size_t p = 0; p < 2; ++p) {
-        auto plan = plan_build(r.edges, args, plan_desc{500, 2, p});
-        ASSERT_EQ(plan.nblocks, 1u);
-        EXPECT_TRUE(plan.colored);
-        // The block's colour is ncolors - 1 (the only non-empty class).
-        std::size_t c = plan.ncolors;
-        ASSERT_GT(c, 0u);
-        colors.insert(static_cast<int>(c - 1));
+    auto plan = plan_build(r.edges, args, 500);
+    ASSERT_EQ(plan.nblocks, 2u);
+    EXPECT_TRUE(plan.colored);
+    ASSERT_EQ(plan.ncolors, 2u);
+    auto const& sl = plan_slices(plan, r.edges, args, 2);
+    std::set<std::size_t> colours;
+    for (std::size_t s = 0; s < sl.nslices(); ++s) {
+        auto const blocks = plan.blocks_of_slice(sl, s);
+        if (s % 2 == 1) {
+            EXPECT_TRUE(blocks.empty()) << "slice " << s;
+        } else {
+            ASSERT_EQ(blocks.size(), 1u) << "slice " << s;
+            colours.insert(s / 2);
+        }
     }
-    // Both partitions touch the wrap-around node 0 and the boundary node
-    // 500 — same colour would mean a same-colour conflict.
-    EXPECT_EQ(colors.size(), 2u);
+    EXPECT_EQ(colours.size(), 2u);
 }
 
+/// A plan carries no footprints: they live in its slicings, none of
+/// which exists until one is asked for; each partition count is built
+/// once and then served from the plan.
 TEST(PlanPartition, WholeSetPlansCarryNoFootprints) {
     ring r(300);
     auto args = r.inc_args();
-    auto plan = plan_build(r.edges, args, plan_desc{32, 1, 0});
-    EXPECT_TRUE(plan.footprints.empty());
+    auto plan = plan_build(r.edges, args, 32);
+    EXPECT_EQ(plan.slicings->head.load(), nullptr);
+    auto const& three = plan_slices(plan, r.edges, args, 3);
+    auto const& five = plan_slices(plan, r.edges, args, 5);
+    EXPECT_NE(&three, &five);
+    EXPECT_EQ(&plan_slices(plan, r.edges, args, 3), &three);
+    EXPECT_EQ(&plan_slices(plan, r.edges, args, 5), &five);
+    EXPECT_EQ(&plan_slices(plan, r.edges, args, 0),
+              &plan_slices(plan, r.edges, args, 1));
 }
 
-// --- plan-cache key audit (regression: every plan-affecting
-// loop_options field must key the cache) ---------------------------------
+// --- plan-cache key audit (regression: every plan-affecting input must
+// key the cache) ----------------------------------------------------------
 
 TEST(PlanCache, KeyIncludesEveryPlanAffectingField) {
     plan_cache_clear();
     ring r(512);
     auto args = r.inc_args();
 
-    auto const& base = plan_get(r.edges, args, plan_desc{64, 1, 0});
+    auto const& base = plan_get(r.edges, args, plan_desc{64});
     EXPECT_FALSE(base.stages.empty());
 
-    // Partition granularity and partition index each key separately.
-    auto const& part0 = plan_get(r.edges, args, plan_desc{64, 2, 0});
-    auto const& part1 = plan_get(r.edges, args, plan_desc{64, 2, 1});
-    EXPECT_NE(&base, &part0);
-    EXPECT_NE(&part0, &part1);
-    EXPECT_EQ(part0.elem_base, 0u);
-    EXPECT_EQ(part1.elem_base, 256u);
-
-    // part_size still keys (pre-existing behaviour).
-    auto const& coarse = plan_get(r.edges, args, plan_desc{128, 1, 0});
+    // part_size keys.
+    auto const& coarse = plan_get(r.edges, args, plan_desc{128});
     EXPECT_NE(&base, &coarse);
+
+    // The argument classes key: a read-only use of the same slots needs
+    // no colouring, so it must not share the coloured plan.
+    std::array<op_arg, 2> const reads{
+        op_arg_dat(r.nd, 0, r.em, 1, "double", OP_READ),
+        op_arg_dat(r.nd, 1, r.em, 1, "double", OP_READ)};
+    auto const& read_plan = plan_get(r.edges, reads, plan_desc{64});
+    EXPECT_NE(&base, &read_plan);
+    EXPECT_FALSE(read_plan.colored);
+    EXPECT_TRUE(base.colored);
+
+    // The set keys: a same-sized ring's plan is its own.
+    ring other(512);
+    auto other_args = other.inc_args();
+    EXPECT_NE(&plan_get(other.edges, other_args, plan_desc{64}), &base);
 
     EXPECT_EQ(plan_cache_size(), 4u);
 
-    // Identical descriptors hit the same entries, in any order.
-    EXPECT_EQ(&plan_get(r.edges, args, plan_desc{64, 2, 1}), &part1);
-    EXPECT_EQ(&plan_get(r.edges, args, plan_desc{64, 1, 0}), &base);
+    // Identical descriptors hit the same entries, in any order; the
+    // partition count is not a plan field (the slicing is per plan).
+    EXPECT_EQ(&plan_get(r.edges, reads, plan_desc{64}), &read_plan);
+    EXPECT_EQ(&plan_get(r.edges, args, plan_desc{64, true, 4, 1}), &base);
+    EXPECT_EQ(&plan_get(r.edges, args, 0), &coarse);
     EXPECT_EQ(plan_cache_size(), 4u);
     plan_cache_clear();
 }

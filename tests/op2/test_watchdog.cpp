@@ -129,7 +129,7 @@ TEST_F(WatchdogTest, OnePartitionDumpNamesColourSubNodesAndJoin) {
     std::array<op_arg, 2> const args{
         op_arg_dat(d, 0, em, 1, "double", OP_INC),
         op_arg_dat(d, 1, em, 1, "double", OP_INC)};
-    op_plan const& plan = plan_get(edges, args, plan_desc{o.part_size, 1, 0});
+    op_plan const& plan = plan_get(edges, args, o.part_size);
     std::vector<std::size_t> live;
     for (std::size_t c = 0; c < plan.ncolors; ++c) {
         if (!plan.blocks_of_color(c).empty()) {
