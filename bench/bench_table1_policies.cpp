@@ -4,12 +4,12 @@
 // futures. Reports per-policy wall time and the task-policy asynchrony
 // (time to *issue* vs time to *complete*).
 //
-// Service mode (the second section): the same "named policy" idea one
-// level up — op2::service fairness policies scheduling a heavy mixed
-// fleet of independent op2 jobs onto the shared pool. Emits the
-// service_* row family into BENCH_op2.json: aggregate throughput
-// (jobs/s) and p95/p99 job latency per policy (see bench/README.md;
-// floors in bench_thresholds.json gate the throughput rows).
+// Service mode (the second section): op2::service admitting a heavy
+// mixed fleet of independent op2 jobs onto the shared pool in
+// submission order. Emits the service_*_fifo rows into BENCH_op2.json:
+// aggregate throughput (jobs/s) and p95/p99 job latency (see
+// bench/README.md; a floor in bench_thresholds.json gates the
+// throughput row).
 //
 // Flags: --quick (CI-sized fleet), --help.
 
@@ -26,19 +26,15 @@
 
 namespace {
 
-/// One tenant job for the service fleet: `iters` iterations of a
+/// One job for the service fleet: `iters` iterations of a
 /// direct+indirect loop chain (scatter through a random edges->cells
 /// map, one reduction per iteration) over a freshly declared mesh of
-/// `cells` cells. Mixed sizes across the fleet make the fairness
-/// policies actually differ.
-op2::service::job_desc make_fleet_job(std::string name, std::string tenant,
-                                      unsigned seed, std::size_t cells,
-                                      int iters) {
+/// `cells` cells.
+op2::service::job_desc make_fleet_job(std::string name, unsigned seed,
+                                      std::size_t cells, int iters) {
     using namespace op2;
     service::job_desc d;
     d.name = std::move(name);
-    d.tenant = std::move(tenant);
-    d.est_loops = static_cast<std::uint64_t>(iters) * 3;
     d.est_bytes = cells * 4 * sizeof(double);
     d.program = [seed, cells, iters] {
         std::size_t const nedges = cells * 3;
@@ -89,21 +85,15 @@ op2::service::job_desc make_fleet_job(std::string name, std::string tenant,
     return d;
 }
 
-op2::service::scheduler_metrics run_fleet(std::string const& policy,
-                                          int njobs, std::size_t base_cells,
+op2::service::scheduler_metrics run_fleet(int njobs, std::size_t base_cells,
                                           int iters) {
-    op2::service::scheduler_options so;
-    so.policy = policy;
-    op2::service::scheduler sched(so);
+    op2::service::scheduler sched;
     for (int k = 0; k < njobs; ++k) {
-        // Three tenants, three job sizes: small jobs queue behind big
-        // ones under fifo, jump them under shortest_chain_first, and
-        // take turns under round_robin.
-        int const cls = k % 3;
-        std::size_t const cells = base_cells << cls;
-        (void)sched.submit(make_fleet_job(
-            "job" + std::to_string(k), "tenant" + std::to_string(cls),
-            static_cast<unsigned>(17 * k + 3), cells, iters));
+        // Three job sizes, interleaved: small jobs queue behind big ones.
+        std::size_t const cells = base_cells << (k % 3);
+        (void)sched.submit(make_fleet_job("job" + std::to_string(k),
+                                          static_cast<unsigned>(17 * k + 3),
+                                          cells, iters));
     }
     sched.drain();
     return sched.metrics();
@@ -178,32 +168,30 @@ int main(int argc, char** argv) {
                 "itself — Table I marks it TS-only; hpxlite follows HPX.)\n");
 
     std::printf("\n==============================================================\n");
-    std::printf("Service mode — fairness policies over a mixed job fleet\n");
+    std::printf("Service mode — a mixed job fleet in submission order\n");
     std::printf("==============================================================\n");
 
     int const njobs = quick ? 12 : 48;
     std::size_t const base_cells = quick ? 400 : 2000;
     int const iters = quick ? 3 : 8;
-    std::printf("fleet: %d jobs, 3 tenants, meshes %zu/%zu/%zu cells, "
+    std::printf("fleet: %d jobs, meshes %zu/%zu/%zu cells, "
                 "%d iteration(s) each\n\n",
                 njobs, base_cells, base_cells * 2, base_cells * 4, iters);
 
     benchutil::bench_log log("bench_table1_policies");
-    for (auto policy : op2::service::policy_names()) {
-        std::string const pol(policy);
-        auto const m = run_fleet(pol, njobs, base_cells, iters);
-        std::printf("%-22s %7.1f jobs/s   mean wait %7.2f ms   "
-                    "p95 %7.2f ms   p99 %7.2f ms   (%llu loops)\n",
-                    pol.c_str(), m.throughput_jobs_s, m.mean_wait_s * 1e3,
-                    m.p95_latency_s * 1e3, m.p99_latency_s * 1e3,
-                    static_cast<unsigned long long>(m.loops_issued));
-        log.add("service_throughput_" + pol, m.throughput_jobs_s, "jobs/s",
-                "aggregate job throughput, mixed fleet, policy " + pol);
-        log.add("service_p95_ms_" + pol, m.p95_latency_s * 1e3, "ms",
-                "p95 job latency (submit->retire), policy " + pol);
-        log.add("service_p99_ms_" + pol, m.p99_latency_s * 1e3, "ms",
-                "p99 job latency (submit->retire), policy " + pol);
-    }
+    auto const m = run_fleet(njobs, base_cells, iters);
+    std::printf("%7.1f jobs/s   mean wait %7.2f ms   p95 %7.2f ms   "
+                "p99 %7.2f ms   (%llu loops)\n",
+                m.throughput_jobs_s, m.mean_wait_s * 1e3,
+                m.p95_latency_s * 1e3, m.p99_latency_s * 1e3,
+                static_cast<unsigned long long>(m.loops_issued));
+    // The _fifo suffix keeps the row names of the trajectory.
+    log.add("service_throughput_fifo", m.throughput_jobs_s, "jobs/s",
+            "aggregate job throughput, mixed fleet, submission order");
+    log.add("service_p95_ms_fifo", m.p95_latency_s * 1e3, "ms",
+            "p95 job latency (submit->retire), submission order");
+    log.add("service_p99_ms_fifo", m.p99_latency_s * 1e3, "ms",
+            "p99 job latency (submit->retire), submission order");
     log.write();
 
     hpxlite::finalize();

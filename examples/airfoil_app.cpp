@@ -59,10 +59,8 @@ void help(char const* argv0, std::FILE* out) {
         "                         progress\n"
         "  --service N            service mode: run N independent\n"
         "                         airfoil jobs concurrently through\n"
-        "                         op2::service (see docs/service.md)\n"
-        "  --policy NAME          service fairness policy: fifo |\n"
-        "                         round_robin | shortest_chain_first\n"
-        "                         (default fifo)\n"
+        "                         op2::service, admitted in submission\n"
+        "                         order (see docs/service.md)\n"
         "  --help                 this text\n",
         argv0);
 }
@@ -86,7 +84,6 @@ int main(int argc, char** argv) {
     std::string fault_plan;
     long watchdog_ms = 0;
     int service_jobs = 0;
-    std::string service_policy = "fifo";
 
     // Flags may appear anywhere; positionals keep their seed order
     // (backend, nx ny, niter).
@@ -116,8 +113,6 @@ int main(int argc, char** argv) {
             watchdog_ms = std::atol(v);
         } else if (char const* v = flag_value("--service")) {
             service_jobs = std::atoi(v);
-        } else if (char const* v = flag_value("--policy")) {
-            service_policy = v;
         } else if (std::strcmp(argv[i], "--help") == 0) {
             help(argv[0], stdout);
             return 0;
@@ -167,14 +162,11 @@ int main(int argc, char** argv) {
 
         if (service_jobs > 0) {
             // Service mode: a fleet of independent airfoil jobs (three
-            // tenants, three mesh sizes) admitted by the chosen policy
-            // and run concurrently on the shared pool — each with its
-            // own mesh, plans and fault scope (docs/service.md).
-            std::printf("airfoil service: %d job(s), policy=%s\n",
-                        service_jobs, service_policy.c_str());
-            op2::service::scheduler_options so;
-            so.policy = service_policy;
-            op2::service::scheduler sched(so);
+            // mesh sizes) admitted in submission order and run
+            // concurrently on the shared pool — each with its own mesh,
+            // plans and fault scope (docs/service.md).
+            std::printf("airfoil service: %d job(s)\n", service_jobs);
+            op2::service::scheduler sched;
             auto results = std::vector<airfoil::app_result>(
                 static_cast<std::size_t>(service_jobs));
             std::vector<op2::service::job> jobs;
@@ -188,9 +180,6 @@ int main(int argc, char** argv) {
                 jcfg.rms_stride = jcfg.niter;
                 op2::service::job_desc d;
                 d.name = "airfoil" + std::to_string(k);
-                d.tenant = "tenant" + std::to_string(k % 3);
-                d.est_loops =
-                    static_cast<std::uint64_t>(jcfg.niter) * 4;
                 d.est_bytes =
                     jcfg.mesh.nx * jcfg.mesh.ny * 7 * sizeof(double);
                 auto* out = &results[static_cast<std::size_t>(k)];
@@ -215,11 +204,11 @@ int main(int argc, char** argv) {
             auto const sm = sched.metrics();
             std::printf(
                 "service: %llu/%llu job(s) completed, %.1f jobs/s, "
-                "p95 %.2f ms, p99 %.2f ms (policy %s)\n",
+                "p95 %.2f ms, p99 %.2f ms\n",
                 static_cast<unsigned long long>(sm.completed),
                 static_cast<unsigned long long>(sm.submitted),
                 sm.throughput_jobs_s, sm.p95_latency_s * 1e3,
-                sm.p99_latency_s * 1e3, sm.policy.c_str());
+                sm.p99_latency_s * 1e3);
             hpxlite::finalize();
             return sm.failed == 0 ? 0 : 1;
         }

@@ -13,8 +13,8 @@
 //    front, chained only through their true data dependencies,
 //  * global reductions under the dataflow backend,
 //  * service mode (--service N): N independent Jacobi solves submitted
-//    as op2::service jobs and scheduled concurrently on the shared pool
-//    under a named fairness policy.
+//    as op2::service jobs, admitted in submission order and run
+//    concurrently on the shared pool.
 
 #include <cmath>
 #include <cstdio>
@@ -138,12 +138,10 @@ void help(char const* argv0, std::FILE* out) {
         "\n"
         "options:\n"
         "  --service N     run N independent Jacobi solves as op2::service\n"
-        "                  jobs scheduled concurrently on the shared pool\n"
-        "                  (grid sizes vary across jobs; default: single\n"
-        "                  solve, no service layer)\n"
-        "  --policy NAME   service fairness policy: fifo, round_robin,\n"
-        "                  shortest_chain_first (default fifo; needs\n"
-        "                  --service)\n"
+        "                  jobs, admitted in submission order and run\n"
+        "                  concurrently on the shared pool (grid sizes\n"
+        "                  vary across jobs; default: single solve, no\n"
+        "                  service layer)\n"
         "  --help          this text\n",
         argv0, kN, kN, kIters);
 }
@@ -152,15 +150,12 @@ void help(char const* argv0, std::FILE* out) {
 
 int main(int argc, char** argv) {
     int service_jobs = 0;
-    std::string service_policy = "fifo";
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--help") == 0) {
             help(argv[0], stdout);
             return 0;
         } else if (std::strcmp(argv[i], "--service") == 0 && i + 1 < argc) {
             service_jobs = std::atoi(argv[++i]);
-        } else if (std::strcmp(argv[i], "--policy") == 0 && i + 1 < argc) {
-            service_policy = argv[++i];
         } else {
             help(argv[0], stderr);
             return 2;
@@ -170,12 +165,10 @@ int main(int argc, char** argv) {
     hpxlite::init();
 
     if (service_jobs > 0) {
-        // Service mode: a fleet of independent solves, mixed grid sizes
-        // so the fairness policies actually differ, one tenant per size
-        // class. Every job must converge exactly as it does solo.
-        op2::service::scheduler_options so;
-        so.policy = service_policy;
-        op2::service::scheduler sched(so);
+        // Service mode: a fleet of independent solves of mixed grid
+        // sizes, admitted in submission order. Every job must converge
+        // exactly as it does solo.
+        op2::service::scheduler sched;
         std::vector<jacobi_result> results(
             static_cast<std::size_t>(service_jobs));
         std::vector<op2::service::job> jobs;
@@ -185,8 +178,6 @@ int main(int argc, char** argv) {
             int const iters = kIters / 2;
             op2::service::job_desc d;
             d.name = "jacobi" + std::to_string(k);
-            d.tenant = "grid" + std::to_string(n);
-            d.est_loops = static_cast<std::uint64_t>(iters) * 2;
             d.est_bytes = n * n * 3 * sizeof(double);
             auto* out = &results[static_cast<std::size_t>(k)];
             d.program = [n, iters, out] { *out = run_jacobi(n, iters); };
@@ -211,11 +202,9 @@ int main(int argc, char** argv) {
                         results[k].last, ok ? "converged" : "NOT CONVERGED");
         }
         auto const sm = sched.metrics();
-        std::printf("service: %llu jobs, policy %s, %.1f jobs/s, "
-                    "p95 latency %.2f ms\n",
+        std::printf("service: %llu jobs, %.1f jobs/s, p95 latency %.2f ms\n",
                     static_cast<unsigned long long>(sm.completed + sm.failed),
-                    service_policy.c_str(), sm.throughput_jobs_s,
-                    sm.p95_latency_s * 1e3);
+                    sm.throughput_jobs_s, sm.p95_latency_s * 1e3);
         hpxlite::finalize();
         return all_ok ? 0 : 1;
     }

@@ -9,7 +9,8 @@ namespace hpxlite {
 /// Runtime configuration for hpxlite::init().
 struct runtime_config {
     /// Number of OS worker threads. 0 means "decide automatically":
-    /// the HPXLITE_NUM_THREADS environment variable if set, otherwise
+    /// the HPXLITE_NUM_THREADS environment variable if it is a whole
+    /// positive decimal number, otherwise
     /// std::thread::hardware_concurrency().
     std::size_t num_threads = 0;
 };

@@ -32,24 +32,6 @@ using task_fault_hook = task_fault (*)();
 void set_task_fault_hook(task_fault_hook h) noexcept;
 [[nodiscard]] task_fault_hook get_task_fault_hook() noexcept;
 
-/// Construction-time knobs of a thread_pool.
-struct pool_options {
-    /// Bind worker i to a core chosen *node-major* from the probed
-    /// topology (threads/topology.hpp): consecutive workers fill one
-    /// NUMA node's cores before spilling to the next, so the dataflow
-    /// placement hint (partition p -> worker p % pool_size) names a
-    /// fixed core, and neighbouring partitions' workers share a node.
-    /// Single-node machines reduce to the classic
-    /// i % hardware_concurrency binding. Best-effort and portable: a no-op on platforms without
-    /// pthread_setaffinity_np (or when the kernel rejects/ignores it,
-    /// e.g. restrictive cpusets — see bound_workers()).
-    bool bind_workers = false;
-
-    /// Defaults from the environment: OP2HPX_BIND_WORKERS=1/on/true/yes
-    /// turns worker binding on for every pool that does not override it.
-    [[nodiscard]] static pool_options from_env() noexcept;
-};
-
 /// A fixed-size worker pool with per-worker lock-free deques and work
 /// stealing.
 ///
@@ -83,12 +65,8 @@ class thread_pool {
 public:
     using task_type = util::unique_function;
 
-    /// Create a pool with `num_threads` OS worker threads (>= 1), with
-    /// options from pool_options::from_env().
+    /// Create a pool with `num_threads` OS worker threads (>= 1).
     explicit thread_pool(std::size_t num_threads);
-
-    /// Create a pool with explicit options.
-    thread_pool(std::size_t num_threads, pool_options opts);
 
     thread_pool(thread_pool const&) = delete;
     thread_pool& operator=(thread_pool const&) = delete;
@@ -163,16 +141,6 @@ public:
         return sleepers_.load(std::memory_order_relaxed);
     }
 
-    /// Workers whose core binding (pool_options::bind_workers) actually
-    /// took effect — verified by re-reading the applied mask after the
-    /// worker started, not by trusting the set call's return code
-    /// (restricted runners can acknowledge a bind they don't keep).
-    /// 0 when binding is off or unsupported; tests use this to skip
-    /// affinity assertions under restrictive cpusets.
-    [[nodiscard]] std::size_t bound_workers() const noexcept {
-        return bound_.load(std::memory_order_acquire);
-    }
-
 private:
     struct injection_queue {
         util::spinlock mtx;
@@ -197,7 +165,6 @@ private:
     };
 
     void worker_loop(std::size_t index);
-    void bind_worker(std::size_t index);
     task_node* try_pop(std::size_t index);
     task_node* try_pop_inbox(std::size_t index);
     task_node* try_steal(std::size_t thief);
@@ -222,15 +189,12 @@ private:
     std::mutex idle_mtx_;
     std::condition_variable idle_cv_;
 
-    pool_options opts_;
-
     std::atomic<std::size_t> queued_{0};   // enqueued, not yet dequeued
     std::atomic<std::size_t> pending_{0};  // queued + running
     std::atomic<std::size_t> sleepers_{0};
     std::atomic<std::size_t> idle_waiters_{0};  // parked in wait_idle
     std::atomic<std::size_t> wake_rr_{0};       // wake_one scan rotation
     std::atomic<std::uint64_t> executed_{0};
-    std::atomic<std::size_t> bound_{0};  // workers whose binding stuck
     std::atomic<bool> stop_{false};
 };
 

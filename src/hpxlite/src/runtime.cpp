@@ -1,9 +1,10 @@
 #include <hpxlite/runtime.hpp>
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 
 namespace hpxlite {
@@ -13,15 +14,16 @@ namespace {
 std::mutex g_mtx;
 std::unique_ptr<threads::thread_pool> g_pool;
 
+/// HPXLITE_NUM_THREADS if it is a whole positive decimal number, else
+/// hardware concurrency: a sign ("-1"), trailing text ("2abc"), zero and
+/// out-of-range values all fall back.
 std::size_t default_num_threads() {
     if (char const* env = std::getenv("HPXLITE_NUM_THREADS")) {
-        try {
-            std::size_t n = std::stoul(env);
-            if (n > 0) {
-                return n;
-            }
-        } catch (...) {
-            // fall through to hardware concurrency
+        char const* const end = env + std::strlen(env);
+        std::size_t n = 0;
+        auto const [ptr, ec] = std::from_chars(env, end, n);
+        if (ec == std::errc{} && ptr == end && n > 0) {
+            return n;
         }
     }
     std::size_t hc = std::thread::hardware_concurrency();

@@ -2,15 +2,6 @@
 
 #include <cassert>
 
-#include <hpxlite/threads/topology.hpp>
-#include <hpxlite/util/env.hpp>
-
-#if defined(__linux__) && !defined(__ANDROID__)
-#include <pthread.h>
-#include <sched.h>
-#define HPXLITE_HAS_SETAFFINITY 1
-#endif
-
 namespace hpxlite::threads {
 
 namespace {
@@ -35,18 +26,7 @@ task_fault_hook get_task_fault_hook() noexcept {
     return g_task_fault_hook.load(std::memory_order_acquire);
 }
 
-pool_options pool_options::from_env() noexcept {
-    pool_options o;
-    static bool const bind = util::env_flag("OP2HPX_BIND_WORKERS", false);
-    o.bind_workers = bind;
-    return o;
-}
-
-thread_pool::thread_pool(std::size_t num_threads)
-  : thread_pool(num_threads, pool_options::from_env()) {}
-
-thread_pool::thread_pool(std::size_t num_threads, pool_options opts)
-  : opts_(opts) {
+thread_pool::thread_pool(std::size_t num_threads) {
     if (num_threads == 0) {
         num_threads = 1;
     }
@@ -322,52 +302,9 @@ bool thread_pool::run_one() {
     return true;
 }
 
-void thread_pool::bind_worker(std::size_t index) {
-#if defined(HPXLITE_HAS_SETAFFINITY)
-    // Node-major core choice: worker i takes the i-th CPU of the
-    // node-grouped order (topology.hpp), so consecutive workers fill
-    // one NUMA node's cores before spilling to the next — a partition's
-    // owner (p % pool_size) and its neighbours share a memory
-    // controller. Single-node machines get the identity order, i.e.
-    // exactly the old i % hardware_concurrency binding.
-    topology_info const& topo = topology();
-    std::size_t const ncpu = topo.cpus() == 0 ? 1 : topo.cpus();
-    std::size_t const cpu =
-        static_cast<std::size_t>(topo.node_major[index % ncpu]);
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    CPU_SET(cpu, &set);
-    if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) != 0) {
-        // Failure (restricted cpuset, exotic kernel) silently keeps the
-        // unbound behaviour: the hint degrades to thread affinity only.
-        return;
-    }
-    // Re-read the mask the kernel actually applied before counting the
-    // worker as bound: on restricted runners (cgroup cpusets, some
-    // container hosts) the set call can report success while a later
-    // cpuset reconciliation widens the mask again, so counting on
-    // set-success overstated bound_workers() and affinity tests
-    // trusted bindings that were not in force. Only a verified
-    // single-CPU mask on the requested core counts.
-    cpu_set_t applied;
-    CPU_ZERO(&applied);
-    if (pthread_getaffinity_np(pthread_self(), sizeof(applied),
-                               &applied) == 0 &&
-        CPU_COUNT(&applied) == 1 &&
-        CPU_ISSET(cpu, &applied)) {
-        bound_.fetch_add(1, std::memory_order_acq_rel);
-    }
-#else
-    (void)index;
-#endif
-}
-
 void thread_pool::worker_loop(std::size_t index) {
     tls_pool = this;
     tls_index = index;
-    if (opts_.bind_workers) {
-        bind_worker(index);
-    }
     worker_slot& slot = *slots_[index];
     while (!stop_.load(std::memory_order_acquire)) {
         if (run_one()) {

@@ -144,6 +144,11 @@ op_dat make_dat(op_set s, int dim, std::size_t elem_bytes,
 
 /// Snapshot of every live dat (used by op_fence_all).
 std::vector<std::shared_ptr<dat_impl>> all_dats();
+
+/// Wait for every node `di`'s dependency records still track (writers
+/// and readers). The one per-dat fence behind op_fence, op_fence_all,
+/// op_dat::clear_quarantine and the service layer's per-job fence.
+void fence_dat(dat_impl& di);
 }  // namespace detail
 
 /// Declare data on a set. `data` must contain set.size()*dim values.

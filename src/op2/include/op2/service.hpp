@@ -9,11 +9,11 @@
 // program: its own sets/dats/maps (declared inside the job body), its
 // own plan-cache namespace, dependency tables, reduction combine lock
 // and fault/quarantine scope, all carried by a runtime_context
-// (op2/context.hpp). A service::scheduler admits and runs many jobs
-// concurrently on the shared pool under a pluggable fairness policy.
+// (op2/context.hpp). A service::scheduler admits jobs in submission
+// order and runs many of them concurrently on the shared pool.
 //
 // Lifecycle of a job:
-//   submitted -> waiting (policy queue) -> admitted (admission control)
+//   submitted -> waiting (fifo queue) -> admitted (admission control)
 //   -> running (body on a pool worker, context installed) -> fenced
 //   (every dat the job declared drained)
 //   -> completed | failed (body threw, or quarantine spans remain)
@@ -37,10 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include <op2/context.hpp>
 
@@ -58,14 +55,12 @@ struct job_desc {
     /// runtime_context installed; loops it issues fan out across the
     /// shared pool as usual. Must not wait on *other* jobs.
     std::function<void()> program;
-    /// Workload estimates, used by admission control (bytes) and by
-    /// cost-aware policies (shortest_chain_first prices the job through
-    /// psim). Zero means unknown.
+    /// Estimated loop count. The scheduler does not read it; it is kept
+    /// only so existing callers that set it still compile.
     std::uint64_t est_loops = 0;
+    /// Estimated bytes the job touches, charged against
+    /// scheduler_options::max_in_flight_bytes. Zero means unknown.
     std::size_t est_bytes = 0;
-    /// Fairness grouping for round_robin: jobs of one tenant take
-    /// turns against other tenants'. Empty = the job's name.
-    std::string tenant;
 };
 
 enum class job_state { waiting, running, completed, failed };
@@ -113,40 +108,6 @@ private:
     std::shared_ptr<detail::job_impl> impl_;
 };
 
-/// What a policy sees of one waiting job. est_cost_s starts as the
-/// psim price computed at submission; once the job's tenant has
-/// retired a job, the scheduler re-prices with the tenant's measured
-/// run-time EWMA instead (measured beats modelled).
-struct job_view {
-    char const* name = "";
-    char const* tenant = "";
-    double est_cost_s = 0.0;  ///< EWMA of measured runs, else psim price
-    std::uint64_t seq = 0;    ///< submission order, monotone
-};
-
-/// A named, swappable fairness policy: given the waiting queue (in
-/// submission order), pick the index to admit next. The scheduler
-/// admits in strict policy order — if the picked job does not fit the
-/// admission limits, nothing is admitted until it does (head-of-line
-/// blocking by design: no starvation). See docs/service.md for how to
-/// add a policy.
-class schedule_policy {
-public:
-    virtual ~schedule_policy() = default;
-    [[nodiscard]] virtual char const* name() const noexcept = 0;
-    /// `waiting` is never empty; return an index < waiting.size().
-    virtual std::size_t pick(std::span<job_view const> waiting) = 0;
-};
-
-/// Construct a policy by name: "fifo" (submission order),
-/// "round_robin" (tenants take turns), "shortest_chain_first"
-/// (cheapest psim-priced job first). Throws std::invalid_argument for
-/// unknown names.
-std::unique_ptr<schedule_policy> make_policy(std::string_view name);
-
-/// The names make_policy accepts, for --help text and benches.
-std::vector<std::string_view> policy_names();
-
 struct scheduler_options {
     /// Admission limits: at most this many jobs in flight (0 = the
     /// pool's worker count) and at most this many estimated bytes
@@ -156,18 +117,15 @@ struct scheduler_options {
     /// than never.
     std::size_t max_in_flight_jobs = 0;
     std::size_t max_in_flight_bytes = 0;
-    /// Fairness policy name (see make_policy).
-    std::string policy = "fifo";
     /// Purge the job's plan-cache namespace at retirement. Keep it on
     /// for long-lived services; off only if jobs resubmit identical
     /// meshes and want warm plans.
     bool purge_plans = true;
 };
 
-/// Aggregate, per-policy service metrics (the bench row family
-/// service_* in bench_table1_policies derives from these).
+/// Aggregate service metrics (the bench row family service_* in
+/// bench_table1_policies derives from these).
 struct scheduler_metrics {
-    std::string policy;
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
@@ -190,19 +148,13 @@ public:
     scheduler(scheduler const&) = delete;
     scheduler& operator=(scheduler const&) = delete;
 
-    /// Queue a job; the policy decides when it runs.
+    /// Queue a job; it is admitted after every job submitted before it.
     job submit(job_desc desc);
 
     /// Block until every submitted job retired.
     void drain();
 
     [[nodiscard]] scheduler_metrics metrics() const;
-
-    /// The tenant's measured run-time EWMA (what re-prices its waiting
-    /// jobs' est_cost_s), or 0.0 while the tenant has not completed a
-    /// job yet — the psim price still applies then. Exposed so tests
-    /// can pin the psim -> measured switch-over.
-    [[nodiscard]] double measured_tenant_cost(std::string_view tenant) const;
 
 private:
     struct state;

@@ -63,6 +63,22 @@ std::vector<std::shared_ptr<dat_impl>> all_dats() {
     return out;
 }
 
+void fence_dat(dat_impl& di) {
+    // Snapshot each partition record's nodes under its lock, wait
+    // outside it (waiting helps the pool, so holding the lock could
+    // deadlock the very loops being waited for). The owning table
+    // snapshot keeps the records alive across a concurrent
+    // re-partition.
+    auto const [recs, count] = di.dep.table();
+    std::vector<exec::node_ref> nodes;
+    for (std::size_t p = 0; p < count; ++p) {
+        recs[p].snapshot(nodes);
+        for (auto& n : nodes) {
+            n->wait();
+        }
+    }
+}
+
 }  // namespace detail
 
 op_dat detail_make_dat(std::shared_ptr<detail::dat_impl> p) {
@@ -73,18 +89,10 @@ void op_dat::clear_quarantine() {
     if (!impl_) {
         return;
     }
-    // Per-dat fence (same drain as op_fence): snapshot each record
-    // under its lock, wait outside it. prune_failed below only removes
-    // *completed* failed nodes, so everything in flight must land
-    // first — and waiting helps the pool, so no lock may be held.
+    // prune_failed below only removes *completed* failed nodes, so
+    // everything in flight must land first.
+    detail::fence_dat(*impl_);
     auto const [recs, count] = impl_->dep.table();
-    std::vector<exec::node_ref> nodes;
-    for (std::size_t p = 0; p < count; ++p) {
-        recs[p].snapshot(nodes);
-        for (auto& n : nodes) {
-            n->wait();
-        }
-    }
     for (std::size_t p = 0; p < count; ++p) {
         recs[p].prune_failed();
     }

@@ -79,7 +79,13 @@ std::size_t parse_size(std::string_view tok, std::string_view spec,
 }
 
 double parse_rate(std::string_view tok, std::string_view spec) {
-    double v = std::strtod(std::string(tok).c_str(), nullptr);
+    double v = 0.0;
+    auto const* end = tok.data() + tok.size();
+    auto const res = std::from_chars(tok.data(), end, v);
+    if (res.ec != std::errc{} || res.ptr != end) {
+        bad_spec(spec, "jitter rate expects a number, got '" +
+                           std::string(tok) + "'");
+    }
     if (!(v >= 0.0) || v > 1.0) {
         bad_spec(spec, "jitter rate must be in [0, 1], got '" +
                            std::string(tok) + "'");

@@ -4,7 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 
 #if defined(__linux__) && !defined(__ANDROID__)
@@ -14,9 +17,7 @@
 
 #include <hpxlite/runtime.hpp>
 #include <hpxlite/threads/thread_pool.hpp>
-#include <hpxlite/threads/topology.hpp>
 
-using hpxlite::threads::pool_options;
 using hpxlite::threads::thread_pool;
 
 TEST(ThreadPool, ExecutesSubmittedTask) {
@@ -316,17 +317,17 @@ TEST(ThreadPool, SubmitToWakesTheHintedWorkerUnderLightLoad) {
 }
 
 #if defined(__linux__) && !defined(__ANDROID__)
-TEST(ThreadPool, BindWorkersPinsEachWorkerToOneCpu) {
-    pool_options opts;
-    opts.bind_workers = true;
-    thread_pool pool(2, opts);
+TEST(ThreadPool, WorkersKeepTheCreatingThreadsCpuAffinity) {
+    // Workers are never pinned: each inherits the affinity mask of the
+    // thread that built the pool.
+    cpu_set_t creator;
+    CPU_ZERO(&creator);
+    ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(creator),
+                                     &creator),
+              0);
+    thread_pool pool(2);
     // Two tasks that rendezvous must run on two distinct workers, so
-    // between them they see both workers' affinity masks. Each records
-    // the worker that actually ran it: a hinted submit_to would not pin
-    // that down, since an idle worker may take a task out of another
-    // worker's inbox. The rendezvous also puts both workers past their
-    // binding attempt (made at worker_loop entry) before bound_workers()
-    // is read below.
+    // between them they read both workers' masks.
     struct observation {
         std::size_t worker = SIZE_MAX;
         cpu_set_t mask{};
@@ -352,34 +353,15 @@ TEST(ThreadPool, BindWorkersPinsEachWorkerToOneCpu) {
         std::this_thread::yield();
     }
     pool.wait_idle();
-    if (pool.bound_workers() != 2) {
-        GTEST_SKIP() << "pthread_setaffinity_np rejected (restricted "
-                        "cpuset?); binding is best-effort";
-    }
-    // The pool binds worker i to the i-th CPU in node-major order.
-    auto const& topo = hpxlite::threads::topology();
-    std::size_t const ncpu = topo.cpus() == 0 ? 1 : topo.cpus();
     EXPECT_NE(seen[0].worker, seen[1].worker);
     for (auto const& o : seen) {
         ASSERT_LT(o.worker, 2u);
         ASSERT_TRUE(o.read) << "worker " << o.worker;
-        auto const cpu =
-            static_cast<std::size_t>(topo.node_major[o.worker % ncpu]);
-        EXPECT_EQ(CPU_COUNT(&o.mask), 1) << "worker " << o.worker;
-        EXPECT_TRUE(CPU_ISSET(cpu, &o.mask))
-            << "worker " << o.worker << " not on cpu " << cpu;
+        EXPECT_TRUE(CPU_EQUAL(&o.mask, &creator))
+            << "worker " << o.worker << " runs under a narrowed cpu mask";
     }
 }
 #endif
-
-TEST(ThreadPool, UnboundPoolReportsNoBoundWorkers) {
-    thread_pool pool(2, pool_options{});
-    std::atomic<int> count{0};
-    pool.submit([&] { ++count; });
-    pool.wait_idle();
-    EXPECT_EQ(pool.bound_workers(), 0u);
-    EXPECT_EQ(count.load(), 1);
-}
 
 TEST(Runtime, InitAndGetPool) {
     hpxlite::init(hpxlite::runtime_config{3});
@@ -409,4 +391,78 @@ TEST(Runtime, RuntimeGuardScopes) {
     // finalized on scope exit; next access re-initialises lazily
     EXPECT_GE(hpxlite::get_num_worker_threads(), 1u);
     hpxlite::finalize();
+}
+
+namespace {
+
+/// Saves HPXLITE_NUM_THREADS on construction and restores it (or its
+/// absence) on destruction, so a run under a fixed worker count keeps
+/// it for the tests that follow.
+class thread_count_env_guard {
+public:
+    thread_count_env_guard() {
+        if (char const* v = std::getenv("HPXLITE_NUM_THREADS")) {
+            saved_ = v;
+        }
+        hpxlite::finalize();
+    }
+    thread_count_env_guard(thread_count_env_guard const&) = delete;
+    thread_count_env_guard& operator=(thread_count_env_guard const&) =
+        delete;
+    ~thread_count_env_guard() {
+        hpxlite::finalize();
+        if (saved_) {
+            ::setenv("HPXLITE_NUM_THREADS", saved_->c_str(), 1);
+        } else {
+            ::unsetenv("HPXLITE_NUM_THREADS");
+        }
+    }
+
+private:
+    std::optional<std::string> saved_;
+};
+
+/// Worker count of the default pool with HPXLITE_NUM_THREADS=`value`.
+std::size_t workers_under(std::string const& value) {
+    ::setenv("HPXLITE_NUM_THREADS", value.c_str(), 1);
+    EXPECT_NO_THROW(hpxlite::init()) << '"' << value << '"';
+    std::size_t const n = hpxlite::get_num_worker_threads();
+    hpxlite::finalize();
+    return n;
+}
+
+std::size_t hardware_workers() {
+    std::size_t const hc = std::thread::hardware_concurrency();
+    return hc == 0 ? 1 : hc;
+}
+
+}  // namespace
+
+TEST(Runtime, MalformedThreadCountFallsBackToHardwareConcurrency) {
+    thread_count_env_guard guard;
+    // None of these may be read as a count: "-1" must not wrap to a huge
+    // pool, nor "2abc" be taken as 2. stoul/strtoul would read each of
+    // the last four as `n`, chosen to differ from the fallback so a
+    // lenient read cannot pass.
+    std::string const n = hardware_workers() == 1 ? "2" : "1";
+    for (std::string const& bad :
+         {std::string("-1"), std::string("2abc"), std::string("0"),
+          std::string("00"), std::string(""), "+" + n, " " + n, n + " ",
+          n + ".0"}) {
+        EXPECT_EQ(workers_under(bad), hardware_workers())
+            << '"' << bad << '"';
+    }
+}
+
+TEST(Runtime, WholePositiveThreadCountIsHonoured) {
+    thread_count_env_guard guard;
+    EXPECT_EQ(workers_under("1"), 1u);
+    EXPECT_EQ(workers_under("2"), 2u);
+}
+
+TEST(Runtime, ExplicitThreadCountOverridesTheEnvironment) {
+    thread_count_env_guard guard;
+    ::setenv("HPXLITE_NUM_THREADS", "1", 1);
+    hpxlite::init(hpxlite::runtime_config{2});
+    EXPECT_EQ(hpxlite::get_num_worker_threads(), 2u);
 }

@@ -16,8 +16,10 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <numeric>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <hpxlite/runtime.hpp>
@@ -40,13 +42,15 @@ struct mesh_result {
 /// names, so only the context keeps their runtime state apart. With
 /// `hold`, the job hands its sets out, keeping them (and their cached
 /// plans) alive after it retires.
+/// Each mesh job's est_bytes: its six doubles per cell.
+constexpr std::size_t kJobBytes = 300 * 6 * sizeof(double);
+
 service::job_desc make_mesh_job(std::string name, unsigned seed,
                                 mesh_result* out,
                                 std::vector<op_set>* hold = nullptr) {
     service::job_desc d;
     d.name = std::move(name);
-    d.est_loops = 4 * 3;
-    d.est_bytes = 300 * 6 * sizeof(double);
+    d.est_bytes = kJobBytes;
     d.program = [seed, out, hold] {
         constexpr std::size_t kCells = 300;
         constexpr std::size_t kEdges = 900;
@@ -140,15 +144,18 @@ service::job_desc make_mesh_job(std::string name, unsigned seed,
 constexpr unsigned kSeeds[] = {3u, 17u, 29u, 53u};
 constexpr std::size_t kJobs = std::size(kSeeds);
 
+/// Run the fleet under the given admission limits, submitting job
+/// `order[i]` i-th; results stay indexed by job.
 std::vector<mesh_result> run_fleet(std::size_t max_in_flight,
-                                   std::string const& policy) {
+                                   std::vector<std::size_t> const& order,
+                                   std::size_t max_in_flight_bytes = 0) {
     service::scheduler_options so;
     so.max_in_flight_jobs = max_in_flight;
-    so.policy = policy;
+    so.max_in_flight_bytes = max_in_flight_bytes;
     service::scheduler sched(so);
     std::vector<mesh_result> outs(kJobs);
     std::vector<service::job> jobs;
-    for (std::size_t k = 0; k < kJobs; ++k) {
+    for (std::size_t k : order) {
         jobs.push_back(sched.submit(make_mesh_job(
             "tenant" + std::to_string(k), kSeeds[k], &outs[k])));
     }
@@ -159,6 +166,34 @@ std::vector<mesh_result> run_fleet(std::size_t max_in_flight,
     return outs;
 }
 
+std::vector<std::size_t> submission_order() {
+    std::vector<std::size_t> given(kJobs);
+    std::iota(given.begin(), given.end(), std::size_t{0});
+    return given;
+}
+
+/// Every job of `got` equals its sequential run in `seq`, bitwise.
+void expect_bitwise_equal(std::vector<mesh_result> const& got,
+                          std::vector<mesh_result> const& seq,
+                          std::string const& label) {
+    for (std::size_t k = 0; k < kJobs; ++k) {
+        ASSERT_EQ(got[k].q.size(), seq[k].q.size());
+        EXPECT_EQ(std::memcmp(got[k].q.data(), seq[k].q.data(),
+                              seq[k].q.size() * sizeof(double)),
+                  0)
+            << "job " << k << " state q diverged under concurrency ("
+            << label << ")";
+        EXPECT_EQ(std::memcmp(got[k].res.data(), seq[k].res.data(),
+                              seq[k].res.size() * sizeof(double)),
+                  0)
+            << "job " << k << " residual diverged under concurrency ("
+            << label << ")";
+        EXPECT_EQ(got[k].rms, seq[k].rms)
+            << "job " << k << " reduction diverged under concurrency ("
+            << label << ")";
+    }
+}
+
 class ServiceIsolation : public ::testing::Test {
 protected:
     void SetUp() override { hpxlite::init(hpxlite::runtime_config{4}); }
@@ -166,30 +201,33 @@ protected:
 };
 
 /// The headline differential: N concurrent == N sequential, bitwise,
-/// per job — under every shipped policy (the policy changes admission
-/// order, never results).
+/// per job — in three submission orders (as given, reversed, rotated by
+/// one), so jobs are admitted and overlap in different orders; the
+/// order changes admission, never results.
 TEST_F(ServiceIsolation, ConcurrentJobsMatchSequentialBitwise) {
-    auto const seq = run_fleet(1, "fifo");
-    for (auto const* policy :
-         {"fifo", "round_robin", "shortest_chain_first"}) {
-        auto const conc = run_fleet(0, policy);  // 0 = pool-size in flight
-        for (std::size_t k = 0; k < kJobs; ++k) {
-            ASSERT_EQ(conc[k].q.size(), seq[k].q.size());
-            EXPECT_EQ(std::memcmp(conc[k].q.data(), seq[k].q.data(),
-                                  seq[k].q.size() * sizeof(double)),
-                      0)
-                << "job " << k << " state q diverged under concurrency ("
-                << policy << ")";
-            EXPECT_EQ(std::memcmp(conc[k].res.data(), seq[k].res.data(),
-                                  seq[k].res.size() * sizeof(double)),
-                      0)
-                << "job " << k << " residual diverged under concurrency ("
-                << policy << ")";
-            EXPECT_EQ(conc[k].rms, seq[k].rms)
-                << "job " << k << " reduction diverged under concurrency ("
-                << policy << ")";
-        }
+    std::vector<std::size_t> const given = submission_order();
+    std::vector<std::size_t> const reversed(given.rbegin(), given.rend());
+    std::vector<std::size_t> rotated(given.begin() + 1, given.end());
+    rotated.push_back(given.front());
+
+    auto const seq = run_fleet(1, given);
+    for (auto const& [label, order] :
+         {std::pair{"given", given}, std::pair{"reversed", reversed},
+          std::pair{"rotated", rotated}}) {
+        // 0 = pool-size in flight
+        expect_bitwise_equal(run_fleet(0, order), seq,
+                             std::string(label) + " order");
     }
+}
+
+/// The byte budget is the other admission limit: at two jobs' estimates
+/// it admits the fleet two at a time, in submission order. Like the job
+/// limit, it changes overlap, never results.
+TEST_F(ServiceIsolation, ByteBudgetedFleetMatchesSequentialBitwise) {
+    std::vector<std::size_t> const given = submission_order();
+    auto const seq = run_fleet(1, given);
+    expect_bitwise_equal(run_fleet(0, given, 2 * kJobBytes), seq,
+                         "two jobs' byte budget");
 }
 
 /// Plan-cache namespacing: with purging off, concurrent same-shaped

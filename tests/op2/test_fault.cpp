@@ -41,10 +41,25 @@ TEST_F(FaultTest, MalformedPlansThrowAndNothingIsArmed) {
          {"bogus=1", "kernel=", "kernel=foo@", "kernel=foo@1",
           "kernel=foo@x.y", "kernel=foo@1.0#0", "alloc=0", "alloc=x",
           "delay=5", "delay=0:10", "drop=0", "jitter=10",
-          "jitter=2:10", "seed=notanumber"}) {
+          "jitter=2:10", "jitter=-0.1:10", "jitter=nan:10", "jitter=inf:10",
+          "jitter=abc:10", "jitter=:10", "jitter=O.02:200",
+          "jitter=0.02x:10", "seed=notanumber"}) {
         EXPECT_THROW(fault::arm(bad), std::invalid_argument) << bad;
         EXPECT_FALSE(fault::armed()) << bad;
         EXPECT_EQ(fault::active_plan(), "") << bad;
+    }
+}
+
+TEST_F(FaultTest, WellFormedJitterRatesArm) {
+    // The rate must be one whole number token, but any decimal or
+    // exponent spelling of a value in [0, 1] is one.
+    for (char const* good :
+         {"jitter=0:10", "jitter=1:10", "jitter=0.02:200", "jitter=.5:1",
+          "jitter=1e-2:5", "seed=3;jitter=0.25:20"}) {
+        EXPECT_NO_THROW(fault::arm(good)) << good;
+        EXPECT_TRUE(fault::armed()) << good;
+        EXPECT_EQ(fault::active_plan(), good) << good;
+        fault::disarm();
     }
 }
 

@@ -1,6 +1,6 @@
 // Unit tests of the multi-tenant service layer (op2/service.hpp): the
-// policy registry, the scheduler's admission control, per-job metrics,
-// failure reporting, and plan-cache namespacing. The heavyweight
+// scheduler's submission-order admission control, per-job metrics,
+// failure reporting, retirement fencing and plan-cache namespacing. The heavyweight
 // concurrent-vs-sequential differential lives in
 // tests/integration/test_service_isolation.cpp.
 
@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,54 +27,6 @@ protected:
     void TearDown() override { hpxlite::finalize(); }
 };
 
-TEST(PolicyRegistry, EveryAdvertisedPolicyConstructsByName) {
-    for (auto name : service::policy_names()) {
-        auto p = service::make_policy(name);
-        ASSERT_NE(p, nullptr);
-        EXPECT_EQ(name, p->name());
-    }
-    EXPECT_EQ(service::policy_names().size(), 3u);
-}
-
-TEST(PolicyRegistry, UnknownPolicyNameThrows) {
-    EXPECT_THROW((void)service::make_policy("unfair"),
-                 std::invalid_argument);
-}
-
-TEST(PolicyRegistry, FifoPicksSubmissionOrder) {
-    auto p = service::make_policy("fifo");
-    std::vector<service::job_view> w = {
-        {"a", "a", 3.0, 1}, {"b", "b", 1.0, 2}, {"c", "c", 2.0, 3}};
-    EXPECT_EQ(p->pick(w), 0u);
-}
-
-TEST(PolicyRegistry, ShortestChainFirstPicksCheapest) {
-    auto p = service::make_policy("shortest_chain_first");
-    std::vector<service::job_view> w = {
-        {"a", "a", 3.0, 1}, {"b", "b", 1.0, 2}, {"c", "c", 2.0, 3}};
-    EXPECT_EQ(p->pick(w), 1u);
-    // Ties (including all-unknown cost 0) fall back to submission order.
-    std::vector<service::job_view> tied = {
-        {"a", "a", 0.0, 1}, {"b", "b", 0.0, 2}};
-    EXPECT_EQ(p->pick(tied), 0u);
-}
-
-TEST(PolicyRegistry, RoundRobinAlternatesTenants) {
-    auto p = service::make_policy("round_robin");
-    std::vector<service::job_view> w = {{"a1", "alice", 0.0, 1},
-                                        {"a2", "alice", 0.0, 2},
-                                        {"b1", "bob", 0.0, 3}};
-    // First pick serves the head; the next must switch tenants.
-    std::size_t const first = p->pick(w);
-    EXPECT_EQ(first, 0u);
-    w.erase(w.begin());
-    EXPECT_EQ(p->pick(w), 1u) << "bob's job should jump alice's second";
-    // Single-tenant queues degrade to fifo rather than starving.
-    std::vector<service::job_view> solo = {{"b2", "bob", 0.0, 4},
-                                           {"b3", "bob", 0.0, 5}};
-    EXPECT_EQ(p->pick(solo), 0u);
-}
-
 TEST_F(ServiceTest, JobsRunAndReportMetrics) {
     service::scheduler sched;
     std::vector<double> sums(3, 0.0);
@@ -80,7 +34,6 @@ TEST_F(ServiceTest, JobsRunAndReportMetrics) {
     for (int k = 0; k < 3; ++k) {
         service::job_desc d;
         d.name = "job" + std::to_string(k);
-        d.est_loops = 4;
         d.program = [k, &sums] {
             auto set = op_decl_set(256, "elems");
             auto x = op_decl_dat_zero<double>(set, 1, "double", "x");
@@ -118,7 +71,6 @@ TEST_F(ServiceTest, JobsRunAndReportMetrics) {
     EXPECT_NE(jobs[0].context()->id(), jobs[1].context()->id());
 
     auto const sm = sched.metrics();
-    EXPECT_EQ(sm.policy, "fifo");
     EXPECT_EQ(sm.submitted, 3u);
     EXPECT_EQ(sm.completed, 3u);
     EXPECT_EQ(sm.failed, 0u);
@@ -134,13 +86,19 @@ TEST_F(ServiceTest, JobAdmissionRespectsInFlightLimit) {
 
     std::atomic<int> running{0};
     std::atomic<int> peak{0};
+    std::mutex order_mtx;
+    std::vector<int> started;
     for (int k = 0; k < 6; ++k) {
         service::job_desc d;
         d.name = "serial" + std::to_string(k);
-        d.program = [&] {
+        d.program = [&, k] {
             int const now = running.fetch_add(1) + 1;
             int prev = peak.load();
             while (prev < now && !peak.compare_exchange_weak(prev, now)) {
+            }
+            {
+                std::lock_guard<std::mutex> lk(order_mtx);
+                started.push_back(k);
             }
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
             running.fetch_sub(1);
@@ -150,6 +108,8 @@ TEST_F(ServiceTest, JobAdmissionRespectsInFlightLimit) {
     sched.drain();
     EXPECT_EQ(peak.load(), 1) << "admission let two jobs overlap";
     EXPECT_EQ(sched.metrics().completed, 6u);
+    EXPECT_EQ(started, (std::vector<int>{0, 1, 2, 3, 4, 5}))
+        << "jobs must start in submission order";
 }
 
 TEST_F(ServiceTest, JobAdmissionRespectsByteBudget) {
@@ -184,6 +144,222 @@ TEST_F(ServiceTest, JobAdmissionRespectsByteBudget) {
     sched.drain();
     EXPECT_EQ(peak.load(), 1) << "byte budget admitted overlapping jobs";
     EXPECT_EQ(sched.metrics().completed, 5u);
+}
+
+/// A job that blocks until `release` is set (a slot holder).
+service::job_desc holder(std::string name, std::size_t est_bytes,
+                         std::atomic<bool> const& release) {
+    service::job_desc d;
+    d.name = std::move(name);
+    d.est_bytes = est_bytes;
+    d.program = [&release] {
+        while (!release.load(std::memory_order_acquire)) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+    };
+    return d;
+}
+
+service::job_desc noop(std::string name, std::size_t est_bytes = 0) {
+    service::job_desc d;
+    d.name = std::move(name);
+    d.est_bytes = est_bytes;
+    d.program = [] {};
+    return d;
+}
+
+TEST_F(ServiceTest, QueuedJobWaitsUntilASlotFrees) {
+    service::scheduler_options so;
+    so.max_in_flight_jobs = 1;
+    service::scheduler sched(so);
+
+    std::atomic<bool> release{false};
+    auto jh = sched.submit(holder("holder", 0, release));
+    auto jq = sched.submit(noop("queued"));
+    // submit() admits synchronously, so both states are settled here.
+    EXPECT_EQ(jh.state(), service::job_state::running);
+    EXPECT_EQ(jq.state(), service::job_state::waiting);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(jq.state(), service::job_state::waiting)
+        << "admitted past the in-flight limit";
+
+    release.store(true, std::memory_order_release);
+    jq.wait();
+    EXPECT_EQ(jq.state(), service::job_state::completed);
+    auto const m = jq.metrics();
+    EXPECT_GE(m.wait_s, 0.020) << "wait_s must cover the time spent queued";
+    EXPECT_GE(m.latency_s, m.wait_s);
+    EXPECT_GE(m.latency_s, m.run_s);
+    sched.drain();
+    EXPECT_EQ(sched.metrics().completed, 2u);
+}
+
+TEST_F(ServiceTest, HeadOfLineJobIsNeverOvertakenBySmallerOnes) {
+    service::scheduler_options so;
+    so.max_in_flight_bytes = 100;
+    service::scheduler sched(so);
+
+    std::atomic<bool> release{false};
+    auto jh = sched.submit(holder("holder", 60, release));
+    auto jhead = sched.submit(noop("head", 60));  // 120 > 100: must wait
+    auto jsmall = sched.submit(noop("small", 10));  // 70 would fit
+    EXPECT_EQ(jh.state(), service::job_state::running);
+    EXPECT_EQ(jhead.state(), service::job_state::waiting);
+    EXPECT_EQ(jsmall.state(), service::job_state::waiting)
+        << "a smaller job overtook the queue head";
+
+    release.store(true, std::memory_order_release);
+    sched.drain();
+    EXPECT_EQ(jhead.state(), service::job_state::completed);
+    EXPECT_EQ(jsmall.state(), service::job_state::completed);
+    EXPECT_EQ(sched.metrics().completed, 3u);
+}
+
+TEST_F(ServiceTest, OversizedJobRunsOnlyWithTheProcessToItself) {
+    service::scheduler_options so;
+    so.max_in_flight_bytes = 100;
+    service::scheduler sched(so);
+
+    std::atomic<bool> release{false};
+    auto jh = sched.submit(holder("holder", 10, release));
+    service::job behind;
+    service::job_state behind_state_during = service::job_state::completed;
+    service::job_desc big;
+    big.name = "oversized";
+    big.est_bytes = 1000;
+    big.program = [&] { behind_state_during = behind.state(); };
+    auto jbig = sched.submit(std::move(big));
+    behind = sched.submit(noop("behind", 10));
+    EXPECT_EQ(jbig.state(), service::job_state::waiting)
+        << "an oversized job was admitted beside another";
+    EXPECT_EQ(behind.state(), service::job_state::waiting);
+
+    release.store(true, std::memory_order_release);
+    sched.drain();
+    EXPECT_EQ(jbig.state(), service::job_state::completed);
+    EXPECT_EQ(behind_state_during, service::job_state::waiting)
+        << "a job was admitted beside the oversized one";
+    EXPECT_EQ(behind.state(), service::job_state::completed);
+}
+
+TEST_F(ServiceTest, FailedJobReleasesItsSlotAndBytes) {
+    service::scheduler_options so;
+    so.max_in_flight_jobs = 2;
+    so.max_in_flight_bytes = 100;
+    service::scheduler sched(so);
+    service::job_desc bad;
+    bad.name = "throws";
+    bad.est_bytes = 60;
+    bad.program = [] { throw std::runtime_error("tenant bug"); };
+    auto jb = sched.submit(std::move(bad));
+    sched.drain();
+    ASSERT_TRUE(jb.failed());
+
+    // These two fit the limits together only if the failed job gave
+    // back both its slot and its 60 bytes.
+    std::atomic<bool> release{false};
+    auto jh = sched.submit(holder("holder", 60, release));
+    auto js = sched.submit(noop("small", 40));
+    EXPECT_EQ(jh.state(), service::job_state::running);
+    EXPECT_NE(js.state(), service::job_state::waiting)
+        << "the failed job still holds admission capacity";
+    release.store(true, std::memory_order_release);
+    sched.drain();
+    EXPECT_EQ(sched.metrics().failed, 1u);
+    EXPECT_EQ(sched.metrics().completed, 2u);
+}
+
+TEST_F(ServiceTest, ProgramRunsUnderItsJobsContext) {
+    service::scheduler sched;
+    std::uint64_t seen = 0;
+    service::job_desc d;
+    d.name = "ctx";
+    d.program = [&seen] { seen = current_context()->id(); };
+    auto j = sched.submit(std::move(d));
+    j.wait();
+    EXPECT_EQ(seen, j.context()->id());
+    EXPECT_NE(seen, runtime_context::default_context()->id());
+    EXPECT_EQ(current_context()->id(),
+              runtime_context::default_context()->id())
+        << "submitting must not change the caller's context";
+}
+
+TEST_F(ServiceTest, SubmitWithoutProgramThrows) {
+    service::scheduler sched;
+    service::job_desc d;
+    d.name = "empty";
+    EXPECT_THROW((void)sched.submit(std::move(d)), std::invalid_argument);
+    EXPECT_EQ(sched.metrics().submitted, 0u)
+        << "a rejected job must not be counted";
+    // The scheduler stays usable.
+    auto j = sched.submit(noop("after"));
+    j.wait();
+    EXPECT_EQ(j.state(), service::job_state::completed);
+}
+
+TEST_F(ServiceTest, DestructorDrainsQueuedJobs) {
+    std::atomic<int> ran{0};
+    std::vector<service::job> jobs;
+    {
+        service::scheduler_options so;
+        so.max_in_flight_jobs = 1;
+        service::scheduler sched(so);
+        for (int k = 0; k < 4; ++k) {
+            service::job_desc d;
+            d.name = "queued" + std::to_string(k);
+            d.program = [&ran] {
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                ran.fetch_add(1);
+            };
+            jobs.push_back(sched.submit(std::move(d)));
+        }
+    }
+    EXPECT_EQ(ran.load(), 4);
+    for (auto const& j : jobs) {
+        EXPECT_EQ(j.state(), service::job_state::completed) << j.name();
+    }
+}
+
+TEST_F(ServiceTest, RetirementFencesLoopsTheProgramLeftInFlight) {
+    constexpr std::size_t kElems = 1024;
+    std::atomic<bool> entered{false};
+    std::atomic<bool> open{false};
+    std::atomic<std::size_t> visits{0};
+    // Held past the program: a dat it destroyed would be its own to fence.
+    op_set set;
+    op_dat x;
+    service::scheduler sched;
+    service::job_desc d;
+    d.name = "unfenced";
+    d.program = [&] {
+        set = op_decl_set(kElems, "elems");
+        x = op_decl_dat_zero<double>(set, 1, "double", "x");
+        loop_options o;
+        o.backend = exec::backend_kind::hpx_dataflow;
+        (void)exec::run_loop(
+            o, "gated", set,
+            [&](double* v) {
+                entered.store(true, std::memory_order_release);
+                while (!open.load(std::memory_order_acquire)) {
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                }
+                *v += 1.0;
+                visits.fetch_add(1, std::memory_order_relaxed);
+            },
+            op_arg_dat(x, -1, OP_ID, 1, "double", OP_RW));
+        // No fence: retirement must drain the loop before completing.
+    };
+    auto j = sched.submit(std::move(d));
+    while (!entered.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(j.state(), service::job_state::running)
+        << "the job retired with its loop still in flight";
+    open.store(true, std::memory_order_release);
+    j.wait();
+    EXPECT_EQ(j.state(), service::job_state::completed);
+    EXPECT_EQ(visits.load(), kElems);
 }
 
 TEST_F(ServiceTest, JobFailureIsReportedAndIsolated) {
@@ -221,91 +397,6 @@ TEST_F(ServiceTest, JobFailureIsReportedAndIsolated) {
     EXPECT_EQ(sum, 64.0);
     EXPECT_EQ(sched.metrics().failed, 1u);
     EXPECT_EQ(sched.metrics().completed, 1u);
-}
-
-TEST_F(ServiceTest, MeasuredEwmaRepricesTenantsOverPsim) {
-    service::scheduler_options so;
-    so.max_in_flight_jobs = 1;
-    so.policy = "shortest_chain_first";
-    service::scheduler sched(so);
-
-    EXPECT_EQ(sched.measured_tenant_cost("quick"), 0.0)
-        << "tenant with no completed job must still be psim-priced";
-
-    // Seed the EWMAs with one measured run per tenant: "quick" is fast,
-    // "lumbering" is slow — the opposite of what their phase-2 psim
-    // estimates will claim.
-    auto seed = [&](char const* tenant, int ms) {
-        service::job_desc d;
-        d.name = std::string(tenant) + "-seed";
-        d.tenant = tenant;
-        d.program = [ms] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-        };
-        (void)sched.submit(std::move(d));
-    };
-    seed("quick", 1);
-    seed("lumbering", 40);
-    sched.drain();
-
-    double const quick = sched.measured_tenant_cost("quick");
-    double const lumbering = sched.measured_tenant_cost("lumbering");
-    EXPECT_GT(quick, 0.0) << "completed job must seed the EWMA";
-    EXPECT_GT(lumbering, quick) << "EWMA must order by measured run time";
-
-    // Phase 2: both tenants queue behind a blocker with *misleading*
-    // psim estimates — "quick" claims a huge loop count, "lumbering" a
-    // tiny one. Priced by psim alone, shortest_chain_first would admit
-    // lumbering first; the measured EWMA must flip the order.
-    std::atomic<bool> release{false};
-    service::job_desc blocker;
-    blocker.name = "blocker";
-    blocker.tenant = "blocker";
-    blocker.program = [&release] {
-        while (!release.load(std::memory_order_acquire)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-    };
-    auto jb = sched.submit(std::move(blocker));
-    while (jb.state() != service::job_state::running) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-
-    std::atomic<int> turn{0};
-    int quick_turn = -1;
-    int lumbering_turn = -1;
-    service::job_desc big;
-    big.name = "quick-but-overpriced";
-    big.tenant = "quick";
-    big.est_loops = 100000;  // psim: very expensive
-    big.program = [&] { quick_turn = turn.fetch_add(1); };
-    (void)sched.submit(std::move(big));
-
-    service::job_desc small;
-    small.name = "lumbering-but-underpriced";
-    small.tenant = "lumbering";
-    small.est_loops = 1;  // psim: nearly free
-    small.program = [&] { lumbering_turn = turn.fetch_add(1); };
-    (void)sched.submit(std::move(small));
-
-    release.store(true, std::memory_order_release);
-    sched.drain();
-
-    EXPECT_EQ(quick_turn, 0) << "measured-cheap tenant should run first";
-    EXPECT_EQ(lumbering_turn, 1);
-}
-
-TEST_F(ServiceTest, FailedJobsDoNotFeedTheTenantEwma) {
-    service::scheduler sched;
-    service::job_desc bad;
-    bad.name = "crashy";
-    bad.tenant = "crashy";
-    bad.program = [] { throw std::runtime_error("boom"); };
-    auto j = sched.submit(std::move(bad));
-    sched.drain();
-    EXPECT_TRUE(j.failed());
-    EXPECT_EQ(sched.measured_tenant_cost("crashy"), 0.0)
-        << "a failed run is not a cost sample";
 }
 
 TEST_F(ServiceTest, JobPlansArePurgedAtRetirement) {
