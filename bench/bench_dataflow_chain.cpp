@@ -1,22 +1,25 @@
 // Dependency-layer benchmarks of the dataflow engine on a dependent
 // loop chain — the shape of airfoil's time-march.
 //
-// The partition sweep: a dependent direct RW chain issued at 1, 2 and 4
-// partitions (one sub-node per (colour, slice)). At 1 partition loop
-// i+1 waits for all of loop i; at P partitions its sub-node for
-// slice p waits only for loop i's slice p, so the slices pipeline
-// independently through the chain — dependent loops overlap.
+// The partition sweep: a dependent direct RW chain issued on pools of 1,
+// 2 and 4 workers, so at 1, 2 and 4 partitions (one sub-node per
+// (colour, slice), one slice per worker). At 1 partition loop i+1 waits
+// for all of loop i; at P partitions its sub-node for slice p waits only
+// for loop i's slice p, so the slices pipeline independently through
+// the chain — dependent loops overlap. The chain's dat survives each
+// re-creation of the pool, so the sweep also runs the rebuild of its
+// dependency table at the new worker count.
 //
 // Plus the straddle section: a dependent *indirect* INC chain over a
 // ring map whose partitions straddle the partition boundary — the shape
 // whose same-colour sub-nodes overlap through the same-colour exemption.
 //
 // Emits into BENCH_op2.json (schema op2hpx-bench-v1):
-//   dataflow_chain_part<P>            ns per loop, dependent chain at P
-//                                     partitions (P = 1, 2, 4)
-//   dataflow_chain_partition_speedup  x, 4 partitions vs 1
+//   dataflow_chain_part<P>            ns per loop, dependent chain on P
+//                                     workers (P = 1, 2, 4)
+//   dataflow_chain_partition_speedup  x, 4 workers vs 1
 //   dataflow_chain_straddle_exempt    ns per loop, indirect INC straddle
-//                                     chain at 4 partitions
+//                                     chain on 4 workers
 //
 // Worker counts in row labels are derived from the live pool size, so
 // rows recorded on multi-core CI runners are self-describing. Exits 1
@@ -62,21 +65,21 @@ int main(int argc, char** argv) {
             g_sweep_chains = 5;
         }
     }
-    hpxlite::init(hpxlite::runtime_config{4});
-    std::size_t const nworkers = hpxlite::get_num_worker_threads();
-    std::string const workers_label = std::to_string(nworkers) + " workers";
+    auto workers_label = [] {
+        return std::to_string(hpxlite::get_num_worker_threads()) + " workers";
+    };
     loop_options opts;
     opts.part_size = 256;
     auto kern = [](double* x) { *x += 1.0; };
     hpxlite::util::stopwatch sw;
 
     // --- partition sweep ----------------------------------------------
-    // A dependent RW chain on a big mesh, issued at 1 / 2 / 4
-    // partitions on a multi-worker pool. Direct args give each sub-node
-    // a single-partition footprint, so at P > 1 the chain becomes P
-    // independent pipelines: partition p of loop i+1 starts as soon as
-    // partition p of loop i is done, while one partition holds loop i+1
-    // until all of loop i finished.
+    // A dependent RW chain on a big mesh, issued on pools of 1 / 2 / 4
+    // workers. Direct args give each sub-node a single-partition
+    // footprint, so at P > 1 the chain becomes P independent pipelines:
+    // partition p of loop i+1 starts as soon as partition p of loop i
+    // is done, while one partition holds loop i+1 until all of loop i
+    // finished.
     auto sweep_cells = op_decl_set(kSweepElems, "sweep_cells");
     auto sweep_d =
         op_decl_dat_zero<double>(sweep_cells, 1, "double", "sweep_d");
@@ -85,9 +88,8 @@ int main(int argc, char** argv) {
     };
 
     benchutil::bench_log log("bench_dataflow_chain");
-    std::printf(
-        "partition sweep (%d loops x %d chains, %zu elems, %zu workers):\n",
-        kSweepChainLen, g_sweep_chains, kSweepElems, nworkers);
+    std::printf("partition sweep (%d loops x %d chains, %zu elems):\n",
+                kSweepChainLen, g_sweep_chains, kSweepElems);
     double part1_ns = 0.0;
     double part4_ns = 0.0;
     int sweep_loops = 0;
@@ -111,9 +113,9 @@ int main(int argc, char** argv) {
         return ns_per_loop(sw.elapsed_s(), g_sweep_chains, kSweepChainLen);
     };
     for (std::size_t parts : {1u, 2u, 4u}) {
+        hpxlite::init(hpxlite::runtime_config{parts});
         loop_options po = opts;
         po.backend = exec::backend_kind::hpx_dataflow;
-        po.partitions = parts;
         double const ns = time_sweep_chain(po);
         if (parts == 1) {
             part1_ns = ns;
@@ -121,12 +123,11 @@ int main(int argc, char** argv) {
         if (parts == 4) {
             part4_ns = ns;
         }
-        std::printf("  partitions=%zu    : %9.1f ns/loop\n", parts, ns);
+        std::printf("  workers=%zu       : %9.1f ns/loop\n", parts, ns);
         log.add("dataflow_chain_part" + std::to_string(parts), ns, "ns/iter",
-                "dependent RW chain, " + std::to_string(parts) +
-                    " partitions, " + workers_label);
+                "dependent RW chain, " + workers_label());
     }
-    std::printf("  partition spdup : %9.2fx (4 partitions vs 1)\n",
+    std::printf("  partition spdup : %9.2fx (4 workers vs 1)\n",
                 part1_ns / part4_ns);
 
     // Sanity: every sweep loop adds 1 to every element.
@@ -164,7 +165,6 @@ int main(int argc, char** argv) {
     {
         loop_options po = opts;
         po.backend = exec::backend_kind::hpx_dataflow;
-        po.partitions = 4;
         auto run_chain = [&] {
             exec::loop_handle last;
             for (int l = 0; l < kSweepChainLen; ++l) {
@@ -196,15 +196,15 @@ int main(int argc, char** argv) {
                      str_d.view<double>()[0], str_expect);
         return 1;
     }
-    std::printf("straddle INC chain (%d loops x %d chains, %zu edges, %zu "
-                "workers):\n",
-                kSweepChainLen, g_sweep_chains, kStraddleElems, nworkers);
-    std::printf("  partitions=4    : %9.1f ns/loop\n", straddle_ns);
+    std::printf("straddle INC chain (%d loops x %d chains, %zu edges, %s):\n",
+                kSweepChainLen, g_sweep_chains, kStraddleElems,
+                workers_label().c_str());
+    std::printf("  workers=4       : %9.1f ns/loop\n", straddle_ns);
 
     log.add("dataflow_chain_partition_speedup", part1_ns / part4_ns, "x",
             "partitioned_4_vs_1");
     log.add("dataflow_chain_straddle_exempt", straddle_ns, "ns/iter",
-            "indirect INC straddle chain, 4 partitions, " + workers_label);
+            "indirect INC straddle chain, " + workers_label());
     log.write();
 
     hpxlite::finalize();

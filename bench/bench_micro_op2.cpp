@@ -196,7 +196,6 @@ void bm_loop_dispatch_overhead(benchmark::State& state) {
     }
     constexpr int kChain = 16;
     opts.backend = op2::exec::backend_kind::hpx_dataflow;
-    opts.partitions = 2;
     for (auto _ : state) {
         op2::exec::loop_handle last;
         for (int l = 0; l < kChain; ++l) {

@@ -16,11 +16,13 @@ struct runtime_config {
 };
 
 /// Initialise the global runtime (idempotent; re-init with a different
-/// thread count tears the old pool down first, which requires it to be
-/// idle). All parallel algorithms and dataflow default to this pool.
+/// thread count tears the old pool down first: it drains — runs every
+/// queued task and whatever those tasks queue — then joins its workers,
+/// so nothing may submit to it concurrently). All parallel algorithms
+/// and dataflow default to this pool.
 void init(runtime_config cfg = {});
 
-/// Destroy the global pool. Safe to call when not initialised.
+/// Drain and destroy the global pool. Safe to call when not initialised.
 void finalize();
 
 /// The global pool; lazily initialised with default config on first use.

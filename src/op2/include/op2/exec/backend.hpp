@@ -8,7 +8,6 @@
 // asynchronously out of the epoch dataflow graph) and in how blocks are
 // distributed over workers.
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -171,11 +170,7 @@ void poison_sync_failure(Args const& args, char const* name) noexcept {
 template <typename Kernel, std::size_t N>
 void staged_sweep(op2::detail::loop_executor<Kernel, N>& ex,
                   op_plan const& plan, char const* name) {
-    loop_options const& opts = ex.options();
-    auto policy = hpxlite::execution::par.with(opts.chunk);
-    if (opts.pool != nullptr) {
-        policy = policy.on(*opts.pool);
-    }
+    auto const policy = hpxlite::execution::par.with(ex.options().chunk);
     hpxlite::util::stopwatch sw;
     ex.execute(plan, [&](std::span<std::size_t const> blocks) {
         hpxlite::parallel::for_loop(
@@ -197,7 +192,7 @@ void pool_put(loop_group<Kernel, N>* g) noexcept;
 /// Shared state of one dataflow loop issue: one executor bound to the
 /// whole-set plan the staged backend runs (same blocks, colours and
 /// staged tables), serving every (colour, slice) sub-node, plus the
-/// plan's slicing at the loop's partition count. Sub-nodes and the join
+/// plan's slicing at the pool's worker count. Sub-nodes and the join
 /// node share it through group_ref (an embedded intrusive count — no
 /// shared_ptr control-block allocation per issue) and drop their
 /// references in on_complete(), which is what breaks the dat -> record
@@ -295,7 +290,14 @@ public:
         }
     }
 
-    void release_handles() noexcept { ex_.release_handles(); }
+    /// Drop what the group holds of the issue once its loop has run:
+    /// the dat handles and the issuing context. A parked group then
+    /// keeps neither a dat nor a retired service job's context alive
+    /// (reset() re-captures the context at the next issue).
+    void release_handles() noexcept {
+        ex_.release_handles();
+        ctx_.reset();
+    }
 
     /// Quarantine every dat span slice s could have half-written — the
     /// partitions its footprints name for each written argument —
@@ -345,9 +347,9 @@ private:
     plan_slicing const* slicing_ = nullptr;
     std::atomic<std::size_t> slices_left_{0};
     std::atomic<std::int64_t> start_ns_{-1};
-    // Issuing context, captured at construction/reset: holds the
-    // combine lock alive for the sub-nodes' lifetime even if the
-    // owning job retires while the loop drains.
+    // Issuing context, captured at construction/reset and dropped by
+    // release_handles: holds the combine lock alive for the sub-nodes'
+    // lifetime even if the owning job retires while the loop drains.
     std::shared_ptr<runtime_context> ctx_;
     char const* name_;
     std::atomic<std::size_t> refs_{0};
@@ -482,7 +484,7 @@ private:
 
 /// One (colour, slice) sub-node of a dataflow loop: the unit of both
 /// scheduling and dependency tracking. Its blocks run inline — the
-/// sub-node *is* the parallelism grain, `partitions` per colour.
+/// sub-node *is* the parallelism grain, one per pool worker per colour.
 template <typename Kernel, std::size_t N>
 class slice_node final : public dataflow_node {
 public:
@@ -546,14 +548,14 @@ inline std::atomic<std::uint64_t> g_loop_tag_seq{1};
 
 /// The dataflow issue path: the loop runs the same cached plan as the
 /// staged backend, with each colour's blocks cut into `nparts` slices
-/// (plan_slices), and becomes one sub-node per non-empty (colour, slice)
-/// plus a join node — the per-colour block loop of the paper's generated
-/// code (Fig. 4) with every colour spread over all workers. Each
-/// sub-node edges on exactly the dat partitions its footprints name
-/// (direct args: the iteration partitions its blocks fall in; indirect
-/// args: the target partitions its map rows reach), so independent
-/// parts of dependent loops, and independent colours of different
-/// loops, overlap in the epoch graph.
+/// (plan_slices; run_loop passes the pool's worker count), and becomes
+/// one sub-node per non-empty (colour, slice) plus a join node — the
+/// per-colour block loop of the paper's generated code (Fig. 4) with
+/// every colour spread over all workers. Each sub-node edges on exactly
+/// the dat partitions its footprints name (direct args: the iteration
+/// partitions its blocks fall in; indirect args: the target partitions
+/// its map rows reach), so independent parts of dependent loops, and
+/// independent colours of different loops, overlap in the epoch graph.
 ///
 /// Sub-nodes are issued colour-major. Conflicting sub-nodes always share
 /// at least one dat-partition record (a conflict is a shared target
@@ -564,11 +566,10 @@ inline std::atomic<std::uint64_t> g_loop_tag_seq{1};
 /// increments in the same order and the results are bitwise-identical.
 ///
 /// Two per-loop refinements ride on that structure:
-///  * placement: slice k of every colour carries the worker hint
-///    k % pool_size, so a region's working set keeps landing on the same
-///    worker across colours and across the loops of a chain (the join
-///    carries no hint: it runs inline on the thread finishing the last
-///    sub-node);
+///  * placement: slice k of every colour carries the worker hint k, so a
+///    region's working set keeps landing on the same worker across
+///    colours and across the loops of a chain (the join carries no hint:
+///    it runs inline on the thread finishing the last sub-node);
 ///  * the same-colour non-conflict exemption: same-coloured sub-nodes of
 ///    THIS loop provably never mutate the same target element, so they
 ///    skip the conservative WAW record edges between each other and all
@@ -612,15 +613,13 @@ loop_handle issue_slices(loop_options const& opts, char const* name,
     }
     grp->bind(*plan, *sl, live);
 
-    // Distinct dats of the loop, with their record tables pinned at
-    // this granularity (until every sub-node is wired) and the
-    // dat-level epoch bumped once per writer. Pins are taken in
-    // canonical (address) order so concurrent issuers at mixed
-    // granularities never hold-and-wait on each other's pins.
+    // Distinct dats of the loop, each with its record table at this
+    // granularity: one records() lookup per dat, which also counts the
+    // dat's writer loop.
     struct dat_entry {
         dep_state* state = nullptr;
         bool write = false;
-        issue_pin pin;
+        std::shared_ptr<dep_record[]> recs;
     };
     std::array<dat_entry, N == 0 ? 1 : N> dats;
     std::size_t ndats = 0;
@@ -639,18 +638,11 @@ loop_handle issue_slices(loop_options const& opts, char const* name,
         }
         dats[i].write = dats[i].write || a.acc != op_access::OP_READ;
     }
-    std::sort(dats.begin(), dats.begin() + static_cast<std::ptrdiff_t>(ndats),
-              [](dat_entry const& x, dat_entry const& y) {
-                  return x.state < y.state;
-              });
     for (std::size_t i = 0; i < ndats; ++i) {
-        dats[i].pin = issue_pin(*dats[i].state, nparts);
-        if (dats[i].write) {
-            dats[i].state->bump_epoch();
-        }
+        dats[i].recs = dats[i].state->records(nparts, dats[i].write);
     }
-    // Per argument: its records (the dat's pinned table), whether it
-    // writes, and which slice footprint names the partitions it reaches.
+    // Per argument: its records (the dat's table), whether it writes,
+    // and which slice footprint names the partitions it reaches.
     struct arg_entry {
         dep_record* recs = nullptr;  // null: a global, no records
         bool write = false;
@@ -669,7 +661,7 @@ loop_handle issue_slices(loop_options const& opts, char const* name,
             while (dats[i].state != &st) {
                 ++i;
             }
-            e.recs = dats[i].pin.records();
+            e.recs = dats[i].recs.get();
             e.write = a.acc != op_access::OP_READ;
             e.fp = a.is_direct() ? &sl->direct : sl->find(a.map.id(), a.idx);
         }
@@ -686,8 +678,12 @@ loop_handle issue_slices(loop_options const& opts, char const* name,
     // body, and the join reports it at handle.get(), the same point as
     // every other asynchronous failure. (The sub-nodes still enter the
     // graph, so dependents inherit the error and the written spans are
-    // quarantined in turn.)
+    // quarantined in turn.) The join carries it too: a loop over an
+    // empty set has no sub-node to inherit it from.
     std::exception_ptr const qerr = check_quarantine(ex.args(), name);
+    if (qerr) {
+        join->seed_error(qerr);
+    }
 
     std::uint64_t const loop_tag =
         g_loop_tag_seq.fetch_add(1, std::memory_order_relaxed);
@@ -710,7 +706,7 @@ loop_handle issue_slices(loop_options const& opts, char const* name,
             sub->seed_error(qerr);
         }
         join->depend_on(*sub);
-        sub->set_worker_hint(k % pool.size());
+        sub->set_worker_hint(k);
 
         reqs.clear();
         for (std::size_t j = 0; j < N; ++j) {
@@ -719,20 +715,11 @@ loop_handle issue_slices(loop_options const& opts, char const* name,
                 continue;
             }
             for (std::uint32_t q : e.fp->of(s)) {
-                dep_record* rec = &e.recs[q];
-                auto it = std::find_if(
-                    reqs.begin(), reqs.end(),
-                    [rec](dep_request const& r) { return r.rec == rec; });
-                if (it != reqs.end()) {
-                    it->write = it->write || e.write;
-                } else {
-                    reqs.push_back({rec, e.write, loop_tag,
-                                    static_cast<std::uint32_t>(color)});
-                }
+                reqs.push_back({&e.recs[q], e.write, loop_tag,
+                                static_cast<std::uint32_t>(color)});
             }
         }
-        issue(*sub, std::span<dep_request const>{reqs.data(), reqs.size()},
-              pool);
+        issue(*sub, std::span<dep_request>{reqs}, pool);
     }
     join->schedule();
     return loop_handle(std::move(jref));
@@ -747,13 +734,12 @@ loop_handle issue_slices(loop_options const& opts, char const* name,
 ///    barrier at the end — the stock-OP2 OpenMP shape); returns ready.
 ///  * hpx_dataflow: the loop is *issued*, not executed — it enters the
 ///    epoch graph as one sub-node per (colour, slice) of the staged
-///    backend's plan (loop_options::partitions slices per colour, one
-///    per pool worker by default) and runs as its per-partition
-///    dependencies resolve; independent parts of dependent loops
-///    overlap, and there is no global barrier. partitions = 1 is one
-///    slice per colour: the colours run one sub-node at a time.
-///    Reduction results (op_arg_gbl) are valid only once the returned
-///    handle is ready.
+///    backend's plan (one slice per worker of the global pool, slice k
+///    hinted to worker k) and runs as its per-partition dependencies
+///    resolve; independent parts of dependent loops overlap, and there
+///    is no global barrier. On a one-worker pool each colour is one
+///    slice: the colours run one sub-node at a time. Reduction results
+///    (op_arg_gbl) are valid only once the returned handle is ready.
 template <typename Kernel, typename... Args>
 loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
                      Kernel kernel, Args... args) {
@@ -806,14 +792,14 @@ loop_handle run_loop(loop_options const& opts, char const* name, op_set set,
         }
 
         case backend_kind::hpx_dataflow: {
-            auto& pool =
-                opts.pool != nullptr ? *opts.pool : hpxlite::get_pool();
-            std::size_t const nparts =
-                opts.partitions != 0 ? opts.partitions : pool.size();
+            // One slice per worker per colour: the one dataflow
+            // granularity. Two per worker is an unmeasured lead
+            // (ROADMAP.md, item 2): measure it before changing this.
+            auto& pool = hpxlite::get_pool();
             return detail::issue_slices<Kernel, n>(
                 opts, name, std::move(set),
                 std::array<op_arg, n>{std::move(args)...}, std::move(kernel),
-                pool, nparts);
+                pool, pool.size());
         }
     }
     return {};

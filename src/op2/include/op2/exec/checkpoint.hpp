@@ -14,9 +14,8 @@
 //   try { issue epoch; handles.get(); }
 //   catch (...) { op_fence_all(); ckpt.rollback(); retry; }
 //
-// Snapshot and restore copies are fanned per partition through the
-// pool's affinity inboxes (memory::copy_partitions), so a partition's
-// bytes move through the worker that owns its cache lines.
+// Snapshot and restore copy each dat with one memcpy on the calling
+// thread: both run at a fence, off the loop path.
 
 #include <cstddef>
 #include <vector>

@@ -551,8 +551,8 @@ struct poison_info {
 };
 
 /// One quarantined element range [lo, hi) of a dat's set. Spans are
-/// *element*-granular, not record-granular, so a dependency-table
-/// re-partition (any granularity change) carries them unmodified.
+/// *element*-granular, not record-granular, so a dependency table
+/// rebuilt at another pool size carries them unmodified.
 struct poison_span {
     std::size_t lo = 0;
     std::size_t hi = 0;
@@ -604,121 +604,39 @@ private:
 
 /// Partition-granular dependency state of one dat: a table of
 /// dep_records, one per partition of the dat's set, plus a dat-level
-/// epoch counting issued writer *loops* (any granularity). Loops touch
-/// only the records of the partitions their sub-nodes can reach (the
-/// slice footprints: iteration partitions for direct args, map-reached
-/// target partitions for indirect ones), which is what lets independent
-/// partitions of dependent loops overlap in the epoch graph.
+/// epoch counting issued writer *loops*. Loops touch only the records of
+/// the partitions their sub-nodes can reach (the slice footprints:
+/// iteration partitions for direct args, map-reached target partitions
+/// for indirect ones), which is what lets independent partitions of
+/// dependent loops overlap in the epoch graph.
 ///
-/// The table is sized lazily to the granularity of the first loop that
-/// touches the dat and re-partitioned when a loop arrives at a
-/// different granularity. Re-partitioning drains the dat first (waits
-/// for every tracked node — a per-dat fence) *and* waits out loops
-/// mid-issue on the current table (the inflight pin below), so a
-/// concurrent issuer can never wire nodes into an orphaned table.
-/// Completed-but-failed nodes are carried into the new table so a later
-/// writer still inherits their error through its WAR/WAW edges.
+/// Every hpx loop runs at one granularity, the global pool's worker
+/// count, so the table is built at the dat's first loop and rebuilt only
+/// when the pool was re-created at another size. hpxlite::init and
+/// finalize drain the old pool before that, so every node the old table
+/// tracks has completed and no issuer still holds it: the rebuild waits
+/// for nothing. Completed-but-failed nodes are carried into the new table
+/// so a later writer still inherits their error through its WAR/WAW
+/// edges.
 struct dep_state {
-    hpxlite::util::spinlock mtx;  // guards count/recs (swap) and epoch
+    hpxlite::util::spinlock mtx;  // guards count/recs, epoch and poison
     std::uint64_t epoch = 0;      // writer loops issued against this dat
     std::size_t count = 0;        // partition granularity of `recs`
-    std::size_t inflight = 0;     // loops pinned mid-issue on `recs`
     std::shared_ptr<dep_record[]> recs;
 
-    /// Pin the record table at granularity `p` for the duration of one
-    /// loop's issue (re-partitioning first if needed). The returned
-    /// snapshot is owning *and* pinned: until the matching unpin(), no
-    /// other thread can swap the table, so every record the caller
-    /// wires into stays the table every later loop will consult.
-    std::shared_ptr<dep_record[]> pin(std::size_t p) {
-        for (;;) {
-            std::vector<node_ref> pending;
-            std::vector<node_ref> failed;
-            {
-                std::lock_guard<hpxlite::util::spinlock> lk(mtx);
-                if (count == p && recs) {
-                    ++inflight;
-                    return recs;
-                }
-                if (inflight == 0) {
-                    for (std::size_t i = 0; i < count; ++i) {
-                        dep_record& r = recs[i];
-                        std::lock_guard<hpxlite::util::spinlock> rlk(r.mtx);
-                        auto track = [&](node_ref const& n) {
-                            if (!n) {
-                                return;
-                            }
-                            if (!n->done()) {
-                                pending.push_back(n);
-                            } else if (n->failed()) {
-                                failed.push_back(n);
-                            }
-                        };
-                        for (auto const& w : r.writers) {
-                            track(w.node);
-                        }
-                        for (auto const& p0 : r.prev) {
-                            track(p0);
-                        }
-                        for (auto const& rd : r.readers) {
-                            track(rd);
-                        }
-                    }
-                    // Dedupe before seeding: a carried-failed node sits
-                    // in *every* record's readers, so the per-record
-                    // scan collects it `count` times. Seeding the
-                    // duplicates back would multiply the carried set by
-                    // the partition count on every re-partition —
-                    // exponential once granularity changes repeat (a
-                    // program alternating partition counts does that).
-                    auto dedupe = [](std::vector<node_ref>& v) {
-                        std::sort(v.begin(), v.end(),
-                                  [](node_ref const& a, node_ref const& b) {
-                                      return a.get() < b.get();
-                                  });
-                        v.erase(std::unique(
-                                    v.begin(), v.end(),
-                                    [](node_ref const& a, node_ref const& b) {
-                                        return a.get() == b.get();
-                                    }),
-                                v.end());
-                    };
-                    dedupe(failed);
-                    if (pending.empty()) {
-                        auto next = std::shared_ptr<dep_record[]>(
-                            new dep_record[p]);
-                        for (std::size_t i = 0; i < p; ++i) {
-                            // Failed history rides along as (completed)
-                            // readers: the next writer of any partition
-                            // inherits the error, like the future
-                            // chains rethrowing a dependency's
-                            // exception.
-                            next[i].readers = failed;
-                        }
-                        recs = std::move(next);
-                        count = p;
-                        ++inflight;
-                        return recs;
-                    }
-                }
-            }
-            // Drain outside the locks: waiting helps the pool, and the
-            // nodes being waited for may need these very records. When
-            // blocked on another loop's issue window instead (inflight
-            // pin, microseconds), just yield and retry.
-            for (auto& n : pending) {
-                n->wait();
-            }
-            if (pending.empty()) {
-                std::this_thread::yield();
-            }
-        }
-    }
-
-    /// Release a pin() once the loop's nodes are wired in.
-    void unpin() {
+    /// The record table at granularity `p` as an owning snapshot, built
+    /// (or rebuilt, see above) on first use at `p`; counts one issued
+    /// writer loop when `write`. Called once per distinct dat per loop,
+    /// at issue time on the issuing thread.
+    std::shared_ptr<dep_record[]> records(std::size_t p, bool write) {
         std::lock_guard<hpxlite::util::spinlock> lk(mtx);
-        --inflight;
+        if (write) {
+            ++epoch;
+        }
+        if (count != p) {
+            rebuild(p);
+        }
+        return recs;
     }
 
     /// Owning snapshot of the current table (fences, tests).
@@ -728,17 +646,10 @@ struct dep_state {
         return {self.recs, self.count};
     }
 
-    /// Count one issued writer loop (called once per written dat per
-    /// loop, at issue time on the issuing thread).
-    void bump_epoch() {
-        std::lock_guard<hpxlite::util::spinlock> lk(mtx);
-        ++epoch;
-    }
-
     // --- quarantine --------------------------------------------------------
 
     /// Quarantined element spans of this dat (guarded by `mtx`).
-    /// Element-granular, so granularity changes leave them valid; the
+    /// Element-granular, so a table rebuild leaves them valid; the
     /// issue path only consults them behind the any_poisoned() gate.
     std::vector<poison_span> poison;
 
@@ -798,23 +709,14 @@ struct dep_state {
 
     /// Forget all dependency history *and* quarantine: the checkpoint
     /// rollback path, called after a full fence (no tracked node can be
-    /// live). Spins out loops mid-issue on the current table first.
+    /// live).
     void reset() {
-        for (;;) {
-            {
-                std::lock_guard<hpxlite::util::spinlock> lk(mtx);
-                if (inflight == 0) {
-                    recs.reset();
-                    count = 0;
-                    if (!poison.empty()) {
-                        gate().fetch_sub(poison.size(),
-                                         std::memory_order_relaxed);
-                        poison.clear();
-                    }
-                    return;
-                }
-            }
-            std::this_thread::yield();
+        std::lock_guard<hpxlite::util::spinlock> lk(mtx);
+        recs.reset();
+        count = 0;
+        if (!poison.empty()) {
+            gate().fetch_sub(poison.size(), std::memory_order_relaxed);
+            poison.clear();
         }
     }
 
@@ -823,53 +725,44 @@ struct dep_state {
             gate().fetch_sub(poison.size(), std::memory_order_relaxed);
         }
     }
-};
-
-/// RAII pin on one dat's record table for the span of a loop issue
-/// (dep_state::pin / unpin).
-class issue_pin {
-public:
-    issue_pin() noexcept = default;
-    issue_pin(dep_state& s, std::size_t p) : s_(&s), recs_(s.pin(p)) {}
-    issue_pin(issue_pin&& o) noexcept
-      : s_(o.s_), recs_(std::move(o.recs_)) {
-        o.s_ = nullptr;
-    }
-    issue_pin& operator=(issue_pin&& o) noexcept {
-        if (this != &o) {
-            release();
-            s_ = o.s_;
-            recs_ = std::move(o.recs_);
-            o.s_ = nullptr;
-        }
-        return *this;
-    }
-    issue_pin(issue_pin const&) = delete;
-    issue_pin& operator=(issue_pin const&) = delete;
-    ~issue_pin() { release(); }
-
-    [[nodiscard]] dep_record* records() const noexcept {
-        return recs_.get();
-    }
 
 private:
-    void release() noexcept {
-        if (s_ != nullptr) {
-            s_->unpin();
-            s_ = nullptr;
+    /// Replace the table with `p` fresh records (caller holds mtx). The
+    /// old table's failed nodes ride along as (completed) readers of
+    /// every new record, like the future chains rethrowing a
+    /// dependency's exception. A carried node sits in every record of
+    /// the table it was carried into, so it is collected once, not once
+    /// per record: seeding duplicates back would multiply the carried
+    /// set by the partition count on every resize.
+    void rebuild(std::size_t p) {
+        std::vector<node_ref> failed;
+        std::vector<node_ref> nodes;
+        for (std::size_t i = 0; i < count; ++i) {
+            recs[i].snapshot(nodes);
+            for (auto const& n : nodes) {
+                if (n->failed() &&
+                    std::none_of(failed.begin(), failed.end(),
+                                 [&](node_ref const& f) {
+                                     return f.get() == n.get();
+                                 })) {
+                    failed.push_back(n);
+                }
+            }
         }
-        recs_.reset();
+        auto next = std::shared_ptr<dep_record[]>(new dep_record[p]);
+        for (std::size_t i = 0; i < p; ++i) {
+            next[i].readers = failed;
+        }
+        recs = std::move(next);
+        count = p;
     }
-
-    dep_state* s_ = nullptr;
-    std::shared_ptr<dep_record[]> recs_;
 };
 
-/// One (record, access) pair of a loop being issued. The backend merges
-/// duplicate dats before issuing (write dominates), so each record
-/// appears at most once per sub-node. `loop`/`color` carry the
-/// same-colour exemption tag: `loop` is the issuing loop's nonzero id
-/// (one per issue) and `color` the sub-node's plan colour.
+/// One (record, access) pair of a sub-node being issued. A record may
+/// appear more than once (two arguments reaching one dat partition);
+/// issue() merges the duplicates, write dominating. `loop`/`color` carry
+/// the same-colour exemption tag: `loop` is the issuing loop's nonzero
+/// id (one per issue) and `color` the sub-node's plan colour.
 struct dep_request {
     dep_record* rec = nullptr;
     bool write = false;
@@ -877,90 +770,133 @@ struct dep_request {
     std::uint32_t color = 0;
 };
 
-/// Wire `n` into the graph under each record's lock (issue order defines
+namespace detail {
+
+/// Wire `n` into one record (the caller holds the record's lock): a
+/// writer edges on the current epoch and opens or joins a same-loop
+/// burst, a reader edges on the current writers.
+inline void wire(dataflow_node& n, dep_request const& rq) {
+    dep_record& r = *rq.rec;
+    if (rq.write) {
+        if (r.burst_loop == rq.loop) {
+            // Same-loop burst member: inherit the displaced epoch's
+            // WAW/WAR edges, order after readers that slipped in
+            // mid-burst (a concurrent issuer), and after
+            // different-colour members — but NOT after same-colour
+            // members, which the global colouring proves
+            // conflict-free. This missing edge is the exemption.
+            for (auto const& p : r.prev) {
+                n.depend_on(*p);
+            }
+            for (auto const& rd : r.readers) {
+                n.depend_on(*rd);
+            }
+            for (auto const& w : r.writers) {
+                if (w.color != rq.color) {
+                    n.depend_on(*w.node);
+                }
+            }
+            r.writers.push_back({node_ref(&n), rq.color});
+        } else {
+            for (auto const& w : r.writers) {
+                n.depend_on(*w.node);  // WAW
+            }
+            for (auto const& rd : r.readers) {
+                n.depend_on(*rd);  // WAR
+            }
+            // Opening a burst: keep the displaced epoch (its writers
+            // AND readers) alive, so later members inherit the same
+            // WAW/WAR edges and errors this opener just took.
+            r.prev.clear();
+            r.prev.reserve(r.writers.size() + r.readers.size());
+            for (auto& w : r.writers) {
+                r.prev.push_back(std::move(w.node));
+            }
+            for (auto& rd : r.readers) {
+                r.prev.push_back(std::move(rd));
+            }
+            r.readers.clear();
+            r.writers.clear();
+            r.writers.push_back({node_ref(&n), rq.color});
+            r.burst_loop = rq.loop;
+            ++r.epoch;
+        }
+    } else {
+        for (auto const& w : r.writers) {
+            n.depend_on(*w.node);  // RAW
+        }
+        // Readers of a never-rewritten dat would otherwise pile up
+        // for the life of the program (read-only dats like airfoil's
+        // coordinates are read by every iteration): drop completed
+        // readers while we hold the lock anyway. In-flight readers
+        // stay (WAR correctness), and *failed* readers stay too — a
+        // future writer must still inherit their error through its
+        // WAR edge, exactly as the future chains rethrew it.
+        std::erase_if(r.readers, [](node_ref const& rd) {
+            return rd->done() && !rd->failed();
+        });
+        // Same hygiene for the write side: a dat written once by a
+        // loop and then only read would pin the burst's
+        // writers and the displaced epoch (`prev`) for the rest of
+        // the program. Completed healthy entries create no edges
+        // anyway (depend_on is a no-op on done predecessors);
+        // failed ones stay for error inheritance.
+        std::erase_if(r.writers, [](dep_writer const& w) {
+            return w.node->done() && !w.node->failed();
+        });
+        std::erase_if(r.prev, [](node_ref const& p) {
+            return p->done() && !p->failed();
+        });
+        r.readers.emplace_back(&n);
+    }
+}
+
+}  // namespace detail
+
+/// Wire `n` into the graph under its records' locks (issue order defines
 /// program order), then drop the issue guard so it runs as soon as its
 /// dependencies allow — possibly immediately, possibly never touching a
 /// future or allocating anything.
-inline void issue(dataflow_node& n, std::span<dep_request const> reqs,
+///
+/// Every record is locked before any is updated, in address order (the
+/// order every issuer shares, so two never deadlock), which makes the
+/// node's wiring one atomic step: each edge then runs from an
+/// earlier-wired node to a later one, so issuers on several threads
+/// sharing dats cannot close a cycle. Wired one record at a time, a node
+/// could land after another thread's node on one record and before it
+/// on the next — each waiting on the other forever. `reqs` is sorted
+/// and merged in place.
+inline void issue(dataflow_node& n, std::span<dep_request> reqs,
                   hpxlite::threads::thread_pool& pool) {
+    std::ranges::sort(reqs, {}, &dep_request::rec);
+    std::size_t m = 0;
+    for (auto const& rq : reqs) {
+        if (m > 0 && reqs[m - 1].rec == rq.rec) {
+            reqs[m - 1].write = reqs[m - 1].write || rq.write;
+        } else {
+            reqs[m++] = rq;
+        }
+    }
+    reqs = reqs.first(m);
     // The pool must be bound before the first record publishes the node:
     // a fence on another thread may pick the ref up and wait() on it
     // while this loop is still running.
     n.bind_pool(pool);
     for (auto const& rq : reqs) {
-        dep_record& r = *rq.rec;
-        std::lock_guard<hpxlite::util::spinlock> lk(r.mtx);
-        if (rq.write) {
-            if (r.burst_loop == rq.loop) {
-                // Same-loop burst member: inherit the displaced epoch's
-                // WAW/WAR edges, order after readers that slipped in
-                // mid-burst (a concurrent issuer), and after
-                // different-colour members — but NOT after same-colour
-                // members, which the global colouring proves
-                // conflict-free. This missing edge is the exemption.
-                for (auto const& p : r.prev) {
-                    n.depend_on(*p);
-                }
-                for (auto const& rd : r.readers) {
-                    n.depend_on(*rd);
-                }
-                for (auto const& w : r.writers) {
-                    if (w.color != rq.color) {
-                        n.depend_on(*w.node);
-                    }
-                }
-                r.writers.push_back({node_ref(&n), rq.color});
-            } else {
-                for (auto const& w : r.writers) {
-                    n.depend_on(*w.node);  // WAW
-                }
-                for (auto const& rd : r.readers) {
-                    n.depend_on(*rd);  // WAR
-                }
-                // Opening a burst: keep the displaced epoch (its writers
-                // AND readers) alive, so later members inherit the same
-                // WAW/WAR edges and errors this opener just took.
-                r.prev.clear();
-                r.prev.reserve(r.writers.size() + r.readers.size());
-                for (auto& w : r.writers) {
-                    r.prev.push_back(std::move(w.node));
-                }
-                for (auto& rd : r.readers) {
-                    r.prev.push_back(std::move(rd));
-                }
-                r.readers.clear();
-                r.writers.clear();
-                r.writers.push_back({node_ref(&n), rq.color});
-                r.burst_loop = rq.loop;
-                ++r.epoch;
+        rq.rec->mtx.lock();
+    }
+    struct unlock_all {
+        std::span<dep_request> reqs;
+        ~unlock_all() {
+            for (auto const& rq : reqs) {
+                rq.rec->mtx.unlock();
             }
-        } else {
-            for (auto const& w : r.writers) {
-                n.depend_on(*w.node);  // RAW
-            }
-            // Readers of a never-rewritten dat would otherwise pile up
-            // for the life of the program (read-only dats like airfoil's
-            // coordinates are read by every iteration): drop completed
-            // readers while we hold the lock anyway. In-flight readers
-            // stay (WAR correctness), and *failed* readers stay too — a
-            // future writer must still inherit their error through its
-            // WAR edge, exactly as the future chains rethrew it.
-            std::erase_if(r.readers, [](node_ref const& rd) {
-                return rd->done() && !rd->failed();
-            });
-            // Same hygiene for the write side: a dat written once by a
-            // loop and then only read would pin the burst's
-            // writers and the displaced epoch (`prev`) for the rest of
-            // the program. Completed healthy entries create no edges
-            // anyway (depend_on is a no-op on done predecessors);
-            // failed ones stay for error inheritance.
-            std::erase_if(r.writers, [](dep_writer const& w) {
-                return w.node->done() && !w.node->failed();
-            });
-            std::erase_if(r.prev, [](node_ref const& p) {
-                return p->done() && !p->failed();
-            });
-            r.readers.emplace_back(&n);
+        }
+    };
+    {
+        unlock_all const locked{reqs};
+        for (auto const& rq : reqs) {
+            detail::wire(n, rq);
         }
     }
     n.schedule();

@@ -3,7 +3,6 @@
 #include <cstddef>
 
 #include <hpxlite/execution/chunkers.hpp>
-#include <hpxlite/threads/thread_pool.hpp>
 #include <op2/exec/backend_kind.hpp>
 
 namespace op2 {
@@ -32,24 +31,6 @@ struct loop_options {
     /// Prefetch lookahead in cache lines (the paper's
     /// prefetch_distance_factor; ~15 is the Airfoil sweet spot).
     std::size_t prefetch_distance_factor = 15;
-
-    /// Execution granularity of the hpx_dataflow backend: each colour of
-    /// the loop's plan is cut into this many slices, the loop is issued
-    /// as one graph sub-node per non-empty (colour, slice) plus a join,
-    /// and dats track dependencies in this many partitions, so
-    /// independent parts of *dependent* loops overlap in the epoch
-    /// graph. Slice k of every colour carries the worker hint
-    /// k % pool_size, so a region's working set keeps landing on the
-    /// same worker across colours and loops (stealing still
-    /// rebalances). 0 means "one per pool worker"; 1 is one slice per
-    /// colour, so the colours run one sub-node at a time. The plan is
-    /// the staged backend's; only its slicing is per count. The seq and
-    /// staged backends ignore this field: they are synchronous, so there
-    /// is no graph to scope.
-    std::size_t partitions = 0;
-
-    /// Pool override; nullptr uses the global hpxlite pool.
-    hpxlite::threads::thread_pool* pool = nullptr;
 };
 
 }  // namespace op2

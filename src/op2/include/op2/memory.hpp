@@ -1,27 +1,17 @@
 #pragma once
 
 // Memory layer for dat storage (and the checkpoint buffers built on the
-// same allocation):
-//
-//  * aligned_buffer — the storage every dat allocates through: the base
-//    is 64-byte (cache-line) aligned and the capacity is padded to a
-//    whole number of cache lines, so two dats never share a line.
-//  * partition touch ranges and copy_partitions — checkpoint snapshots
-//    and rollback restores copy a dat one set partition at a time on
-//    worker p % pool_size, the worker the dataflow backend's placement
-//    hint keeps sending partition p's sub-nodes to.
-//    Touch ranges are padded to cache lines with a boundary-straddling
-//    line owned by the lower partition, so no line is written by two
-//    copy tasks.
+// same allocation): aligned_buffer, the storage every dat allocates
+// through. Its base is 64-byte (cache-line) aligned and its capacity is
+// padded to a whole number of cache lines, so two dats never share a
+// line.
 
 #include <cstddef>
 #include <new>
 #include <utility>
 
 #include <hpxlite/config.hpp>
-#include <hpxlite/threads/thread_pool.hpp>
 #include <op2/fault.hpp>
-#include <op2/set.hpp>
 
 namespace op2::memory {
 
@@ -83,38 +73,5 @@ private:
     std::size_t size_ = 0;
     std::size_t capacity_ = 0;
 };
-
-// --- partition touch ranges ------------------------------------------
-
-/// The byte range of a dat (element stride `stride`) that partition `p`
-/// of `part` owns for copying purposes: its element range scaled to
-/// bytes, then padded to cache lines. A line straddling the partition
-/// boundary belongs to the *lower* partition (lo rounds up, hi rounds
-/// up), so across p the ranges are disjoint, line-granular away from the
-/// buffer ends, and cover [0, total) exactly. Every non-empty range
-/// therefore starts 64-byte aligned except possibly range 0, which
-/// starts at the (aligned) buffer base anyway.
-struct touch_range {
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    [[nodiscard]] std::size_t size() const noexcept { return hi - lo; }
-};
-
-[[nodiscard]] touch_range partition_touch_range(set_partition const& part,
-                                                std::size_t p,
-                                                std::size_t stride,
-                                                std::size_t total);
-
-/// Copy `total` bytes from `src` to `dst` with one task per partition
-/// of `part`, fanned through the pool's affinity inbox of worker
-/// p % pool.size() — the mapping the dataflow placement hint uses — and
-/// wait for all of them. Checkpoint snapshots and rollback restores go
-/// through this, so a partition's snapshot bytes are read/written by
-/// the worker that owns the partition's cache lines. Falls back to one
-/// inline memcpy when called from a pool worker (waiting on own-inbox
-/// tasks would deadlock) or when the set is empty.
-void copy_partitions(std::byte* dst, std::byte const* src, std::size_t total,
-                     set_partition const& part, std::size_t stride,
-                     hpxlite::threads::thread_pool& pool);
 
 }  // namespace op2::memory

@@ -9,12 +9,12 @@ namespace op2 {
 
 /// HPX dataflow backend (the paper's contribution, Section IV): the loop
 /// is *issued*, not executed — it enters the epoch graph as one
-/// intrusive sub-node per (colour, slice) of its plan (opts.partitions
-/// slices per colour, one per pool worker by default) and each sub-node
-/// runs as soon as the dat *partitions* it touches are ready.
-/// Independent loops — and independent parts of *dependent* loops —
-/// interleave
-/// automatically; there is no global barrier, and — unlike PR 1's
+/// intrusive sub-node per (colour, slice) of its plan (one slice per
+/// worker of the global pool per colour, slice k hinted to worker k)
+/// and each sub-node runs as soon as the dat *partitions* it touches are
+/// ready. Independent loops — and independent parts of *dependent*
+/// loops — interleave automatically; there is no global barrier, and —
+/// unlike PR 1's
 /// future chains — no future/shared-state allocation per dat per loop.
 /// Thin wrapper over the exec layer (opts.backend = hpx_dataflow).
 ///

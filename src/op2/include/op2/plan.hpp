@@ -57,7 +57,10 @@ struct slice_footprint {
 /// blkmap[cut[s], cut[s + 1]). Slices of one colour never conflict (the
 /// plan's colouring), so they can all run at once; `nparts` also sets
 /// the granularity of the dats' dependency records the footprints name.
-/// Built once per (plan, nparts) by plan_slices and kept with the plan.
+/// The dataflow backend cuts at the global pool's worker count. Built
+/// once per (plan, nparts) by plan_slices and kept with the plan: a
+/// process that re-creates its pool at another size gets a second
+/// slicing of the same plan.
 struct plan_slicing {
     std::size_t nparts = 1;
     std::vector<std::size_t> cut;  // [ncolors * nparts + 1] into blkmap

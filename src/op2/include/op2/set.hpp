@@ -12,8 +12,8 @@ namespace op2 {
 /// A contiguous block partitioning of a set's index space [0, size) into
 /// `count` near-equal ranges. This is the granularity of the dataflow
 /// backend's dependency tracking: dats keep one dependency record per
-/// partition, and a loop's colour slices name the partitions they reach
-/// (op2/plan.hpp: plan_slicing).
+/// partition, one per worker of the global pool, and a loop's colour
+/// slices name the partitions they reach (op2/plan.hpp: plan_slicing).
 /// Bounds derive deterministically from (size, count), so two sets of
 /// equal size partitioned to the same count agree element-for-element.
 struct set_partition {
@@ -86,7 +86,8 @@ public:
     }
 
     /// The set's block partition at `count` granularity (cached on the
-    /// set; the returned descriptor is immutable and shared). Throws on
+    /// set per count, since a process can re-create its pool at another
+    /// size; the returned descriptor is immutable and shared). Throws on
     /// an invalid handle or count == 0.
     [[nodiscard]] std::shared_ptr<set_partition const> partition(
         std::size_t count) const;

@@ -1,8 +1,8 @@
 #include <op2/exec/checkpoint.hpp>
 
+#include <cstring>
 #include <stdexcept>
 
-#include <hpxlite/runtime.hpp>
 #include <op2/runtime.hpp>
 
 namespace op2::exec {
@@ -35,18 +35,11 @@ void checkpoint::capture(std::vector<op_dat> const& dats) {
     for (entry const& e : entries_) {
         op_fence(e.dat);
     }
-    auto& pool = hpxlite::get_pool();
     for (entry& e : entries_) {
         auto const& di = e.dat.internal();
-        if (di.data.empty()) {
-            continue;
+        if (!di.data.empty()) {
+            std::memcpy(e.copy.data(), di.data.data(), di.data.size());
         }
-        std::size_t const stride =
-            static_cast<std::size_t>(di.dim) * di.elem_bytes;
-        memory::copy_partitions(e.copy.data(), di.data.data(),
-                                di.data.size(),
-                                *di.set.partition(pool.size()), stride,
-                                pool);
     }
 }
 
@@ -59,20 +52,11 @@ void checkpoint::rollback() {
     // and reset() below forgets those records wholesale.
     op_fence_all();
     for (entry& e : entries_) {
-        e.dat.internal().dep.reset();
-    }
-    auto& pool = hpxlite::get_pool();
-    for (entry& e : entries_) {
         auto& di = e.dat.internal();
-        if (di.data.empty()) {
-            continue;
+        di.dep.reset();
+        if (!di.data.empty()) {
+            std::memcpy(di.data.data(), e.copy.data(), di.data.size());
         }
-        std::size_t const stride =
-            static_cast<std::size_t>(di.dim) * di.elem_bytes;
-        memory::copy_partitions(di.data.data(), e.copy.data(),
-                                di.data.size(),
-                                *di.set.partition(pool.size()), stride,
-                                pool);
     }
 }
 

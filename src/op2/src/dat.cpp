@@ -67,8 +67,8 @@ void fence_dat(dat_impl& di) {
     // Snapshot each partition record's nodes under its lock, wait
     // outside it (waiting helps the pool, so holding the lock could
     // deadlock the very loops being waited for). The owning table
-    // snapshot keeps the records alive across a concurrent
-    // re-partition.
+    // snapshot keeps the records alive should the table be rebuilt
+    // meanwhile.
     auto const [recs, count] = di.dep.table();
     std::vector<exec::node_ref> nodes;
     for (std::size_t p = 0; p < count; ++p) {

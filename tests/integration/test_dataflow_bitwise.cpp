@@ -8,8 +8,8 @@
 // dataflow backend issues each loop as colour slices of the plan the
 // staged backend sweeps, orders every shared target's increments by
 // colour and folds reduction partials in block order, so its dats and
-// gbl results must equal staged's exactly, at every pool size and
-// partition count, and two dataflow runs must equal each other.
+// gbl results must equal staged's exactly, at every pool size (so at
+// every slice count), and two dataflow runs must equal each other.
 
 #include <gtest/gtest.h>
 
@@ -28,10 +28,6 @@ using namespace op2;
 
 namespace {
 
-/// Explicit partition counts: one slice per colour, even and odd counts,
-/// and more slices than some colours have blocks.
-constexpr std::size_t kPartitions[] = {1, 2, 3, 5, 8};
-
 template <typename T>
 bool same_bits(std::vector<T> const& a, std::vector<T> const& b) {
     return a.size() == b.size() &&
@@ -47,14 +43,13 @@ struct march_case {
 
 constexpr march_case kMarches[] = {{48, 24, 200}, {97, 31, 50}};
 
-airfoil::app_result march(march_case m, backend be, std::size_t partitions) {
+airfoil::app_result march(march_case m, backend be) {
     airfoil::app_config cfg;
     cfg.mesh.nx = m.nx;
     cfg.mesh.ny = m.ny;
     cfg.niter = m.niter;
     cfg.rms_stride = 10;
     cfg.be = be;
-    cfg.opts.partitions = partitions;
     return airfoil::run(cfg);
 }
 
@@ -69,23 +64,22 @@ protected:
 
 TEST_P(DataflowStagedBitwise, AirfoilMarchMatchesStaged) {
     march_case const m = kMarches[std::get<1>(GetParam())];
-    auto const ref = march(m, backend::fork_join, 0);
-    for (std::size_t parts : kPartitions) {
-        auto const a = march(m, backend::hpx, parts);
-        auto const b = march(m, backend::hpx, parts);
-        EXPECT_TRUE(same_bits(a.q_final, ref.q_final))
-            << "q differs from staged at " << parts << " partitions";
-        EXPECT_TRUE(same_bits(a.rms_history, ref.rms_history))
-            << "rms differs from staged at " << parts << " partitions";
-        EXPECT_TRUE(same_bits(a.q_final, b.q_final) &&
-                    same_bits(a.rms_history, b.rms_history))
-            << "two hpx runs differ at " << parts << " partitions";
-    }
+    auto const ref = march(m, backend::fork_join);
+    auto const a = march(m, backend::hpx);
+    auto const b = march(m, backend::hpx);
+    EXPECT_TRUE(same_bits(a.q_final, ref.q_final)) << "q differs from staged";
+    EXPECT_TRUE(same_bits(a.rms_history, ref.rms_history))
+        << "rms differs from staged";
+    EXPECT_TRUE(same_bits(a.q_final, b.q_final) &&
+                same_bits(a.rms_history, b.rms_history))
+        << "two hpx runs differ";
 }
 
+/// Pool sizes: one slice per colour, even and odd counts, and more
+/// slices than some colours have blocks.
 INSTANTIATE_TEST_SUITE_P(
     Pools, DataflowStagedBitwise,
-    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u),
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 5u, 8u),
                        ::testing::Values(0, 1)));
 
 // --- a random indirect INC/RW program -------------------------------------
@@ -99,7 +93,7 @@ struct program_out {
     std::vector<double> a, b, c, gbl;
 };
 
-program_out run_program(unsigned seed, backend be, std::size_t partitions) {
+program_out run_program(unsigned seed, backend be) {
     constexpr std::size_t kCells = 700;
     constexpr std::size_t kEdges = 2100;
     constexpr int kRounds = 4;
@@ -131,7 +125,6 @@ program_out run_program(unsigned seed, backend be, std::size_t partitions) {
     std::vector<double> gbl(5 * kRounds);
     loop_options o;
     o.backend = to_exec_backend(be);
-    o.partitions = partitions;
     o.part_size = 32;
     for (int r = 0; r < kRounds; ++r) {
         double* g = gbl.data() + 5 * r;
@@ -198,26 +191,21 @@ protected:
 
 TEST_P(DataflowStagedBitwiseProgram, RandomIncRwProgramMatchesStaged) {
     for (unsigned seed : {5u, 19u}) {
-        auto const ref = run_program(seed, backend::fork_join, 0);
-        for (std::size_t parts : kPartitions) {
-            auto const x = run_program(seed, backend::hpx, parts);
-            auto const y = run_program(seed, backend::hpx, parts);
-            EXPECT_TRUE(same_bits(x.a, ref.a) && same_bits(x.b, ref.b) &&
-                        same_bits(x.c, ref.c))
-                << "dats differ from staged (seed " << seed << ", " << parts
-                << " partitions)";
-            EXPECT_TRUE(same_bits(x.gbl, ref.gbl))
-                << "gbl results differ from staged (seed " << seed << ", "
-                << parts << " partitions)";
-            EXPECT_TRUE(same_bits(x.a, y.a) && same_bits(x.b, y.b) &&
-                        same_bits(x.c, y.c) && same_bits(x.gbl, y.gbl))
-                << "two hpx runs differ (seed " << seed << ", " << parts
-                << " partitions)";
-        }
+        auto const ref = run_program(seed, backend::fork_join);
+        auto const x = run_program(seed, backend::hpx);
+        auto const y = run_program(seed, backend::hpx);
+        EXPECT_TRUE(same_bits(x.a, ref.a) && same_bits(x.b, ref.b) &&
+                    same_bits(x.c, ref.c))
+            << "dats differ from staged (seed " << seed << ")";
+        EXPECT_TRUE(same_bits(x.gbl, ref.gbl))
+            << "gbl results differ from staged (seed " << seed << ")";
+        EXPECT_TRUE(same_bits(x.a, y.a) && same_bits(x.b, y.b) &&
+                    same_bits(x.c, y.c) && same_bits(x.gbl, y.gbl))
+            << "two hpx runs differ (seed " << seed << ")";
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Pools, DataflowStagedBitwiseProgram,
-                         ::testing::Values(1u, 2u, 3u, 4u));
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 8u));
 
 }  // namespace

@@ -48,10 +48,9 @@ std::vector<double> concat(op_dat const& a, op_dat const& b) {
     return out;
 }
 
-loop_options chain_opts(exec::backend_kind be, std::size_t parts = 4) {
+loop_options chain_opts(exec::backend_kind be) {
     loop_options o;
     o.backend = be;
-    o.partitions = parts;
     o.part_size = 48;
     return o;
 }
@@ -354,12 +353,13 @@ protected:
 /// Loops on two different iteration sets, issued alternately with no
 /// fence in between: each set's chain keeps its own program order.
 TEST_F(DataflowChains, LoopsOnDifferentSetsInterleaveCorrectly) {
+    hpxlite::init(hpxlite::runtime_config{2});
     auto cells = op_decl_set(400, "cells");
     auto nodes = op_decl_set(300, "nodes");
     auto dc = op_decl_dat_zero<double>(cells, 1, "double", "dc");
     auto dn = op_decl_dat_zero<double>(nodes, 1, "double", "dn");
 
-    loop_options const o = chain_opts(exec::backend_kind::hpx_dataflow, 2);
+    loop_options const o = chain_opts(exec::backend_kind::hpx_dataflow);
     for (int it = 0; it < 5; ++it) {
         (void)exec::run_loop(o, "on_cells", cells,
                              [](double* x) { *x = *x * 2.0 + 1.0; },
@@ -380,18 +380,16 @@ TEST_F(DataflowChains, LoopsOnDifferentSetsInterleaveCorrectly) {
 
 /// Issued work becomes observable at each documented wait point: the
 /// loop's own handle (then a per-dat fence), op_fence_all, and across a
-/// change of partition count, where the re-partitioned issue must still
-/// run after the loop before it.
+/// re-creation of the pool at another size, which drains the old pool,
+/// so the first loop on the new pool still runs after the loop before
+/// it.
 TEST_F(DataflowChains, ResultsVisibleAtEveryWaitPoint) {
+    hpxlite::init(hpxlite::runtime_config{2});
     auto cells = op_decl_set(200, "cells");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
-    loop_options const two = chain_opts(exec::backend_kind::hpx_dataflow, 2);
-    loop_options const three =
-        chain_opts(exec::backend_kind::hpx_dataflow, 3);
-    loop_options const whole =
-        chain_opts(exec::backend_kind::hpx_dataflow, 1);
+    loop_options const o = chain_opts(exec::backend_kind::hpx_dataflow);
 
-    auto h = exec::run_loop(two, "w1", cells, [](double* x) { *x += 1.0; },
+    auto h = exec::run_loop(o, "w1", cells, [](double* x) { *x += 1.0; },
                             op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
     h.get();
     op_fence(d);
@@ -399,18 +397,20 @@ TEST_F(DataflowChains, ResultsVisibleAtEveryWaitPoint) {
         ASSERT_EQ(x, 1.0);
     }
 
-    (void)exec::run_loop(two, "w2", cells, [](double* x) { *x += 1.0; },
+    (void)exec::run_loop(o, "w2", cells, [](double* x) { *x += 1.0; },
                          op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
     op_fence_all();
     for (double x : d.view<double>()) {
         ASSERT_EQ(x, 2.0);
     }
 
-    (void)exec::run_loop(two, "w3", cells, [](double* x) { *x += 1.0; },
+    (void)exec::run_loop(o, "w3", cells, [](double* x) { *x += 1.0; },
                          op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
-    (void)exec::run_loop(three, "w4", cells, [](double* x) { *x *= 3.0; },
+    hpxlite::init(hpxlite::runtime_config{3});
+    (void)exec::run_loop(o, "w4", cells, [](double* x) { *x *= 3.0; },
                          op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
-    (void)exec::run_loop(whole, "w5", cells, [](double* x) { *x -= 4.0; },
+    hpxlite::init(hpxlite::runtime_config{1});
+    (void)exec::run_loop(o, "w5", cells, [](double* x) { *x -= 4.0; },
                          op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
     op_fence_all();
     for (double x : d.view<double>()) {
@@ -427,8 +427,9 @@ TEST_F(DataflowChains, FaultPoisonsOnlyTheFailingLoopsWrites) {
     auto da = op_decl_dat_zero<double>(cells, 1, "double", "da");
     auto db = op_decl_dat_zero<double>(cells, 1, "double", "db");
 
+    hpxlite::init(hpxlite::runtime_config{2});
     fault::arm("kernel=pb@*.*");
-    loop_options const o = chain_opts(exec::backend_kind::hpx_dataflow, 2);
+    loop_options const o = chain_opts(exec::backend_kind::hpx_dataflow);
     auto ha = exec::run_loop(o, "pa", cells, [](double* x) { *x += 1.0; },
                              op_arg_dat(da, -1, OP_ID, 1, "double", OP_RW));
     auto hb = exec::run_loop(o, "pb", cells, [](double* x) { *x += 2.0; },

@@ -34,8 +34,9 @@ namespace {
 /// Mini-airfoil: the five-loop time-march chain of the paper's Fig. 2
 /// (save_soln / adt_calc / res_calc / update shapes) over a random
 /// edges->cells mesh, issued iteration after iteration with *no*
-/// intermediate fence on the dataflow backend. Iteration i issues its
-/// loops at partition count counts[i % counts.size()].
+/// intermediate fence on the dataflow backend, or, given pool sizes,
+/// with iteration i as a fenced phase on a pool of
+/// workers[i % workers.size()] workers.
 struct airfoil_shaped {
     static constexpr std::size_t kCells = 600;
     static constexpr std::size_t kEdges = 1700;
@@ -74,7 +75,7 @@ struct airfoil_shaped {
     };
 
     outcome run(exec::backend_kind be, int iters,
-                std::vector<std::size_t> const& counts = {0}) {
+                std::vector<std::size_t> const& workers = {}) {
         auto qv = q.view<double>();
         std::copy(q_init.begin(), q_init.end(), qv.begin());
         for (auto& x : qold.view<double>()) x = 0.0;
@@ -90,8 +91,11 @@ struct airfoil_shaped {
         // airfoil driver: the whole pipeline stays in flight.
         std::vector<double> rms(static_cast<std::size_t>(iters), 0.0);
         for (int it = 0; it < iters; ++it) {
-            o.partitions =
-                counts[static_cast<std::size_t>(it) % counts.size()];
+            if (!workers.empty()) {
+                op_fence_all();
+                hpxlite::init(hpxlite::runtime_config{
+                    workers[static_cast<std::size_t>(it) % workers.size()]});
+            }
             (void)exec::run_loop(o, "save_soln", cells,
                                  [](double const* qq, double* qo) {
                                      qo[0] = qq[0];
@@ -172,26 +176,27 @@ TEST_P(DataflowDifferential, AirfoilShapedChainMatchesSeqBitwise) {
     EXPECT_EQ(got.rms, ref.rms);
 }
 
-/// Explicit partition counts against seq: same chain, same seeds,
-/// bitwise-identical state. One partition runs each loop's colours one
-/// sub-node at a time; odd counts exercise uneven partition bounds and
+/// Other pool sizes against seq: same chain, same seeds,
+/// bitwise-identical state. One worker runs each loop's colours one
+/// sub-node at a time; odd sizes exercise uneven partition bounds and
 /// boundary-straddling map footprints, and the same-colour exemption
 /// on res_calc's straddling INC partitions.
 TEST_P(DataflowDifferential, PartitionedChainMatchesSeqBitwise) {
     airfoil_shaped prog(GetParam());
     auto oracle = prog.run(exec::backend_kind::seq, 4);
-    for (std::size_t parts : {1u, 2u, 3u, 5u}) {
-        auto got = prog.run(exec::backend_kind::hpx_dataflow, 4, {parts});
+    for (std::size_t workers : {1u, 2u, 3u, 5u}) {
+        hpxlite::init(hpxlite::runtime_config{workers});
+        auto got = prog.run(exec::backend_kind::hpx_dataflow, 4);
         ASSERT_EQ(got.q.size(), oracle.q.size());
         EXPECT_EQ(std::memcmp(got.q.data(), oracle.q.data(),
                               oracle.q.size() * sizeof(double)),
                   0)
-            << "state q diverged at " << parts << " partitions";
+            << "state q diverged at " << workers << " workers";
         EXPECT_EQ(std::memcmp(got.res.data(), oracle.res.data(),
                               oracle.res.size() * sizeof(double)),
                   0)
-            << "residual diverged at " << parts << " partitions";
-        EXPECT_EQ(got.rms, oracle.rms) << parts << " partitions";
+            << "residual diverged at " << workers << " workers";
+        EXPECT_EQ(got.rms, oracle.rms) << workers << " workers";
     }
 }
 
@@ -207,8 +212,7 @@ TEST_P(DataflowDifferential, RandomLoopDagMatchesSeqAndEpochCount) {
 
     auto run = [&](exec::backend_kind be,
                    std::vector<std::vector<double>>* snapshot,
-                   std::vector<std::uint64_t>* epochs,
-                   std::size_t partitions = 0) {
+                   std::vector<std::uint64_t>* epochs) {
         auto set = op_decl_set(kElems, "elems");
         std::vector<op_dat> dats;
         for (int k = 0; k < kDats; ++k) {
@@ -227,7 +231,6 @@ TEST_P(DataflowDifferential, RandomLoopDagMatchesSeqAndEpochCount) {
         loop_options o;
         o.part_size = 32;
         o.backend = be;
-        o.partitions = partitions;
         for (int l = 0; l < kLoops; ++l) {
             int const r1 = pick(rng);
             int r2 = pick(rng);
@@ -274,19 +277,19 @@ TEST_P(DataflowDifferential, RandomLoopDagMatchesSeqAndEpochCount) {
     std::vector<std::vector<double>> ref, got;
     std::vector<std::uint64_t> epochs;
     run(exec::backend_kind::seq, &ref, nullptr);
-    // Default granularity (one partition per pool worker), one
-    // partition, and an uneven explicit count: all must replay the
-    // issue order's semantics bitwise, and all must count writer loops
+    // Four workers, one, and an uneven count: all must replay the issue
+    // order's semantics bitwise, and all must count writer loops
     // identically in the dat-level epochs.
-    for (std::size_t parts : {0u, 1u, 5u}) {
-        run(exec::backend_kind::hpx_dataflow, &got, &epochs, parts);
+    for (std::size_t workers : {4u, 1u, 5u}) {
+        hpxlite::init(hpxlite::runtime_config{workers});
+        run(exec::backend_kind::hpx_dataflow, &got, &epochs);
         ASSERT_EQ(ref.size(), got.size());
         for (std::size_t k = 0; k < ref.size(); ++k) {
             EXPECT_EQ(std::memcmp(got[k].data(), ref[k].data(),
                                   ref[k].size() * sizeof(double)),
                       0)
                 << "dat " << k << " diverged under the randomized DAG at "
-                << parts << " partitions";
+                << workers << " workers";
         }
     }
 }
@@ -295,7 +298,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DataflowDifferential,
                          ::testing::Values(2u, 11u, 23u, 41u, 67u));
 
 /// OP_INC where every contribution lands in another partition (edge e
-/// targets cell (e + kN/2) mod kN, two partitions of 4 away), followed
+/// targets cell (e + kN/2) mod kN, two partitions of the fixture's 4
+/// away), followed
 /// by a direct reader that folds the incremented dat into a gbl INC
 /// reduction: the reader must see every cross-partition contribution.
 class DataflowCrossPartitionInc : public DataflowDifferential {};
@@ -330,7 +334,6 @@ TEST_P(DataflowCrossPartitionInc,
         }
         loop_options o;
         o.backend = be;
-        o.partitions = 4;
         o.part_size = 8;
         *sum = 0.0;
         (void)exec::run_loop(o, "cross_inc", edges, scatter,
@@ -360,42 +363,44 @@ TEST_P(DataflowCrossPartitionInc,
 INSTANTIATE_TEST_SUITE_P(Seeds, DataflowCrossPartitionInc,
                          ::testing::Values(3u, 17u, 29u, 53u));
 
-/// More partitions than pool workers (6, 8 and 12 over 4 workers), so
-/// affinity placement wraps several partitions onto each worker, plus
-/// one partition, whose sub-nodes all carry worker 0's hint: the
-/// airfoil-shaped chain must stay bitwise identical to seq.
-class DataflowWrappedPartitions : public DataflowDifferential {};
+/// Pools wider than the 4-worker default (6, 8 and 12 workers), so a
+/// colour is cut into more slices than it has blocks and many slices
+/// are empty, plus one worker, whose sub-nodes all carry worker 0's
+/// hint: the airfoil-shaped chain must stay bitwise identical to seq.
+class DataflowManyWorkers : public DataflowDifferential {};
 
-TEST_P(DataflowWrappedPartitions, AirfoilShapedChainMatchesSeqBitwise) {
+TEST_P(DataflowManyWorkers, AirfoilShapedChainMatchesSeqBitwise) {
     airfoil_shaped prog(GetParam());
     auto oracle = prog.run(exec::backend_kind::seq, 4);
-    for (std::size_t parts : {1u, 6u, 8u, 12u}) {
-        auto got = prog.run(exec::backend_kind::hpx_dataflow, 4, {parts});
+    for (std::size_t workers : {1u, 6u, 8u, 12u}) {
+        hpxlite::init(hpxlite::runtime_config{workers});
+        auto got = prog.run(exec::backend_kind::hpx_dataflow, 4);
         ASSERT_EQ(got.q.size(), oracle.q.size());
         EXPECT_EQ(std::memcmp(got.q.data(), oracle.q.data(),
                               oracle.q.size() * sizeof(double)),
                   0)
-            << "state q diverged at " << parts << " partitions";
+            << "state q diverged at " << workers << " workers";
         EXPECT_EQ(std::memcmp(got.res.data(), oracle.res.data(),
                               oracle.res.size() * sizeof(double)),
                   0)
-            << "residual diverged at " << parts << " partitions";
-        EXPECT_EQ(got.rms, oracle.rms) << parts << " partitions";
+            << "residual diverged at " << workers << " workers";
+        EXPECT_EQ(got.rms, oracle.rms) << workers << " workers";
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DataflowWrappedPartitions,
+INSTANTIATE_TEST_SUITE_P(Seeds, DataflowManyWorkers,
                          ::testing::Values(3u, 17u, 29u, 53u));
 
 /// Randomized DAG mixing direct read-modify-writes with indirect
 /// gathers (OP_READ through the map, OP_INC back through it) and
 /// scatters fed by an indirect read: a dense interleaving of indirect
-/// readers and INC writers over the same dats, issued without a fence.
-/// The program is a function of `seed`; loop l is issued at partition
-/// count counts[l % counts.size()]. Returns every dat's final contents.
+/// readers and INC writers over the same dats, issued without a fence,
+/// or, given pool sizes, as fenced phases of four loops with phase i on
+/// a pool of workers[i % workers.size()] workers. The program is a
+/// function of `seed`. Returns every dat's final contents.
 std::vector<std::vector<double>> random_indirect_dag(
     unsigned seed, exec::backend_kind be,
-    std::vector<std::size_t> const& counts) {
+    std::vector<std::size_t> const& workers = {}) {
     constexpr std::size_t kCells = 192;
     constexpr std::size_t kEdges = 480;
     constexpr int kDats = 4;
@@ -429,7 +434,11 @@ std::vector<std::vector<double>> random_indirect_dag(
     std::uniform_int_distribution<int> pick(0, kDats - 1);
     std::uniform_int_distribution<int> kind(0, 2);
     for (int l = 0; l < kLoops; ++l) {
-        o.partitions = counts[static_cast<std::size_t>(l) % counts.size()];
+        if (!workers.empty() && l % 4 == 0) {
+            op_fence_all();
+            hpxlite::init(hpxlite::runtime_config{
+                workers[static_cast<std::size_t>(l / 4) % workers.size()]});
+        }
         int const r1 = pick(rng);
         int r2 = pick(rng);
         int w = pick(rng);
@@ -496,44 +505,45 @@ void expect_dats_bitwise_equal(std::vector<std::vector<double>> const& ref,
     }
 }
 
-/// The randomized indirect DAG at 5 partitions.
+/// The randomized indirect DAG on five workers.
 class DataflowRandomIndirectDag : public DataflowDifferential {};
 
 TEST_P(DataflowRandomIndirectDag, GatherScatterDagMatchesSeqBitwise) {
     unsigned const seed = GetParam() * 661u + 7u;
+    auto const ref = random_indirect_dag(seed, exec::backend_kind::seq);
+    hpxlite::init(hpxlite::runtime_config{5});
     expect_dats_bitwise_equal(
-        random_indirect_dag(seed, exec::backend_kind::seq, {0}),
-        random_indirect_dag(seed, exec::backend_kind::hpx_dataflow, {5}));
+        ref, random_indirect_dag(seed, exec::backend_kind::hpx_dataflow));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DataflowRandomIndirectDag,
                          ::testing::Values(3u, 17u, 29u, 53u));
 
-/// Loops issued back to back, with no fence, at partition counts that
-/// change from loop to loop. Every change re-partitions the touched
-/// dats' dependency tables while nodes issued at the old count are
-/// still in flight: dep_state::pin drains them, then rebuilds the
-/// table at the new count.
-class DataflowMixedGranularity : public DataflowDifferential {};
+/// Programs whose fenced phases run on pools of different sizes. Every
+/// change of size re-creates the global pool, and each dat's first loop
+/// on the new pool rebuilds its dependency table at the new worker
+/// count while the dat's values carry over.
+class DataflowPoolResize : public DataflowDifferential {};
 
-/// The randomized indirect DAG with each loop at a count drawn by seed
-/// from {1, 2, 4, 8}.
-TEST_P(DataflowMixedGranularity, RandomIndirectDagMatchesSeqBitwise) {
+/// The randomized indirect DAG with each phase on a pool size drawn by
+/// seed from {1, 2, 4, 8}.
+TEST_P(DataflowPoolResize, RandomIndirectDagMatchesSeqBitwise) {
     unsigned const seed = GetParam() * 977u + 3u;
     std::mt19937 rng(GetParam());
     std::uniform_int_distribution<int> shift(0, 3);
-    std::vector<std::size_t> counts(28);
-    for (auto& c : counts) {
-        c = std::size_t{1} << shift(rng);
+    std::vector<std::size_t> workers(7);
+    for (auto& w : workers) {
+        w = std::size_t{1} << shift(rng);
     }
     expect_dats_bitwise_equal(
-        random_indirect_dag(seed, exec::backend_kind::seq, {0}),
-        random_indirect_dag(seed, exec::backend_kind::hpx_dataflow, counts));
+        random_indirect_dag(seed, exec::backend_kind::seq),
+        random_indirect_dag(seed, exec::backend_kind::hpx_dataflow,
+                            workers));
 }
 
 /// The airfoil-shaped chain, update's gbl INC included, with iteration
-/// i at {1, 2, 4, 8}[i % 4].
-TEST_P(DataflowMixedGranularity, AirfoilShapedChainMatchesSeqBitwise) {
+/// i on {1, 2, 4, 8}[i % 4] workers.
+TEST_P(DataflowPoolResize, AirfoilShapedChainMatchesSeqBitwise) {
     airfoil_shaped prog(GetParam());
     auto const ref = prog.run(exec::backend_kind::seq, 8);
     auto const got =
@@ -542,16 +552,85 @@ TEST_P(DataflowMixedGranularity, AirfoilShapedChainMatchesSeqBitwise) {
     EXPECT_EQ(std::memcmp(got.q.data(), ref.q.data(),
                           ref.q.size() * sizeof(double)),
               0)
-        << "state q diverged across granularity changes";
+        << "state q diverged across pool resizes";
     EXPECT_EQ(std::memcmp(got.res.data(), ref.res.data(),
                           ref.res.size() * sizeof(double)),
               0)
-        << "residual diverged across granularity changes";
+        << "residual diverged across pool resizes";
     EXPECT_EQ(got.rms, ref.rms);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DataflowMixedGranularity,
+INSTANTIATE_TEST_SUITE_P(Seeds, DataflowPoolResize,
                          ::testing::Values(2u, 11u, 23u, 41u, 67u));
+
+/// The record table itself across pool re-creation: one table per dat
+/// and pool size, rebuilt at the dat's first loop on a pool of another
+/// size and not before.
+class DataflowPoolResizeTable : public ::testing::Test {
+protected:
+    void TearDown() override { hpxlite::finalize(); }
+
+    /// Issue one direct increment of `d` named `name` and wait for it.
+    static void bump(op_dat const& d, char const* name) {
+        loop_options o;
+        o.backend = exec::backend_kind::hpx_dataflow;
+        o.part_size = 16;
+        exec::run_loop(o, name, d.set(), [](double* x) { *x += 1.0; },
+                       op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW))
+            .get();
+    }
+};
+
+/// Re-creating the pool at the size it had keeps the dat's table: the
+/// old pool was drained, so its nodes are history like any other.
+TEST_F(DataflowPoolResizeTable, SameSizeRecreationKeepsTheTable) {
+    hpxlite::init(hpxlite::runtime_config{3});
+    auto cells = op_decl_set(300, "rt_cells");
+    auto d = op_decl_dat_zero<double>(cells, 1, "double", "rt_d");
+    bump(d, "before");
+    auto const [before, n_before] = d.internal().dep.table();
+    ASSERT_EQ(n_before, 3u);
+
+    hpxlite::finalize();
+    hpxlite::init(hpxlite::runtime_config{3});
+    bump(d, "after");
+    auto const [after, n_after] = d.internal().dep.table();
+    EXPECT_EQ(after.get(), before.get());
+    EXPECT_EQ(n_after, 3u);
+    for (double x : d.view<double>()) {
+        ASSERT_EQ(x, 2.0);
+    }
+}
+
+/// A resize leaves the table alone until the dat's next loop, which
+/// rebuilds it at the new worker count. The old table's healthy history
+/// stays behind: the new records hold only the new loop's sub-nodes.
+TEST_F(DataflowPoolResizeTable, ResizeRebuildsTheTableAtTheNewWorkerCount) {
+    hpxlite::init(hpxlite::runtime_config{2});
+    auto cells = op_decl_set(300, "rt_cells");
+    auto d = op_decl_dat_zero<double>(cells, 1, "double", "rt_d");
+    bump(d, "before");
+    auto const [before, n_before] = d.internal().dep.table();
+    ASSERT_EQ(n_before, 2u);
+
+    hpxlite::init(hpxlite::runtime_config{5});
+    EXPECT_EQ(d.internal().dep.table().first.get(), before.get());
+    bump(d, "after");
+    auto const [after, n_after] = d.internal().dep.table();
+    EXPECT_NE(after.get(), before.get());
+    ASSERT_EQ(n_after, 5u);
+    for (std::size_t r = 0; r < n_after; ++r) {
+        std::vector<exec::node_ref> nodes;
+        after[r].snapshot(nodes);
+        EXPECT_FALSE(nodes.empty()) << "record " << r;
+        for (auto const& n : nodes) {
+            EXPECT_STREQ(n->site_loop(), "after") << "record " << r;
+        }
+    }
+    for (double x : d.view<double>()) {
+        ASSERT_EQ(x, 2.0);
+    }
+}
 
 class DataflowTinySet : public ::testing::Test {
 protected:
@@ -559,11 +638,12 @@ protected:
     void TearDown() override { hpxlite::finalize(); }
 };
 
-/// More partitions than elements: 8 partitions over 3 cells (and 5
-/// edges) at part_size 1, so most partitions are empty. The plans and
-/// the dep records must survive the degenerate bounds through a gather
-/// followed by an INC scatter.
+/// More partitions than elements: 8 workers, so 8 partitions, over 3
+/// cells (and 5 edges) at part_size 1, so most partitions are empty.
+/// The plans and the dep records must survive the degenerate bounds
+/// through a gather followed by an INC scatter.
 TEST_F(DataflowTinySet, MorePartitionsThanElementsMatchesSeqBitwise) {
+    hpxlite::init(hpxlite::runtime_config{8});
     auto cells = op_decl_set(3, "tiny_cells");
     auto edges = op_decl_set(5, "tiny_edges");
     std::vector<int> tab{0, 2, 1, 0, 2};
@@ -583,7 +663,6 @@ TEST_F(DataflowTinySet, MorePartitionsThanElementsMatchesSeqBitwise) {
         }
         loop_options o;
         o.backend = be;
-        o.partitions = 8;
         o.part_size = 1;
         (void)exec::run_loop(o, "tiny_gather", edges, gather,
                              op_arg_dat(cd, 0, em, 1, "double", OP_READ),
@@ -613,22 +692,22 @@ TEST_F(DataflowTinySet, MorePartitionsThanElementsMatchesSeqBitwise) {
         << "cell dat diverged";
 }
 
-/// One partition through the partitioned issue path: a loop of colours
-/// chained one sub-node at a time, plus a join. Each case picks its own
-/// pool size, so the fixture only tears down.
+/// One partition through the partitioned issue path: on a one-worker
+/// pool a loop is its colours chained one sub-node at a time, plus a
+/// join.
 class DataflowOnePartition : public ::testing::TestWithParam<unsigned> {
 protected:
+    void SetUp() override { hpxlite::init(hpxlite::runtime_config{1}); }
     void TearDown() override {
         fault::disarm();
         hpxlite::finalize();
     }
 };
 
-/// A one-worker pool with default partitions issues every loop as one
-/// partition: the airfoil-shaped chain must match seq bitwise, with
-/// every dat's dependency table at granularity 1.
+/// A one-worker pool issues every loop as one partition: the
+/// airfoil-shaped chain must match seq bitwise, with every dat's
+/// dependency table at granularity 1.
 TEST_P(DataflowOnePartition, DefaultOnOneWorkerMatchesSeqBitwise) {
-    hpxlite::init(hpxlite::runtime_config{1});
     airfoil_shaped prog(GetParam());
     auto const ref = prog.run(exec::backend_kind::seq, 4);
     auto const got = prog.run(exec::backend_kind::hpx_dataflow, 4);
@@ -651,7 +730,6 @@ TEST_P(DataflowOnePartition, DefaultOnOneWorkerMatchesSeqBitwise) {
 /// indirect INC loop fails the loop's handle and quarantines the INC
 /// target under the failing sub-node's site: partition 0, colour C.
 TEST_P(DataflowOnePartition, ColourFaultQuarantinesPartitionZero) {
-    hpxlite::init(hpxlite::runtime_config{4});
     constexpr std::size_t kCells = 200;
     constexpr std::size_t kEdges = 600;
     auto cells = op_decl_set(kCells, "op_cells");
@@ -670,7 +748,6 @@ TEST_P(DataflowOnePartition, ColourFaultQuarantinesPartitionZero) {
 
     loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 1;
     o.part_size = 16;
     // The live colours of the plan the loop runs (partition 0 of 1).
     op_plan const& plan =
@@ -712,13 +789,13 @@ TEST_P(DataflowOnePartition, ColourFaultQuarantinesPartitionZero) {
     acc.clear_quarantine();
 }
 
-/// An explicit partitions = 1 on a four-worker pool runs the loop's live
-/// colours one sub-node at a time, in ascending colour order: every
-/// element of an indirect INC loop runs exactly once, no two kernel
-/// calls overlap, the colour of the elements in visit order never
-/// decreases, and the INC target holds the map-derived totals exactly.
+/// A one-worker pool runs the loop's live colours one sub-node at a
+/// time, in ascending colour order, even with the main thread helping
+/// the pool while it waits: every element of an indirect INC loop runs
+/// exactly once, no two kernel calls overlap, the colour of the
+/// elements in visit order never decreases, and the INC target holds
+/// the map-derived totals exactly.
 TEST_P(DataflowOnePartition, ColoursRunInOrderOneAtATime) {
-    hpxlite::init(hpxlite::runtime_config{4});
     constexpr std::size_t kCells = 200;
     constexpr std::size_t kEdges = 600;
     auto cells = op_decl_set(kCells, "oo_cells");
@@ -741,7 +818,6 @@ TEST_P(DataflowOnePartition, ColoursRunInOrderOneAtATime) {
 
     loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 1;
     o.part_size = 16;
     op_plan const& plan =
         plan_get(edges, args, o.part_size);
@@ -812,7 +888,6 @@ TEST_P(DataflowOnePartition, ColoursRunInOrderOneAtATime) {
 /// without a fence: every round's reductions and the final INC target
 /// must match seq bitwise.
 TEST_P(DataflowOnePartition, ReductionsCombineAfterTheLastColour) {
-    hpxlite::init(hpxlite::runtime_config{4});
     constexpr std::size_t kCells = 200;
     constexpr std::size_t kEdges = 600;
     constexpr int kRounds = 3;
@@ -845,7 +920,6 @@ TEST_P(DataflowOnePartition, ReductionsCombineAfterTheLastColour) {
         }
         loop_options o;
         o.backend = be;
-        o.partitions = 1;
         o.part_size = 16;
         for (int r = 0; r < kRounds; ++r) {
             auto& red = (*out)[static_cast<std::size_t>(r)];

@@ -24,10 +24,9 @@ protected:
         hpxlite::finalize();
     }
 
-    loop_options hpx_opts(std::size_t parts) const {
+    static loop_options hpx_opts() {
         loop_options o;
         o.backend = exec::backend_kind::hpx_dataflow;
-        o.partitions = parts;
         o.part_size = 32;
         return o;
     }
@@ -72,20 +71,21 @@ TEST_F(CheckpointTest, RollbackRestoresBytesExactly) {
 }
 
 TEST_F(CheckpointTest, CaptureFencesInFlightGraphWork) {
+    hpxlite::init(hpxlite::runtime_config{2});
     auto cells = op_decl_set(400, "cells");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
 
     // Issue a chain and capture while it may still be in flight: the
     // snapshot must be a consistent post-chain cut, not a torn copy.
     for (int k = 0; k < 6; ++k) {
-        (void)exec::run_loop(hpx_opts(2), "inc", cells,
+        (void)exec::run_loop(hpx_opts(), "inc", cells,
                              [](double* x) { *x += 1.0; },
                              op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
     }
     exec::checkpoint ckpt;
     ckpt.capture({d});
 
-    (void)exec::run_loop(hpx_opts(2), "inc2", cells,
+    (void)exec::run_loop(hpx_opts(), "inc2", cells,
                          [](double* x) { *x += 10.0; },
                          op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
     op_fence(d);
@@ -147,6 +147,7 @@ TEST_F(CheckpointTest, RecaptureAdvancesTheEpoch) {
 /// The retry pattern the airfoil driver uses: an injected fault fails
 /// the epoch, rollback + re-issue converges to the fault-free answer.
 TEST_F(CheckpointTest, RetryAfterInjectedFaultMatchesFaultFree) {
+    hpxlite::init(hpxlite::runtime_config{2});
     auto cells = op_decl_set(256, "cells");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
 
@@ -161,7 +162,7 @@ TEST_F(CheckpointTest, RetryAfterInjectedFaultMatchesFaultFree) {
             std::vector<exec::loop_handle> hs;
             for (int k = 0; k < 3; ++k) {
                 hs.push_back(exec::run_loop(
-                    hpx_opts(2), "epoch_inc", cells,
+                    hpx_opts(), "epoch_inc", cells,
                     [](double* x) { *x += 1.0; },
                     op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW)));
             }

@@ -217,6 +217,15 @@ TEST_F(ExecBackendTest, SequentialBackendRunsInline) {
 /// the scenario retries a few times and requires one witnessed
 /// interleave.
 TEST_F(ExecBackendTest, IndependentLoopsInterleaveWithoutGlobalBarrier) {
+    // Each loop is one sub-node per worker (both are direct, so one
+    // colour) plus its join. While the workers sweep loop A's slices,
+    // the main thread, which helps the pool while it waits, and any
+    // worker done with its A slice start loop B's. (On a one-worker
+    // pool the interleave needs the worker and the main thread running
+    // at once, which a loaded host does not always grant.)
+    // Partition-granular overlap of *dependent* loops has its own
+    // deterministic trace test below
+    // (DependentLoopsOverlapOnDisjointPartitions).
     bool interleaved = false;
     for (int attempt = 0; attempt < 5 && !interleaved; ++attempt) {
         auto big = op_decl_set(60'000, "big");
@@ -244,14 +253,6 @@ TEST_F(ExecBackendTest, IndependentLoopsInterleaveWithoutGlobalBarrier) {
 
         loop_options o = opts_;
         o.backend = exec::backend_kind::hpx_dataflow;
-        // One partition per loop: each loop is one sub-node (both are
-        // direct, so one colour) plus its join. Both sub-nodes carry
-        // worker 0's hint; an idle worker steals loop B's while loop
-        // A's is still sweeping.
-        // Partition-granular overlap of *dependent* loops has its own
-        // deterministic trace test below
-        // (DependentLoopsOverlapOnDisjointPartitions).
-        o.partitions = 1;
         auto ha = exec::run_loop(
             o, "slow", big,
             [&](double* x) {
@@ -290,6 +291,7 @@ TEST_F(ExecBackendTest, IndependentLoopsInterleaveWithoutGlobalBarrier) {
 /// tracking would deadlock here (B could never start before all of A),
 /// so the spin carries a deadline and the overlap is asserted.
 TEST_F(ExecBackendTest, DependentLoopsOverlapOnDisjointPartitions) {
+    hpxlite::init(hpxlite::runtime_config{2});
     constexpr std::size_t kN = 1000;  // partitions: [0, 500) and [500, 1000)
     auto cells = op_decl_set(kN, "cells");
     std::vector<double> ids(kN);
@@ -305,7 +307,6 @@ TEST_F(ExecBackendTest, DependentLoopsOverlapOnDisjointPartitions) {
 
     loop_options o = opts_;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 2;
     o.part_size = 500;
 
     auto ha = exec::run_loop(
@@ -348,22 +349,20 @@ TEST_F(ExecBackendTest, DependentLoopsOverlapOnDisjointPartitions) {
 }
 
 /// Sub-node placement, as a deterministic scheduler trace: one direct
-/// loop at `o.partitions`, which resolves to `nparts` one-block
-/// partitions of 100 elements on the current pool, must execute every
-/// partition p on worker p % pool_size, and leave both touched dats'
-/// dependency tables at `nparts` records. Stealing makes a naive version
-/// of this racy (an idle worker robs a busy one's inbox), so the
-/// scenario forces determinism: spinning blockers occupy every worker
-/// while the loop is issued — the pinned sub-nodes sit untouchable in
-/// their target inboxes — and no worker goes idle before every
-/// partition is claimed: a worker's last partition spins until then,
-/// and so does the blocker of a worker that owns no partition. A worker
-/// drains its own inbox before it steals, so the claims are exactly the
-/// pinned assignments; only then does the main thread start helping.
-void expect_pinned_placement(loop_options o, std::size_t nparts) {
+/// loop of one 100-element block per pool worker, so its slice k is one
+/// block, must execute every slice k on worker k, and leave both touched
+/// dats' dependency tables at one record per worker. Stealing makes a
+/// naive version of this racy (an idle worker robs a busy one's inbox),
+/// so the scenario forces determinism: spinning blockers occupy every
+/// worker while the loop is issued — the pinned sub-nodes sit
+/// untouchable in their target inboxes — and no worker goes idle before
+/// every slice is claimed: each slice spins until then. A worker drains
+/// its own inbox before it steals, so the claims are exactly the pinned
+/// assignments; only then does the main thread start helping.
+void expect_pinned_placement() {
     auto& pool = hpxlite::get_pool();
     std::size_t const nw = pool.size();
-    std::size_t const n = nparts * 100;
+    std::size_t const n = nw * 100;
 
     auto cells = op_decl_set(n, "cells");
     std::vector<double> ids(n);
@@ -373,23 +372,17 @@ void expect_pinned_placement(loop_options o, std::size_t nparts) {
     auto idx = op_decl_dat<double>(cells, 1, "double", ids, "idx");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
 
-    // Partitions each worker owns under the p % pool_size hint.
-    std::vector<std::size_t> share(nw, 0);
-    for (std::size_t p = 0; p < nparts; ++p) {
-        ++share[p % nw];
-    }
-    std::vector<std::atomic<long>> part_worker(nparts);
+    std::vector<std::atomic<long>> part_worker(nw);
     for (auto& w : part_worker) {
         w.store(-1);
     }
-    std::vector<std::atomic<std::size_t>> worker_claims(nw);
     std::atomic<bool> mixed{false};
     std::atomic<std::size_t> claimed{0};
     std::atomic<bool> gave_up{false};
     auto wait_all_claimed = [&] {
         auto const deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(10);
-        while (claimed.load(std::memory_order_acquire) < nparts &&
+        while (claimed.load(std::memory_order_acquire) < nw &&
                !gave_up.load(std::memory_order_relaxed)) {
             if (std::chrono::steady_clock::now() > deadline) {
                 gave_up.store(true, std::memory_order_relaxed);
@@ -413,9 +406,6 @@ void expect_pinned_placement(loop_options o, std::size_t nparts) {
             while (!release.load(std::memory_order_acquire)) {
                 std::this_thread::yield();
             }
-            if (share[w] == 0) {
-                wait_all_claimed();
-            }
         } else {
             blocker_tasks.fetch_add(1);
             pool.submit_to(w, [&block, w] { block(w); });
@@ -429,6 +419,7 @@ void expect_pinned_placement(loop_options o, std::size_t nparts) {
         std::this_thread::yield();
     }
 
+    loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
     o.part_size = 100;
     auto h = exec::run_loop(
@@ -439,9 +430,7 @@ void expect_pinned_placement(loop_options o, std::size_t nparts) {
             std::size_t const w = pool.worker_index();
             if (e % 100 == 0) {
                 claimed.fetch_add(1);
-                if (w < nw && worker_claims[w].fetch_add(1) + 1 == share[w]) {
-                    wait_all_claimed();
-                }
+                wait_all_claimed();
             }
             long expect = -1;
             if (!part_worker[p].compare_exchange_strong(
@@ -458,7 +447,7 @@ void expect_pinned_placement(loop_options o, std::size_t nparts) {
     // Do not help before every sub-node is claimed by its own worker:
     // run_loop's handle (and op_fence) steal as a fallback, which would
     // legitimately run a pinned node on the main thread.
-    while (claimed.load() < nparts && !gave_up.load()) {
+    while (claimed.load() < nw && !gave_up.load()) {
         std::this_thread::yield();
     }
     h.get();
@@ -469,15 +458,15 @@ void expect_pinned_placement(loop_options o, std::size_t nparts) {
     }
 
     ASSERT_FALSE(gave_up.load())
-        << "the " << nparts << " pinned sub-nodes were never all claimed";
+        << "the " << nw << " pinned sub-nodes were never all claimed";
     EXPECT_FALSE(mixed.load()) << "a partition's elements ran on more than "
                                   "one worker";
-    for (std::size_t p = 0; p < nparts; ++p) {
-        EXPECT_EQ(part_worker[p].load(), static_cast<long>(p % nw))
+    for (std::size_t p = 0; p < nw; ++p) {
+        EXPECT_EQ(part_worker[p].load(), static_cast<long>(p))
             << "partition " << p << " did not run on its pinned worker";
     }
-    EXPECT_EQ(idx.internal().dep.count, nparts);
-    EXPECT_EQ(d.internal().dep.count, nparts);
+    EXPECT_EQ(idx.internal().dep.count, nw);
+    EXPECT_EQ(d.internal().dep.count, nw);
     auto const dv = d.view<double>();
     for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(dv[i], static_cast<double>(i) + 1.0) << "element " << i;
@@ -487,32 +476,11 @@ void expect_pinned_placement(loop_options o, std::size_t nparts) {
 /// One partition per worker, pinned to it.
 TEST_F(ExecBackendTest, AffinityPlacementPinsSubNodesToWorkers) {
     ASSERT_EQ(hpxlite::get_pool().size(), 4u);
-    loop_options o = opts_;
-    o.partitions = 4;
-    expect_pinned_placement(o, 4);
+    expect_pinned_placement();
 }
 
-/// Fewer partitions than workers leave the high workers without pinned
-/// work; more wrap around, partition p landing on worker p % 4 behind
-/// the partitions that worker already owns.
-class ExecBackendPlacement : public ::testing::TestWithParam<std::size_t> {
-protected:
-    void SetUp() override { hpxlite::init(hpxlite::runtime_config{4}); }
-    void TearDown() override { hpxlite::finalize(); }
-};
-
-TEST_P(ExecBackendPlacement, PartitionRunsOnWorkerPartitionModPoolSize) {
-    ASSERT_EQ(hpxlite::get_pool().size(), 4u);
-    loop_options o;
-    o.partitions = GetParam();
-    expect_pinned_placement(o, GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(Partitions, ExecBackendPlacement,
-                         ::testing::Values(1u, 2u, 3u, 5u, 8u));
-
-/// A defaulted partition count (0) resolves to the pool size: one
-/// partition per worker, partition p on worker p, on every pool size.
+/// The partition count is the pool size: one partition per worker,
+/// partition p on worker p, on every pool size.
 class ExecBackendDefaultPartitions
     : public ::testing::TestWithParam<std::size_t> {
 protected:
@@ -525,7 +493,7 @@ protected:
 TEST_P(ExecBackendDefaultPartitions,
        DefaultCountIsPoolSizeWithPinnedPartitions) {
     ASSERT_EQ(hpxlite::get_pool().size(), GetParam());
-    expect_pinned_placement(loop_options{}, GetParam());
+    expect_pinned_placement();
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolSizes, ExecBackendDefaultPartitions,
@@ -540,6 +508,7 @@ INSTANTIATE_TEST_SUITE_P(PoolSizes, ExecBackendDefaultPartitions,
 /// edge. With the exemption they are provably concurrent: partition 0's
 /// kernel blocks until partition 1's has run.
 TEST_F(ExecBackendTest, SameColorExemptionOverlapsStraddlingIncPartitions) {
+    hpxlite::init(hpxlite::runtime_config{2});
     constexpr std::size_t kN = 1000;
     auto cells = op_decl_set(kN, "cells");
     auto edges = op_decl_set(kN, "edges");
@@ -560,7 +529,6 @@ TEST_F(ExecBackendTest, SameColorExemptionOverlapsStraddlingIncPartitions) {
 
     loop_options o = opts_;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 2;
     o.part_size = 500;  // one block per partition
     auto h = exec::run_loop(
         o, "straddle", edges,
@@ -609,13 +577,12 @@ TEST_F(ExecBackendTest, PartitionedMinMaxIncReductionsMatchSeq) {
     }
     auto d = op_decl_dat<double>(cells, 1, "double", vals, "d");
 
-    auto run = [&](exec::backend_kind be, std::size_t partitions) {
+    auto run = [&](exec::backend_kind be) {
         struct out {
             double sum = 0.0, mn = 1e300, mx = -1e300;
         } o;
         loop_options lo = opts_;
         lo.backend = be;
-        lo.partitions = partitions;
         auto h = exec::run_loop(
             lo, "minmax", cells,
             [](double const* x, double* s, double* lo_, double* hi) {
@@ -630,13 +597,14 @@ TEST_F(ExecBackendTest, PartitionedMinMaxIncReductionsMatchSeq) {
         h.get();
         return o;
     };
-    auto ref = run(exec::backend_kind::seq, 1);
-    for (std::size_t parts : {2u, 4u, 7u}) {
+    auto ref = run(exec::backend_kind::seq);
+    for (std::size_t workers : {2u, 4u, 7u}) {
+        hpxlite::init(hpxlite::runtime_config{workers});
         for (int round = 0; round < 10; ++round) {
-            auto got = run(exec::backend_kind::hpx_dataflow, parts);
-            ASSERT_EQ(got.sum, ref.sum) << parts << " partitions";
-            ASSERT_EQ(got.mn, ref.mn) << parts << " partitions";
-            ASSERT_EQ(got.mx, ref.mx) << parts << " partitions";
+            auto got = run(exec::backend_kind::hpx_dataflow);
+            ASSERT_EQ(got.sum, ref.sum) << workers << " workers";
+            ASSERT_EQ(got.mn, ref.mn) << workers << " workers";
+            ASSERT_EQ(got.mx, ref.mx) << workers << " workers";
         }
     }
 }
@@ -659,13 +627,12 @@ TEST_F(ExecBackendTest, ChainedLoopsReducingIntoOneVariableMatchSeq) {
     struct out {
         double sum = 0.0, mn = 1e300, mx = -1e300;
     };
-    auto run = [&](exec::backend_kind be, std::size_t partitions) {
+    auto run = [&](exec::backend_kind be) {
         auto dv = d.view<double>();
         std::copy(init.begin(), init.end(), dv.begin());
         out o;
         loop_options lo = opts_;
         lo.backend = be;
-        lo.partitions = partitions;
         auto kern = [](double* x, double* s, double* lo_, double* hi) {
             *x += 1.0;
             *s += *x;
@@ -691,74 +658,85 @@ TEST_F(ExecBackendTest, ChainedLoopsReducingIntoOneVariableMatchSeq) {
         h2.get();
         return o;
     };
-    auto ref = run(exec::backend_kind::seq, 1);
+    auto ref = run(exec::backend_kind::seq);
     for (int round = 0; round < 10; ++round) {
-        auto got = run(exec::backend_kind::hpx_dataflow, 4);
+        auto got = run(exec::backend_kind::hpx_dataflow);
         ASSERT_EQ(got.sum, ref.sum);
         ASSERT_EQ(got.mn, ref.mn);
         ASSERT_EQ(got.mx, ref.mx);
     }
 }
 
-TEST_F(ExecBackendTest, MixedGranularityConcurrentIssuersComplete) {
+TEST_F(ExecBackendTest, ConcurrentIssuersInOppositeArgumentOrderMatchSeq) {
     // Two threads issuing loops over the same two dats in *opposite*
-    // argument order and at *different* partition granularities. Pins
-    // are acquired in canonical (address) order, so the issuers can
-    // never hold-and-wait on each other's tables — this must terminate
-    // (a livelock hangs the test into the ctest timeout) and, since
-    // every loop writes both dats, every pair of loops is ordered and
-    // the final values are exact.
+    // argument order, both reaching each dat's record table as their
+    // first loops race to build it. Every loop writes both dats, so
+    // every pair of loops is ordered whatever the interleaving of the
+    // two issue streams: this must terminate (a livelock hangs the test
+    // into the ctest timeout) with the seq backend's values.
     constexpr std::size_t kN = 512;
     constexpr int kLoopsPerThread = 40;
     auto cells = op_decl_set(kN, "cells");
-    auto a = op_decl_dat_zero<double>(cells, 1, "double", "a");
-    auto b = op_decl_dat_zero<double>(cells, 1, "double", "b");
 
-    auto issuer = [&](bool a_first, std::size_t partitions) {
-        loop_options lo = opts_;
-        lo.backend = exec::backend_kind::hpx_dataflow;
-        lo.partitions = partitions;
-        auto kern = [](double* x, double* y) {
-            *x += 1.0;
-            *y += 1.0;
-        };
-        for (int l = 0; l < kLoopsPerThread; ++l) {
-            if (a_first) {
-                (void)exec::run_loop(
-                    lo, "ab", cells, kern,
-                    op_arg_dat(a, -1, OP_ID, 1, "double", OP_RW),
-                    op_arg_dat(b, -1, OP_ID, 1, "double", OP_RW));
-            } else {
-                (void)exec::run_loop(
-                    lo, "ba", cells, kern,
-                    op_arg_dat(b, -1, OP_ID, 1, "double", OP_RW),
-                    op_arg_dat(a, -1, OP_ID, 1, "double", OP_RW));
+    auto run = [&](exec::backend_kind be) {
+        auto a = op_decl_dat_zero<double>(cells, 1, "double", "a");
+        auto b = op_decl_dat_zero<double>(cells, 1, "double", "b");
+        auto issuer = [&](bool a_first) {
+            loop_options lo = opts_;
+            lo.backend = be;
+            auto kern = [](double* x, double* y) {
+                *x += 1.0;
+                *y += 2.0;
+            };
+            for (int l = 0; l < kLoopsPerThread; ++l) {
+                if (a_first) {
+                    (void)exec::run_loop(
+                        lo, "ab", cells, kern,
+                        op_arg_dat(a, -1, OP_ID, 1, "double", OP_RW),
+                        op_arg_dat(b, -1, OP_ID, 1, "double", OP_RW));
+                } else {
+                    (void)exec::run_loop(
+                        lo, "ba", cells, kern,
+                        op_arg_dat(b, -1, OP_ID, 1, "double", OP_RW),
+                        op_arg_dat(a, -1, OP_ID, 1, "double", OP_RW));
+                }
             }
+        };
+        if (be == exec::backend_kind::seq) {
+            issuer(true);
+            issuer(false);
+        } else {
+            std::thread t1([&] { issuer(true); });
+            std::thread t2([&] { issuer(false); });
+            t1.join();
+            t2.join();
+            op_fence_all();
         }
+        auto const av = a.view<double>();
+        auto const bv = b.view<double>();
+        std::vector<double> out(av.begin(), av.end());
+        out.insert(out.end(), bv.begin(), bv.end());
+        return out;
     };
-    std::thread t1([&] { issuer(true, 1); });
-    std::thread t2([&] { issuer(false, 4); });
-    t1.join();
-    t2.join();
-    op_fence_all();
-    for (double x : a.view<double>()) {
-        ASSERT_DOUBLE_EQ(x, 2.0 * kLoopsPerThread);
-    }
-    for (double x : b.view<double>()) {
-        ASSERT_DOUBLE_EQ(x, 2.0 * kLoopsPerThread);
+    auto const ref = run(exec::backend_kind::seq);
+    auto const got = run(exec::backend_kind::hpx_dataflow);
+    ASSERT_EQ(got.size(), ref.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(got[i], ref[i]) << "element " << i;
     }
 }
 
-TEST_F(ExecBackendTest, GranularityChangeRepartitionsAndCarriesErrors) {
-    // Issuing at a new partition count re-partitions the dat's record
-    // table (a per-dat drain). A failed node from the old granularity
-    // must survive the swap: the next writer still inherits its error.
+TEST_F(ExecBackendTest, PoolResizeRebuildsRecordsAndCarriesErrors) {
+    // A dat's first loop on a re-created pool of another size rebuilds
+    // its record table at the new worker count. A failed node from the
+    // old table must survive the rebuild: the next writer still
+    // inherits its error.
+    hpxlite::init(hpxlite::runtime_config{1});
     auto cells = op_decl_set(256, "cells");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
     loop_options o = opts_;
     o.backend = exec::backend_kind::hpx_dataflow;
 
-    o.partitions = 1;
     auto bad = exec::run_loop(o, "bad", cells,
                               [](double* x) {
                                   if (*x == 0.0) {
@@ -769,11 +747,11 @@ TEST_F(ExecBackendTest, GranularityChangeRepartitionsAndCarriesErrors) {
     EXPECT_THROW(bad.get(), std::runtime_error);
     EXPECT_EQ(d.internal().dep.count, 1u);
 
-    o.partitions = 4;
+    hpxlite::init(hpxlite::runtime_config{4});
     auto w = exec::run_loop(o, "writer", cells, [](double* x) { *x = 1.0; },
                             op_arg_dat(d, -1, OP_ID, 1, "double", OP_WRITE));
     EXPECT_THROW(w.get(), std::runtime_error)
-        << "re-partitioning dropped the failed node's error";
+        << "the rebuild dropped the failed node's error";
     EXPECT_EQ(d.internal().dep.count, 4u);
     op_fence(d);
     for (double x : d.view<double>()) {
@@ -781,18 +759,18 @@ TEST_F(ExecBackendTest, GranularityChangeRepartitionsAndCarriesErrors) {
     }
 }
 
-TEST_F(ExecBackendTest, RepeatedGranularityChangesKeepCarriedErrorsDeduped) {
-    // Every re-partition carries the table's failed nodes into each
-    // record of the new table, so after one switch a carried node sits
-    // in every record. The next switch must collect it once, not once
-    // per record: seeding the duplicates back would multiply the carried
-    // set by the partition count on every switch.
+TEST_F(ExecBackendTest, RepeatedPoolResizesKeepCarriedErrorsDeduped) {
+    // Every rebuild carries the table's failed nodes into each record
+    // of the new table, so after one resize a carried node sits in
+    // every record. The next resize must collect it once, not once per
+    // record: seeding the duplicates back would multiply the carried
+    // set by the partition count on every resize.
+    hpxlite::init(hpxlite::runtime_config{1});
     auto cells = op_decl_set(256, "cells");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
     loop_options o = opts_;
     o.backend = exec::backend_kind::hpx_dataflow;
 
-    o.partitions = 1;
     auto bad = exec::run_loop(o, "bad", cells,
                               [](double*) {
                                   throw std::runtime_error("boom");
@@ -801,15 +779,15 @@ TEST_F(ExecBackendTest, RepeatedGranularityChangesKeepCarriedErrorsDeduped) {
     EXPECT_THROW(bad.get(), std::runtime_error);
 
     for (int round = 0; round < 4; ++round) {
-        for (std::size_t parts : {2u, 3u}) {
-            o.partitions = parts;
+        for (std::size_t workers : {2u, 3u}) {
+            hpxlite::init(hpxlite::runtime_config{workers});
             auto w = exec::run_loop(
                 o, "writer", cells, [](double* x) { *x = 1.0; },
                 op_arg_dat(d, -1, OP_ID, 1, "double", OP_WRITE));
             EXPECT_THROW(w.get(), std::runtime_error)
-                << "round " << round << ", " << parts << " partitions";
+                << "round " << round << ", " << workers << " workers";
             auto const [recs, count] = d.internal().dep.table();
-            ASSERT_EQ(count, parts);
+            ASSERT_EQ(count, workers);
             for (std::size_t r = 0; r < count; ++r) {
                 std::vector<exec::node_ref> nodes;
                 recs[r].snapshot(nodes);
@@ -823,7 +801,7 @@ TEST_F(ExecBackendTest, RepeatedGranularityChangesKeepCarriedErrorsDeduped) {
                                    ptrs.end();
                 ASSERT_FALSE(twice)
                     << "record " << r << " holds a node twice (round "
-                    << round << ", " << parts << " partitions, "
+                    << round << ", " << workers << " workers, "
                     << ptrs.size() << " entries)";
             }
         }
@@ -943,8 +921,8 @@ struct airfoil_like {
     }
 };
 
-/// The colour-slice issue order, as a graph walk: with every worker
-/// blocked, an airfoil-shaped res_calc at 3 partitions is issued, and
+/// The colour-slice issue order, as a graph walk: with every worker of a
+/// three-worker pool blocked, an airfoil-shaped res_calc is issued, and
 /// its sub-nodes — reached through the res records' writers — are
 /// checked edge by edge. Within the loop every edge must run from a
 /// lower colour to a higher one (same-colour slices never conflict, so
@@ -952,10 +930,10 @@ struct airfoil_like {
 /// colour to a lower one is the cross-partition wavefront that
 /// serialised partition-major issue.
 TEST_F(ExecBackendTest, SliceEdgesRunFromLowerToHigherColour) {
+    hpxlite::init(hpxlite::runtime_config{3});
     airfoil_like m(60, 30);
     loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 3;
     exec::loop_handle h;
     std::vector<exec::node_ref> subs;
     {
@@ -1029,7 +1007,7 @@ TEST_F(ExecBackendTest, StagedAndHpxRunOneSharedPlan) {
     ASSERT_NE(stage, nullptr);
 
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 3;
+    hpxlite::init(hpxlite::runtime_config{3});
     m.res_calc(o).get();
     EXPECT_EQ(plan_cache_size(), 1u);
     EXPECT_EQ(&plan_get(m.edges, args, o.part_size), &plan);
@@ -1048,6 +1026,7 @@ TEST_F(ExecBackendTest, StagedAndHpxRunOneSharedPlan) {
 /// its baseline. The dataflow loop's group releases its handles on a
 /// worker, so the set can die there.
 TEST_F(ExecBackendTest, DroppedSetTakesItsPlansAlong) {
+    hpxlite::init(hpxlite::runtime_config{3});
     std::size_t const baseline = plan_cache_size();
     {
         airfoil_like m(16, 8);
@@ -1055,7 +1034,6 @@ TEST_F(ExecBackendTest, DroppedSetTakesItsPlansAlong) {
         o.backend = exec::backend_kind::staged;
         m.res_calc(o).get();
         o.backend = exec::backend_kind::hpx_dataflow;
-        o.partitions = 3;
         m.res_calc(o).get();
         (void)exec::run_loop(o, "clear", m.cells, [](double* r) { r[0] = 0.0; },
                              op_arg_dat(m.res, -1, OP_ID, 4, "double",
@@ -1080,7 +1058,6 @@ TEST(ExecBackendOneWorker, FinishedLoopIsReadyBeforeItsDependentRuns) {
         auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
         loop_options o;
         o.backend = exec::backend_kind::hpx_dataflow;
-        o.partitions = 1;
         o.part_size = 16;
 
         // The first loop holds the worker until the second is wired

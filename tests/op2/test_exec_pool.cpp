@@ -57,7 +57,6 @@ TEST_F(ExecPoolTest, PooledChainMatchesSeqBitwise) {
 
         loop_options o;
         o.backend = be;
-        o.partitions = 4;
         o.part_size = 64;
         for (int round = 0; round < 10; ++round) {
             (void)exec::run_loop(
@@ -116,7 +115,6 @@ TEST_F(ExecPoolTest, PooledReuseNeverLeaksReductionPartials) {
 
     loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 4;
     o.part_size = 64;
 
     // Exactly-representable integer bases, alternating up and down so a
@@ -160,10 +158,11 @@ TEST_F(ExecPoolTest, PooledReuseNeverLeaksReductionPartials) {
     }
 }
 
-/// Changing the partition count between issues of one call site forces
-/// the recycled group to regrow/shrink its executor set and colour
-/// countdowns. Results must stay exact through every transition.
-TEST_F(ExecPoolTest, PartitionCountChangesRebuildRecycledGroups) {
+/// Re-creating the pool at another size between issues of one call site
+/// hands the recycled group another slicing and slice countdown, and the
+/// dat another record table. Results must stay exact through every
+/// transition.
+TEST_F(ExecPoolTest, PoolResizeRebuildsRecycledGroups) {
     constexpr std::size_t kN = 640;
     auto cells = op_decl_set(kN, "cells");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
@@ -175,7 +174,7 @@ TEST_F(ExecPoolTest, PartitionCountChangesRebuildRecycledGroups) {
     double total = 0.0;
     std::size_t const counts[] = {2, 4, 3, 1, 4, 2};
     for (std::size_t np : counts) {
-        o.partitions = np;
+        hpxlite::init(hpxlite::runtime_config{np});
         double sum = 0.0;
         auto h = exec::run_loop(
             o, "bump", cells,
@@ -188,7 +187,7 @@ TEST_F(ExecPoolTest, PartitionCountChangesRebuildRecycledGroups) {
         h.get();
         total += 1.0;
         EXPECT_DOUBLE_EQ(sum, total * static_cast<double>(kN))
-            << "partitions " << np;
+            << np << " workers";
     }
     op_fence_all();
     for (double x : d.view<double>()) {
@@ -204,6 +203,7 @@ TEST_F(ExecPoolTest, PartitionCountChangesRebuildRecycledGroups) {
 /// order-independent: any divergence is a recycled group leaking or
 /// dropping a partial, not reassociation noise.
 TEST_F(ExecPoolTest, PooledReductionStreamMatchesSeqBitwise) {
+    hpxlite::init(hpxlite::runtime_config{2});
     constexpr std::size_t kN = 513;
     auto run = [&](exec::backend_kind be) {
         auto cells = op_decl_set(kN, "cells");
@@ -216,7 +216,6 @@ TEST_F(ExecPoolTest, PooledReductionStreamMatchesSeqBitwise) {
         auto d = op_decl_dat<double>(cells, 1, "double", vals, "d");
         loop_options o;
         o.backend = be;
-        o.partitions = 2;
         o.part_size = 64;
         std::vector<double> sums;
         for (int round = 0; round < 10; ++round) {

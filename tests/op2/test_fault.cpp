@@ -165,7 +165,6 @@ TEST_F(FaultTest, JitterModeIsBenign) {
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
     loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 4;
     for (int k = 0; k < 5; ++k) {
         (void)exec::run_loop(o, "inc", cells,
                              [](double* x) { *x += 1.0; },

@@ -1,6 +1,5 @@
 // Tests for the memory layer (op2/memory.hpp): the cache-line-aligned
-// buffer every dat allocates through and the partition touch-range
-// geometry checkpoint copies use.
+// buffer every dat allocates through.
 
 #include <gtest/gtest.h>
 
@@ -59,54 +58,6 @@ TEST(AlignedBuffer, PadToLine) {
     EXPECT_EQ(mem::pad_to_line(1), 64u);
     EXPECT_EQ(mem::pad_to_line(64), 64u);
     EXPECT_EQ(mem::pad_to_line(65), 128u);
-}
-
-// --- partition touch ranges ---------------------------------------------
-
-TEST(TouchRanges, TileTheBufferExactlyAndLineAligned) {
-    for (std::size_t size : {1000u, 3u, 777u}) {
-        for (std::size_t stride : {8u, 12u, 16u, 32u}) {
-            for (std::size_t count : {1u, 2u, 3u, 7u, 16u}) {
-                auto s = op_decl_set(size, "s");
-                auto part = s.partition(count);
-                std::size_t const total = size * stride;
-                std::size_t covered = 0;
-                for (std::size_t p = 0; p < count; ++p) {
-                    auto const r =
-                        mem::partition_touch_range(*part, p, stride, total);
-                    // Contiguous tiling: each range starts where the
-                    // previous one ended, so no byte is touched twice
-                    // and none is skipped.
-                    ASSERT_EQ(r.lo, covered)
-                        << "size " << size << " stride " << stride
-                        << " count " << count << " part " << p;
-                    ASSERT_LE(r.hi, total);
-                    covered = r.hi;
-                    // Every non-empty range starts on a cache line.
-                    if (r.size() > 0) {
-                        EXPECT_EQ(r.lo % mem::cache_line, 0u);
-                    }
-                }
-                EXPECT_EQ(covered, total);
-            }
-        }
-    }
-}
-
-TEST(TouchRanges, BoundaryLineBelongsToTheLowerPartition) {
-    // 100 elements of 8 bytes split in 3: boundaries at elements 33 and
-    // 66 = bytes 264 and 528, neither line-aligned. The straddling lines
-    // must round *up* into the lower partition.
-    auto s = op_decl_set(100, "s");
-    auto part = s.partition(3);
-    auto const r0 = mem::partition_touch_range(*part, 0, 8, 800);
-    auto const r1 = mem::partition_touch_range(*part, 1, 8, 800);
-    auto const r2 = mem::partition_touch_range(*part, 2, 8, 800);
-    EXPECT_EQ(r0.lo, 0u);
-    EXPECT_EQ(r0.hi, mem::pad_to_line(part->end(0) * 8));
-    EXPECT_GE(r0.hi, part->end(0) * 8);  // boundary line kept below
-    EXPECT_EQ(r1.lo, r0.hi);
-    EXPECT_EQ(r2.hi, 800u);
 }
 
 // --- dat allocation through the layer -----------------------------------

@@ -1,8 +1,8 @@
 // Partition-granular quarantine (op2/exec/dataflow.hpp +
 // backend.hpp): a failed loop poisons exactly the partitions of the
 // dats it wrote, later readers fail fast with a structured diagnostic
-// naming the origin, direct whole-dat writers heal, poison survives a
-// dep_state re-partition, and clear_quarantine() lifts it.
+// naming the origin on every backend, direct whole-dat writers heal,
+// poison survives a pool resize, and clear_quarantine() lifts it.
 
 #include <gtest/gtest.h>
 
@@ -30,10 +30,9 @@ protected:
         return o;
     }();
 
-    loop_options hpx_opts(std::size_t parts) const {
+    static loop_options hpx_opts() {
         loop_options o;
         o.backend = exec::backend_kind::hpx_dataflow;
-        o.partitions = parts;
         o.part_size = 32;
         return o;
     }
@@ -150,11 +149,12 @@ TEST_F(QuarantineTest, ClearQuarantineLiftsPoison) {
 }
 
 TEST_F(QuarantineTest, FailedSubNodePoisonsAndReaderFails) {
+    hpxlite::init(hpxlite::runtime_config{2});
     auto cells = op_decl_set(256, "cells");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
 
     fault::arm("kernel=async_writer@*.*");
-    auto hw = exec::run_loop(hpx_opts(2), "async_writer", cells,
+    auto hw = exec::run_loop(hpx_opts(), "async_writer", cells,
                              [](double* x) { *x += 1.0; },
                              op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
     EXPECT_THROW(hw.get(), std::runtime_error);
@@ -164,7 +164,7 @@ TEST_F(QuarantineTest, FailedSubNodePoisonsAndReaderFails) {
     // A later reader fails either at issue (quarantine check) or
     // through graph error inheritance — both surface a runtime_error at
     // the handle, never silently-divergent data.
-    auto hr = exec::run_loop(hpx_opts(2), "late_reader", cells,
+    auto hr = exec::run_loop(hpx_opts(), "late_reader", cells,
                              [](double* x) { *x += 1.0; },
                              op_arg_dat(d, -1, OP_ID, 1, "double", OP_INC));
     EXPECT_THROW(hr.get(), std::runtime_error);
@@ -172,23 +172,59 @@ TEST_F(QuarantineTest, FailedSubNodePoisonsAndReaderFails) {
     d.clear_quarantine();
 }
 
-/// Satellite S4: poison recorded at one execution granularity must
-/// survive a dep_state re-partition — spans are element-granular, so a
-/// reader at a *different* partition count still trips over them.
-TEST_F(QuarantineTest, PoisonSurvivesRepartition) {
+/// A loop over an empty set that reads a poisoned dat (through an empty
+/// map) fails on every backend. The dataflow loop has no sub-node to
+/// carry the quarantine diagnostic, so its join must carry it.
+TEST_F(QuarantineTest, EmptySetReaderOfPoisonedDatFailsOnEveryBackend) {
+    auto cells = op_decl_set(8, "cells");
+    auto none = op_decl_set(0, "none");
+    auto none_to_cells = op_decl_map(none, cells, 1, {}, "none_to_cells");
+    auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
+
+    fault::arm("kernel=poisoner@*.*");
+    auto hw = exec::run_loop(hpx_opts(), "poisoner", cells,
+                             [](double* x) { *x = 1.0; },
+                             op_arg_dat(d, -1, OP_ID, 1, "double", OP_WRITE));
+    EXPECT_THROW(hw.get(), std::runtime_error);
+    op_fence(d);
+    fault::disarm();
+    ASSERT_TRUE(d.quarantined());
+
+    for (auto be : {exec::backend_kind::seq, exec::backend_kind::staged,
+                    exec::backend_kind::hpx_dataflow}) {
+        loop_options o = hpx_opts();
+        o.backend = be;
+        EXPECT_THROW(exec::run_loop(o, "empty_reader", none,
+                                    [](double const*) {},
+                                    op_arg_dat(d, 0, none_to_cells, 1,
+                                               "double", OP_READ))
+                         .get(),
+                     exec::quarantine_error)
+            << exec::to_string(be);
+    }
+    d.clear_quarantine();
+}
+
+/// Poison recorded on one pool must survive a resize of the pool, which
+/// rebuilds the dat's record table at the new worker count: spans are
+/// element-granular, so a reader at a *different* partition count still
+/// trips over them.
+TEST_F(QuarantineTest, PoisonSurvivesPoolResize) {
+    hpxlite::init(hpxlite::runtime_config{2});
     auto cells = op_decl_set(240, "cells");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
 
     fault::arm("kernel=writer_p2@*.*");
-    auto hw = exec::run_loop(hpx_opts(2), "writer_p2", cells,
+    auto hw = exec::run_loop(hpx_opts(), "writer_p2", cells,
                              [](double* x) { *x += 1.0; },
                              op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
     EXPECT_THROW(hw.get(), std::runtime_error);
     op_fence(d);
     ASSERT_TRUE(d.quarantined());
 
-    // Different granularity: forces the record-table re-partition.
-    auto hr = exec::run_loop(hpx_opts(3), "reader_p3", cells,
+    // Another pool size: the reader's issue rebuilds the record table.
+    hpxlite::init(hpxlite::runtime_config{3});
+    auto hr = exec::run_loop(hpx_opts(), "reader_p3", cells,
                              [](double* x) { *x += 1.0; },
                              op_arg_dat(d, -1, OP_ID, 1, "double", OP_INC));
     EXPECT_THROW(hr.get(), std::runtime_error);
@@ -212,9 +248,10 @@ TEST_F(QuarantineTest, DroppedTaskSurfacesDiscardAndQuarantines) {
     auto cells = op_decl_set(128, "cells");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
 
+    // One worker: the loop's only sub-node is the first task.
+    hpxlite::init(hpxlite::runtime_config{1});
     fault::arm("drop=1");
-    loop_options o = hpx_opts(1);  // one partition: the first task is
-                                   // the loop's only sub-node
+    loop_options o = hpx_opts();
     auto h = exec::run_loop(o, "dropped_loop", cells,
                             [](double* x) { *x += 1.0; },
                             op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
@@ -241,10 +278,11 @@ TEST_F(QuarantineTest, DroppedTaskSurfacesDiscardAndQuarantines) {
 }
 
 TEST_F(QuarantineTest, CleanRunsLeaveNoQuarantine) {
+    hpxlite::init(hpxlite::runtime_config{2});
     auto cells = op_decl_set(256, "cells");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
     for (int k = 0; k < 4; ++k) {
-        (void)exec::run_loop(hpx_opts(2), "inc", cells,
+        (void)exec::run_loop(hpx_opts(), "inc", cells,
                              [](double* x) { *x += 1.0; },
                              op_arg_dat(d, -1, OP_ID, 1, "double", OP_RW));
     }

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -26,6 +27,38 @@ protected:
     void SetUp() override { hpxlite::init(hpxlite::runtime_config{4}); }
     void TearDown() override { hpxlite::finalize(); }
 };
+
+/// A retired job's runtime_context dies with its last handle: a
+/// dataflow loop's group, parked for reuse after the loop ran, must not
+/// keep the context of the job that issued it.
+TEST_F(ServiceTest, RetiredJobReleasesItsContext) {
+    std::weak_ptr<runtime_context> ctx;
+    {
+        service::scheduler sched;
+        service::job_desc d;
+        d.name = "retiring";
+        d.program = [] {
+            auto set = op_decl_set(256, "elems");
+            auto x = op_decl_dat_zero<double>(set, 1, "double", "x");
+            loop_options o;
+            o.backend = exec::backend_kind::hpx_dataflow;
+            double sum = 0.0;
+            exec::run_loop(o, "retiring_sum", set,
+                           [](double const* v, double* s) { *s += *v; },
+                           op_arg_dat(x, -1, OP_ID, 1, "double", OP_READ),
+                           op_arg_gbl(&sum, 1, "double", OP_INC))
+                .get();
+        };
+        auto const j = sched.submit(std::move(d));
+        sched.drain();
+        ASSERT_EQ(j.state(), service::job_state::completed);
+        ctx = j.context();
+    }
+    hpxlite::finalize();
+    EXPECT_TRUE(ctx.expired())
+        << "the retired job's context is still held (use count "
+        << ctx.use_count() << ")";
+}
 
 TEST_F(ServiceTest, JobsRunAndReportMetrics) {
     service::scheduler sched;

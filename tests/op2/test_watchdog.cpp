@@ -43,14 +43,11 @@ TEST_F(WatchdogTest, WaitForTimesOutAndWatchdogDumpsPendingSubNodes) {
     std::atomic<bool> entered{false};
     std::atomic<bool> release{false};
 
-    // Both loops at one partition: the reader's sub-node waits on the
-    // writer's through the epoch graph. (A granularity *change* would
-    // instead quiesce in-flight work at issue — dep_state::pin drains
-    // the table before re-partitioning — which would deadlock against
-    // the deliberately-blocked kernel.)
+    // One worker, so both loops are one direct partition: the blocker's
+    // one sub-node holds the worker, and the reader's sub-node waits on
+    // it through the epoch graph.
     loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 1;  // one direct partition: one sub-node holds the worker
     auto hA = exec::run_loop(o, "blocker", cells,
                              [&](double* x) {
                                  entered.store(true);
@@ -124,7 +121,6 @@ TEST_F(WatchdogTest, OnePartitionDumpNamesColourSubNodesAndJoin) {
 
     loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 1;
     o.part_size = 16;
     std::array<op_arg, 2> const args{
         op_arg_dat(d, 0, em, 1, "double", OP_INC),
@@ -176,11 +172,11 @@ TEST_F(WatchdogTest, OnePartitionDumpNamesColourSubNodesAndJoin) {
 }
 
 TEST_F(WatchdogTest, HealthyRunNeverTrips) {
+    hpxlite::init(hpxlite::runtime_config{2});
     auto cells = op_decl_set(512, "cells");
     auto d = op_decl_dat_zero<double>(cells, 1, "double", "d");
     loop_options o;
     o.backend = exec::backend_kind::hpx_dataflow;
-    o.partitions = 2;
     o.part_size = 32;
 
     std::ostringstream dump;
